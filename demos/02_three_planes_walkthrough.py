@@ -12,8 +12,7 @@ We build that configuration in code and walk through the computation.
 """
 
 from vancoh import (Branch, CurveComponent, SliceConfiguration, SpecialPoint, analyze,
-                    build_j, component_cohomology, format_group, matrix,
-                    slice_degree_map, validate)
+                    format_group, matrix, slice_degree_map, validate)
 
 identity1 = matrix([[1]])
 
@@ -42,23 +41,21 @@ print("violations:", validate(cfg))
 print("degree bookkeeping (m, lowest degree):", slice_degree_map(3, 2))
 print()
 
-# Per-component pieces: invariants of the vertical monodromy, the cokernel,
-# and the Euler number of the punctured tube.
-for c in components:
-    cc = component_cohomology(c, cfg.n)
-    print(f"{c.id}: invariants rank {cc.invariants.rank}, "
+# One pass computes everything.  Per-component pieces: invariants of the
+# vertical monodromy, the cokernel, and the Euler number of the punctured tube.
+rep = analyze(cfg)
+for cc in rep.components:
+    print(f"{cc.component_id}: invariants rank {cc.invariants.rank}, "
           f"coker free rank {cc.coker.free_rank}, euler {cc.euler}")
 print()
 
 # The comparison map j: the first three columns are the diagonal inclusion
 # of the component invariants, the last two are minus the torus injection.
-j = build_j(cfg)
 print("j matrix (3x5):")
-for row in j.tolist():
+for row in rep.j_matrix.tolist():
     print("   ", row)
 print()
 
-rep = analyze(cfg)
 print("lowest vanishing group:", format_group(rep.lowest_group),
       f"(degree {rep.lowest_degree})")
 print("interaction rank vs branch-free contributions:",

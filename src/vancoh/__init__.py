@@ -13,11 +13,8 @@ from .model import (Branch, CurveComponent, EigenvalueData, IsolatedPoint,
                     branch_kernel, slice_degree_map, validate)
 from .engine import (Bounds, ComponentCohomology, InternalDefectError,
                      InvalidConfigurationError, MonodromyChecks, SixTermCheck,
-                     VanishingReport, analyze, build_j, component_cohomology,
-                     decompose, euler_total, lower_bound_lowest, lowest_vanishing,
-                     min_bound, monodromy_checks, polar_bounds, q_empty_shortcut,
-                     six_term_check, upper_bound_lowest)
-from .loader import load_path, parse_configuration, serialize_configuration
+                     VanishingReport, analyze, component_cohomology)
+from .loader import load_bytes, load_path, parse_configuration, serialize_configuration
 from .report import Report, format_group, render_json, render_text
 
 __all__ = [
@@ -30,11 +27,8 @@ __all__ = [
     "branch_kernel", "slice_degree_map", "validate",
     "Bounds", "ComponentCohomology", "InternalDefectError",
     "InvalidConfigurationError", "MonodromyChecks", "SixTermCheck",
-    "VanishingReport", "analyze", "build_j", "component_cohomology",
-    "decompose", "euler_total", "lower_bound_lowest", "lowest_vanishing",
-    "min_bound", "monodromy_checks", "polar_bounds", "q_empty_shortcut",
-    "six_term_check", "upper_bound_lowest",
-    "load_path", "parse_configuration", "serialize_configuration",
+    "VanishingReport", "analyze", "component_cohomology",
+    "load_bytes", "load_path", "parse_configuration", "serialize_configuration",
     "Report", "format_group", "render_json", "render_text",
     "__version__",
 ]

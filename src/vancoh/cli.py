@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from . import corpus
-from .engine import InternalDefectError, analyze
-from .loader import load_path
+from .engine import InternalDefectError, InvalidConfigurationError, analyze
+from .loader import load_bytes
 from .model import Violation, validate
 from .report import Report, format_group, input_digest, render_json, render_text
 
@@ -30,7 +31,7 @@ def _file_report(path: str, *, strict: bool, costalk_required: bool,
                                  exc.strerror or "cannot read"),), None)
     digest = input_digest(raw)
     cid = digest[:12]
-    result, error = load_path(path)
+    result, error = load_bytes(raw)
     if error is not None:
         return Report(cid, (Violation("malformed-document", "document", error),), None,
                       input_sha256=digest)
@@ -44,23 +45,25 @@ def _file_report(path: str, *, strict: bool, costalk_required: bool,
         else:
             warnings = tuple(result.unknown_keys)
     cfg = result.configuration
+    report = partial(Report, cid, warnings=warnings, input_sha256=digest)
     if cfg is not None and not violations:
-        violations.extend(validate(cfg))
-        if costalk_required and not violations:
-            for q in cfg.special_points:
-                if q.costalk_rank is None:
-                    violations.append(Violation(
-                        "missing-costalk", q.id,
-                        "lower bound requested but costalk rank is absent"))
+        missing = [Violation("missing-costalk", q.id,
+                             "lower bound requested but costalk rank is absent")
+                   for q in cfg.special_points
+                   if costalk_required and q.costalk_rank is None]
+        # On the compute path without missing costalks, analyze validates.
+        if missing or not compute:
+            violations = validate(cfg) or missing
     if violations or cfg is None:
-        return Report(cid, tuple(violations), None, warnings=warnings, input_sha256=digest)
+        return report(tuple(violations), None)
     if not compute:
-        return Report(cid, (), None, warnings=warnings, input_sha256=digest)
+        return report((), None)
     try:
-        vanishing = analyze(cfg)
+        return report((), analyze(cfg))
+    except InvalidConfigurationError as exc:
+        return report(tuple(exc.violations), None)
     except InternalDefectError as exc:
-        return Report(cid, (), None, defect=str(exc), warnings=warnings, input_sha256=digest)
-    return Report(cid, (), vanishing, warnings=warnings, input_sha256=digest)
+        return report((), None, defect=str(exc))
 
 
 def run(paths: list[str], *, compute: bool = True, strict: bool = False,

@@ -31,7 +31,3 @@ def bundled():
     """(name, path) pairs of the corpus files, in their canonical order."""
     root = resources.files(__package__)
     return [(name, root / f"{name}.json") for name in EXPECTED]
-
-
-def bundled_paths():
-    return [path for _, path in bundled()]

@@ -5,16 +5,17 @@ locus, this module assembles the matrix of the Mayer-Vietoris comparison
 map j from component invariants and special-point cohomology into the
 branch kernels, computes the lowest group as ker j, and derives the
 Euler-characteristic bookkeeping, the six-term exactness ranks, the Betti
-bounds, and the monodromy divisibility predicates.
+bounds, and the monodromy divisibility predicates.  `analyze` does all of
+this in one pass and returns the immutable `VanishingReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
+from . import linalg, model
 from .linalg import FinAbGroup, IntegerMatrix, Submodule
-from .model import CurveComponent, SliceConfiguration, branch_kernel, validate
+from .model import CurveComponent, SliceConfiguration
 from .polynomial import poly_divides, poly_product
 
 
@@ -57,10 +58,6 @@ class SixTermCheck:
     branch_coker: int     # branch cokernel free ranks
     consistent: bool
 
-    @property
-    def h_top_rank(self) -> int:
-        return self.top_pair
-
 
 @dataclass(frozen=True)
 class MonodromyChecks:
@@ -96,34 +93,27 @@ class VanishingReport:
     monodromy: MonodromyChecks | None
     shortcut_agrees: bool | None  # only set when there are no special points
     j_matrix: IntegerMatrix
-    h_top_torsion_known: bool = False  # torsion of the top pair group sits in
-                                       # an undetermined extension
 
 
 def component_cohomology(c: CurveComponent, n: int) -> ComponentCohomology:
     """Invariants, cokernel and Euler number of one curve component.
 
-    Invariants are the intersection of the kernels of (nu - id) over all
-    loop generators; with no generators the empty intersection is the full
-    module.  The cokernel is taken for the map into the direct sum over
-    generators, i.e. of the vertically stacked matrix.
+    Both come from the vertically stacked matrix of (nu - id) over all loop
+    generators: its kernel is the intersection of the per-loop kernels (the
+    full module when there are no generators), and its cokernel is taken for
+    the map into the direct sum over generators.
     """
     mu = c.transversal_rank
     ident = IntegerMatrix.identity(mu)
-    inv = Submodule.full(mu)
-    for nu in c.loop_monodromies:
-        inv = linalg.intersect(inv, linalg.kernel(nu - ident))
-    if c.loop_monodromies:
-        stacked = linalg.vstack([nu - ident for nu in c.loop_monodromies])
-    else:
-        stacked = IntegerMatrix.zeros(0, mu)
-    coker = linalg.cokernel(stacked)
-    tau = len(c.loop_monodromies) - 2 * c.genus
-    euler = (-1) ** n * (2 * c.genus + tau - 1) * mu
-    return ComponentCohomology(c.id, inv, coker, euler)
+    stacked = IntegerMatrix.from_rows(
+        [row for nu in c.loop_monodromies for row in (nu - ident).data], mu)
+    # 2 * genus + tau - 1 for the punctured curve: one less than the loops
+    euler = (-1) ** n * (len(c.loop_monodromies) - 1) * mu
+    return ComponentCohomology(c.id, linalg.kernel(stacked), linalg.cokernel(stacked), euler)
 
 
-def build_j(cfg: SliceConfiguration) -> IntegerMatrix:
+def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
+             kernels: list[list[Submodule]]) -> IntegerMatrix:
     """Matrix of the comparison map j into the branch kernels.
 
     Domain basis: canonical invariant bases of the components (declaration
@@ -134,245 +124,147 @@ def build_j(cfg: SliceConfiguration) -> IntegerMatrix:
     coordinates obtained by exact solve; the point block is -iota, so that
     ker j consists of the matched pairs.
     """
-    comps = {c.id: component_cohomology(c, cfg.n) for c in cfg.components}
-
-    rows_per_branch: list[tuple[str, int, Submodule]] = []
-    for q in cfg.special_points:
-        for k, b in enumerate(q.branches):
-            rows_per_branch.append((q.id, k, branch_kernel(b)))
-    codomain = sum(kern.rank for _, _, kern in rows_per_branch)
-
-    inv_cols = sum(comps[c.id].invariants.rank for c in cfg.components)
-    point_cols = sum(q.fq_rank_low for q in cfg.special_points)
-    domain = inv_cols + point_cols
-
+    codomain = sum(kern.rank for point_kernels in kernels for kern in point_kernels)
+    domain = (sum(cc.invariants.rank for cc in comps)
+              + sum(q.fq_rank_low for q in cfg.special_points))
     data = [[0] * domain for _ in range(codomain)]
 
     col0 = 0
-    for c in cfg.components:
-        inv = comps[c.id].invariants
+    for cc in comps:
+        inv = cc.invariants
         row0 = 0
-        for q in cfg.special_points:
-            for k, b in enumerate(q.branches):
-                kern = branch_kernel(b)
-                if b.component_id == c.id:
+        for q, point_kernels in zip(cfg.special_points, kernels):
+            for k, (b, kern) in enumerate(zip(q.branches, point_kernels)):
+                if b.component_id == cc.component_id:
                     coords = linalg.solve_in_basis(kern.basis, inv.basis)
                     if coords is None:
                         raise InternalDefectError(
-                            f"invariant submodule of component {c.id!r} does not lie in "
-                            f"the kernel of branch {k} at point {q.id!r}; the supplied "
+                            f"invariant submodule of component {cc.component_id!r} does not "
+                            f"lie in the kernel of branch {k} at point {q.id!r}; the supplied "
                             f"loop and branch monodromies are mutually inconsistent")
-                    for i in range(coords.rows):
-                        for j in range(coords.cols):
-                            data[row0 + i][col0 + j] = coords.data[i][j]
+                    for i, row in enumerate(coords.data):
+                        data[row0 + i][col0:col0 + inv.rank] = row
                 row0 += kern.rank
         col0 += inv.rank
 
     row0 = 0
     for q in cfg.special_points:
-        block_rows = sum(branch_kernel(b).rank for b in q.branches)
-        for i in range(block_rows):
-            for j in range(q.fq_rank_low):
-                data[row0 + i][col0 + j] = -q.iota.data[i][j]
-        row0 += block_rows
+        for i, row in enumerate(q.iota.data):
+            data[row0 + i][col0:col0 + q.fq_rank_low] = [-x for x in row]
+        row0 += q.iota.rows
         col0 += q.fq_rank_low
 
     return IntegerMatrix(codomain, domain, tuple(tuple(r) for r in data))
 
 
-def lowest_vanishing(cfg: SliceConfiguration) -> FinAbGroup:
-    """The lowest vanishing cohomology group: ker j, always free."""
-    kern = linalg.kernel(build_j(cfg))
-    group = FinAbGroup(kern.rank, ())
-    if not group.is_free:
-        raise InternalDefectError("kernel of an integer matrix reported torsion")
-    return group
-
-
-def _i0_components(cfg: SliceConfiguration) -> list[str]:
-    return [c.id for c in cfg.components if cfg.branch_count(c.id) == 0]
-
-
-def decompose(cfg: SliceConfiguration) -> tuple[int, list[tuple[str, int]]]:
-    """Split the lowest group into the branch-free components' invariants
-    plus the interaction part, and cross-check the interaction rank against
-    the direct computation of the intersection of the two images."""
-    comps = {c.id: component_cohomology(c, cfg.n) for c in cfg.components}
-    i0 = _i0_components(cfg)
-    i0_list = [(cid, comps[cid].invariants.rank) for cid in i0]
-    total = lowest_vanishing(cfg).free_rank
-    g_rank = total - sum(r for _, r in i0_list)
-
-    j = build_j(cfg)
-    inv_ranks = [comps[c.id].invariants.rank for c in cfg.components]
-    j1_cols: list[int] = []
-    col0 = 0
-    for c, r in zip(cfg.components, inv_ranks):
-        if c.id not in i0:
-            j1_cols.extend(range(col0, col0 + r))
-        col0 += r
-    j2_cols = list(range(col0, j.cols))
-    im_j1 = linalg.image(_select_columns(j, j1_cols))
-    im_j2 = linalg.image(_select_columns(j, j2_cols))
-    g_direct = linalg.intersect(im_j1, im_j2).rank
-    if g_direct != g_rank:
-        raise InternalDefectError(
-            f"interaction rank mismatch: kernel route gives {g_rank}, "
-            f"image intersection gives {g_direct}")
-    return g_rank, i0_list
-
-
-def _select_columns(m: IntegerMatrix, cols: list[int]) -> IntegerMatrix:
-    return IntegerMatrix(m.rows, len(cols),
-                         tuple(tuple(m.data[i][j] for j in cols) for i in range(m.rows)))
-
-
-def euler_total(cfg: SliceConfiguration) -> int:
-    """Euler characteristic of the whole vanishing neighborhood pair.
-
-    chi(F_q) is reconstructed from the two supplied Betti ranks, the local
-    reduced cohomology being concentrated in degrees n-2 and n-1.
-    """
-    n = cfg.n
-    total = 0
-    for q in cfg.special_points:
-        chi_fq = 1 + (-1) ** (n - 2) * q.fq_rank_low + (-1) ** (n - 1) * q.fq_rank_high
-        total -= chi_fq - 1
-    for c in cfg.components:
-        tau = cfg.branch_count(c.id)
-        total += (-1) ** n * (2 * c.genus + tau - 1) * c.transversal_rank
-    total += (-1) ** n * sum(r.milnor_number for r in cfg.isolated_points)
-    return total
-
-
-def six_term_check(cfg: SliceConfiguration) -> SixTermCheck:
-    """Ranks of the six-term exact sequence, solving for the top pair group.
-
-    The alternating sum of the five determined terms fixes the sixth; a
-    negative value flags contradictory input ranks.  The result must
-    reproduce the Euler characteristic formula exactly; that identity is a
-    mandatory internal assertion.
-    """
-    comps = [component_cohomology(c, cfg.n) for c in cfg.components]
-    a = linalg.kernel(build_j(cfg)).rank
-    b = sum(cc.invariants.rank for cc in comps) + sum(q.fq_rank_low for q in cfg.special_points)
-    c_term = 0
-    f_term = 0
-    for q in cfg.special_points:
-        for br in q.branches:
-            nu = br.monodromy
-            delta = nu - IntegerMatrix.identity(nu.rows)
-            c_term += linalg.kernel(delta).rank
-            f_term += linalg.cokernel(delta).free_rank
-    e = sum(cc.coker.free_rank for cc in comps) + sum(q.fq_rank_high for q in cfg.special_points)
-    d = c_term - b + a + e - f_term
-
-    mu_sum = sum(r.milnor_number for r in cfg.isolated_points)
-    bookkeeping = (-1) ** (cfg.n - 1) * a + (-1) ** cfg.n * (d + mu_sum)
-    if bookkeeping != euler_total(cfg):
-        raise InternalDefectError(
-            f"Euler bookkeeping mismatch: six-term ranks give {bookkeeping}, "
-            f"direct formula gives {euler_total(cfg)}")
-    return SixTermCheck(a, b, c_term, d, e, f_term, consistent=d >= 0)
-
-
-def q_empty_shortcut(cfg: SliceConfiguration) -> FinAbGroup:
-    """Direct sum of the component invariants; only defined without special
-    points, where it must coincide with the kernel computation."""
-    if cfg.special_points:
-        raise ValueError("shortcut requires a configuration without special points")
-    total = sum(component_cohomology(c, cfg.n).invariants.rank for c in cfg.components)
-    return FinAbGroup(total, ())
-
-
-def upper_bound_lowest(cfg: SliceConfiguration) -> int:
-    """Sum of invariant ranks: the monomorphism bound for the lowest Betti
-    number, refined to the invariant submodules of the slice monodromy."""
-    return sum(component_cohomology(c, cfg.n).invariants.rank for c in cfg.components)
-
-
-def lower_bound_lowest(cfg: SliceConfiguration) -> int | None:
-    """Invariant ranks minus the costalk corrections at the special points;
-    absent unless every special point supplies its costalk rank."""
-    if any(q.costalk_rank is None for q in cfg.special_points):
-        return None
-    return upper_bound_lowest(cfg) - sum(q.costalk_rank for q in cfg.special_points)
-
-
-def min_bound(cfg: SliceConfiguration) -> int:
-    """Concentration bound: components with a rank-zero special point drop
-    out entirely; the others contribute the smaller of the transversal rank
-    and their points' lower ranks.  A component without special points
-    contributes its transversal rank (conservative convention)."""
-    total = 0
-    for c in cfg.components:
-        points = cfg.points_of_component(c.id)
-        lows = [q.fq_rank_low for q in points]
-        if points and 0 in lows:
-            continue
-        total += min([c.transversal_rank] + lows)
-    return total
-
-
-def polar_bounds(cfg: SliceConfiguration) -> list[tuple[int, int]]:
-    """Betti bounds b_{n-k}(F) <= lambda^k + clk Betti, straight from the
-    supplied polar data; empty when no polar data is present."""
-    if not cfg.polar_data:
-        return []
-    return [(k, lam + clk) for k, (lam, clk) in enumerate(cfg.polar_data)]
-
-
-def monodromy_checks(cfg: SliceConfiguration) -> MonodromyChecks:
-    """Divisibility of the supplied characteristic polynomial by the product
-    of the per-component ones, plus the eigenvalue and Jordan inequalities."""
-    md = cfg.monodromy_data
-    if md is None:
-        raise ValueError("configuration carries no monodromy data")
-    if md.char_poly.is_zero or any(p.is_zero for p in md.component_char_polys):
-        raise ValueError("malformed monodromy polynomials")
-    product = poly_product(md.component_char_polys)
-    divides = poly_divides(md.char_poly, product)
-    eigen = tuple((e.eigenvalue, e.total <= sum(e.components)) for e in md.eigen_dims)
-    jordan = tuple((e.eigenvalue, e.total <= sum(e.components)) for e in md.jordan_sizes)
-    return MonodromyChecks(divides, eigen, jordan)
-
-
 def analyze(cfg: SliceConfiguration) -> VanishingReport:
-    """Run the whole computation on a configuration, validating first.
+    """Run the whole computation on a configuration in a single pass.
 
-    Raises InvalidConfigurationError on validation failure and
+    Validation hands on the branch kernels; the component invariants, j and
+    ker j are each computed once, and every ledger and cross-check reads
+    them.  Raises InvalidConfigurationError on validation failure and
     InternalDefectError when an internal invariant breaks.
     """
-    violations = validate(cfg)
+    violations, kernels = model._validate(cfg)
     if violations:
         raise InvalidConfigurationError(violations)
 
     comps = tuple(component_cohomology(c, cfg.n) for c in cfg.components)
-    j = build_j(cfg)
-    lowest = lowest_vanishing(cfg)
-    g_rank, i0 = decompose(cfg)
-    six = six_term_check(cfg)
-    euler = euler_total(cfg)
-
-    if lowest.free_rank != g_rank + sum(r for _, r in i0):
-        raise InternalDefectError("lowest-group rank does not match its decomposition")
+    j = _build_j(cfg, comps, kernels)
+    lowest = FinAbGroup(linalg.kernel(j).rank, ())
+    if not lowest.is_free:
+        raise InternalDefectError("kernel of an integer matrix reported torsion")
+    upper = sum(cc.invariants.rank for cc in comps)
 
     shortcut = None
     if not cfg.special_points:
-        shortcut = q_empty_shortcut(cfg) == lowest
+        # The direct sum of the component invariants, against the kernel.
+        shortcut = FinAbGroup(upper, ()) == lowest
         if not shortcut:
             raise InternalDefectError(
                 "direct-sum shortcut disagrees with the kernel computation")
 
+    # Decomposition: the branch-free components' invariants plus the
+    # interaction part, whose rank is cross-checked against the direct
+    # computation of the intersection of the two images.
+    i0: list[tuple[str, int]] = []
+    j1_cols: list[int] = []
+    col0 = 0
+    for cc in comps:
+        r = cc.invariants.rank
+        if cfg.branch_count(cc.component_id) == 0:
+            i0.append((cc.component_id, r))
+        else:
+            j1_cols.extend(range(col0, col0 + r))
+        col0 += r
+    g_rank = lowest.free_rank - sum(r for _, r in i0)
+
+    def image_of(cols):
+        return linalg.image(IntegerMatrix.from_rows([[row[c] for c in cols] for row in j.data],
+                                                    len(cols)))
+
+    g_direct = linalg.intersect(image_of(j1_cols), image_of(range(col0, j.cols))).rank
+    if g_direct != g_rank:
+        raise InternalDefectError(
+            f"interaction rank mismatch: kernel route gives {g_rank}, "
+            f"image intersection gives {g_direct}")
+
+    # Six-term ranks: the alternating sum of the five determined terms fixes
+    # the top pair group; a negative value flags contradictory input ranks.
+    # Each branch map nu - id is square, so the free rank of its cokernel
+    # equals the rank of its kernel: the branch cokernel term is the sum of
+    # the branch-kernel ranks, which is the codomain of j.
+    a = lowest.free_rank
+    b = j.cols
+    c_term = f_term = j.rows
+    e = sum(cc.coker.free_rank for cc in comps) + sum(q.fq_rank_high for q in cfg.special_points)
+    d = c_term - b + a + e - f_term
+    six = SixTermCheck(a, b, c_term, d, e, f_term, consistent=d >= 0)
+
+    # The ranks must reproduce the Euler characteristic of the whole
+    # vanishing neighborhood pair exactly.  Each special point takes away
+    # chi(F_q) - 1 = (-1)^n (fq_rank_low - fq_rank_high), the local reduced
+    # cohomology being concentrated in degrees n-2 and n-1.
     mu_sum = sum(r.milnor_number for r in cfg.isolated_points)
+    euler = sum(cc.euler for cc in comps) + (-1) ** cfg.n * (
+        mu_sum + sum(q.fq_rank_high - q.fq_rank_low for q in cfg.special_points))
+    bookkeeping = (-1) ** (cfg.n - 1) * a + (-1) ** cfg.n * (d + mu_sum)
+    if bookkeeping != euler:
+        raise InternalDefectError(
+            f"Euler bookkeeping mismatch: six-term ranks give {bookkeeping}, "
+            f"direct formula gives {euler}")
+
+    # Upper bound: the monomorphism bound refined to the invariant
+    # submodules.  Lower bound: minus the costalk corrections, absent unless
+    # every special point supplies one.  Concentration bound: components
+    # with a rank-zero special point drop out; the others contribute the
+    # smaller of the transversal rank and their points' lower ranks (the
+    # transversal rank alone without special points, a conservative
+    # convention).
+    costalks = [q.costalk_rank for q in cfg.special_points]
+    concentration = 0
+    for c in cfg.components:
+        lows = [q.fq_rank_low for q in cfg.points_of_component(c.id)]
+        if 0 not in lows:
+            concentration += min([c.transversal_rank] + lows)
     bounds = Bounds(
-        upper_lowest=upper_bound_lowest(cfg),
-        lower_lowest=lower_bound_lowest(cfg),
-        min_bound=min_bound(cfg),
+        upper_lowest=upper,
+        lower_lowest=None if None in costalks else upper - sum(costalks),
+        min_bound=concentration,
         betti_high=six.top_pair + mu_sum,
-        polar=tuple(polar_bounds(cfg)),
+        polar=tuple((k, lam + clk) for k, (lam, clk) in enumerate(cfg.polar_data or ())),
     )
-    monodromy = monodromy_checks(cfg) if cfg.monodromy_data is not None else None
+
+    # Monodromy predicates: divisibility of the supplied characteristic
+    # polynomial by the product of the per-component ones, and the
+    # eigenvalue and Jordan inequalities.
+    monodromy = None
+    md = cfg.monodromy_data
+    if md is not None:
+        monodromy = MonodromyChecks(
+            poly_divides(md.char_poly, poly_product(md.component_char_polys)),
+            tuple((ev.eigenvalue, ev.total <= sum(ev.components)) for ev in md.eigen_dims),
+            tuple((ev.eigenvalue, ev.total <= sum(ev.components)) for ev in md.jordan_sizes))
 
     return VanishingReport(
         lowest_group=lowest,

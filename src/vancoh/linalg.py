@@ -354,10 +354,6 @@ class Submodule:
     def rank(self) -> int:
         return self.basis.cols
 
-    @property
-    def is_full(self) -> bool:
-        return self.rank == self.ambient_rank and self.basis == IntegerMatrix.identity(self.ambient_rank)
-
 
 def kernel(m: IntegerMatrix) -> Submodule:
     """Integer kernel {x : m x = 0} of Z^cols, automatically saturated.

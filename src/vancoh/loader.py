@@ -318,8 +318,18 @@ def load_path(path) -> tuple[ParseResult | None, str | None]:
             raw = fh.read()
     except OSError as exc:
         return None, f"unreadable file: {exc}"
+    return load_bytes(raw)
+
+
+def load_bytes(raw: bytes) -> tuple[ParseResult | None, str | None]:
+    """Decode and parse a document's bytes; (result, error) as `load_path`.
+
+    Every decoder failure is an error, never an exception: bad UTF-8 or
+    JSON and integer literals past the interpreter's digit limit (all
+    ValueError), and nesting too deep for the decoder (RecursionError).
+    """
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         return None, f"malformed document: {exc}"
     return parse_configuration(doc), None

@@ -97,9 +97,6 @@ class SliceConfiguration:
     polar_data: tuple[tuple[int, int], ...] | None = None
     monodromy_data: MonodromyData | None = None
 
-    def component_ids(self) -> list[str]:
-        return [c.id for c in self.components]
-
     def branch_count(self, component_id: str) -> int:
         return sum(1 for q in self.special_points for b in q.branches
                    if b.component_id == component_id)
@@ -158,7 +155,17 @@ def validate(cfg: SliceConfiguration) -> list[Violation]:
     An empty list means the configuration is valid; a valid configuration is
     safe input for every engine operation.
     """
+    return _validate(cfg)[0]
+
+
+def _validate(cfg: SliceConfiguration) -> tuple[list[Violation], list[list[Submodule]]]:
+    """Violations plus the branch kernels computed while checking iota.
+
+    The kernels are listed per special point, branches in declaration
+    order; they are complete only when there are no violations.
+    """
     out: list[Violation] = []
+    kernels: list[list[Submodule]] = []
 
     if cfg.original_s < 2:
         out.append(Violation("dimension-range", "original_s", "original_s must be >= 2"))
@@ -201,23 +208,21 @@ def validate(cfg: SliceConfiguration) -> list[Violation]:
             continue
         if q.costalk_rank is not None and q.costalk_rank < 0:
             out.append(Violation("negative-rank", q.id, "costalk rank must be nonnegative"))
-        kernel_rows = 0
-        branches_ok = True
+        point_kernels: list[Submodule] = []
+        kernels.append(point_kernels)
         for k, b in enumerate(q.branches):
             owner = by_id.get(b.component_id)
             if owner is None:
                 out.append(Violation("unknown-component", f"{q.id}[branch {k}]",
                                      f"branch references unknown component {b.component_id!r}"))
-                branches_ok = False
                 continue
             before = len(out)
             _check_monodromy(b.monodromy, owner.transversal_rank, f"{q.id}[branch {k}]", "branch", out)
-            if len(out) != before:
-                branches_ok = False
-                continue
-            kernel_rows += branch_kernel(b).rank
-        if not branches_ok:
+            if len(out) == before:
+                point_kernels.append(branch_kernel(b))
+        if len(point_kernels) != len(q.branches):
             continue
+        kernel_rows = sum(kern.rank for kern in point_kernels)
         if q.iota.rows != kernel_rows or q.iota.cols != q.fq_rank_low:
             out.append(Violation("iota-shape", q.id,
                                  f"iota must be {kernel_rows}x{q.fq_rank_low} "
@@ -266,4 +271,4 @@ def validate(cfg: SliceConfiguration) -> list[Violation]:
                                          f"need one integer per component ({len(cfg.components)}), "
                                          f"got {len(e.components)}"))
 
-    return out
+    return out, kernels

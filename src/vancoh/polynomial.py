@@ -42,10 +42,6 @@ class IntPolynomial:
         """Degree, with the zero polynomial assigned -1."""
         return len(self.coeffs) - 1
 
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.is_zero or other.is_zero:
             return IntPolynomial.zero()

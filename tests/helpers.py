@@ -3,13 +3,23 @@ basis-change and reordering transformations used by the invariance tests."""
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import replace
-from fractions import Fraction
 
 from vancoh import (Branch, CurveComponent, IntegerMatrix, IsolatedPoint,
-                    SliceConfiguration, SpecialPoint, branch_kernel, validate)
+                    SliceConfiguration, SpecialPoint, branch_kernel, parse_configuration,
+                    validate)
+from vancoh.corpus import bundled
 from vancoh.linalg import rank as matrix_rank, solve_in_basis, vstack
+
+import oracles
+
+
+def load_corpus(name: str) -> SliceConfiguration:
+    result = parse_configuration(json.loads(dict(bundled())[name].read_text()))
+    assert result.configuration is not None and not result.violations
+    return result.configuration
 
 
 def rand_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> IntegerMatrix:
@@ -38,22 +48,13 @@ def rand_unimodular(rng: random.Random, n: int, bound: int = 3) -> IntegerMatrix
 
 
 def exact_inverse(m: IntegerMatrix) -> IntegerMatrix:
-    """Inverse of a unimodular matrix, computed over Q and checked integral."""
+    """Inverse of a unimodular matrix, solved over Q column by column and
+    checked integral."""
     n = m.rows
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(m.data)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if aug[i][col])
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    out = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    assert all(x.denominator == 1 for row in out for x in row)
-    return IntegerMatrix.from_rows([[int(x) for x in row] for row in out])
+    cols = [oracles.rational_solve(m.tolist(), [int(i == j) for i in range(n)])
+            for j in range(n)]
+    assert all(x.denominator == 1 for col in cols for x in col)
+    return IntegerMatrix.from_rows([[int(col[i]) for col in cols] for i in range(n)])
 
 
 def random_valid_config(rng: random.Random, max_components: int = 3,
@@ -204,3 +205,12 @@ def report_signature(rep) -> tuple:
         (rep.bounds.upper_lowest, rep.bounds.lower_lowest, rep.bounds.min_bound,
          rep.bounds.betti_high),
     )
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Wrap module.name for the test; the returned list collects each
+    call's positional arguments."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    return calls

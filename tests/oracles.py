@@ -1,7 +1,8 @@
-"""Independent oracles for the exact-linalg tests.
+"""Independent oracles for the exact-linalg and engine tests.
 
-Everything here is deliberately written against plain nested lists and
-fractions.Fraction, independent of the production normal-form code paths.
+Everything here is deliberately written against plain nested lists,
+fractions.Fraction and the configuration's plain fields, independent of the
+production normal-form and engine code paths.
 """
 
 from __future__ import annotations
@@ -136,3 +137,19 @@ def charpoly_cofactor(rows: list[list[int]]) -> tuple[int, ...]:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def euler_direct(cfg) -> int:
+    """Euler characteristic of the vanishing neighborhood from the README
+    formula: (-1)^n [ sum over components (2 genus + branches - 1) mu
+    + sum over special points (fq_rank_high - fq_rank_low) + sum of Milnor
+    numbers ], on the configuration's plain fields."""
+    branches: dict[str, int] = {}
+    for q in cfg.special_points:
+        for b in q.branches:
+            branches[b.component_id] = branches.get(b.component_id, 0) + 1
+    inner = sum((2 * c.genus + branches.get(c.id, 0) - 1) * c.transversal_rank
+                for c in cfg.components)
+    inner += sum(q.fq_rank_high - q.fq_rank_low for q in cfg.special_points)
+    inner += sum(r.milnor_number for r in cfg.isolated_points)
+    return (-1) ** cfg.n * inner

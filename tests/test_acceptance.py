@@ -4,27 +4,18 @@ All tolerances are zero: everything here is exact integer arithmetic.
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
-import json
 import random
 import time
 from dataclasses import replace
 
-from vancoh import (FinAbGroup, analyze, euler_total, lower_bound_lowest,
-                    lowest_vanishing, min_bound, parse_configuration, q_empty_shortcut,
-                    six_term_check, upper_bound_lowest)
+from vancoh import FinAbGroup, analyze
 from vancoh.corpus import bundled
 from vancoh.linalg import (IntegerMatrix, diagonal_of, image, kernel,
                            smith_normal_form)
 
 import oracles
-from helpers import (conjugate_component, permute_config, rand_matrix, rand_unimodular,
-                     random_valid_config, report_signature)
-
-
-def _load(name):
-    result = parse_configuration(json.loads(dict(bundled())[name].read_text()))
-    assert result.configuration is not None and not result.violations
-    return result.configuration
+from helpers import (conjugate_component, load_corpus, permute_config, rand_matrix,
+                     rand_unimodular, random_valid_config, report_signature)
 
 
 def _line(ok: bool, label: str) -> None:
@@ -34,7 +25,7 @@ def _line(ok: bool, label: str) -> None:
 
 def test_criterion_1_xyz():
     start = time.perf_counter()
-    rep = analyze(_load("xyz"))
+    rep = analyze(load_corpus("xyz"))
     elapsed = time.perf_counter() - start
     ok = rep.lowest_group == FinAbGroup(2, ()) and elapsed < 1.0
     _line(ok, f"criterion 1: xyz lowest group Z^2 in {elapsed:.3f}s")
@@ -42,7 +33,7 @@ def test_criterion_1_xyz():
 
 def test_criterion_2_xyzu():
     start = time.perf_counter()
-    rep = analyze(_load("xyzu"))
+    rep = analyze(load_corpus("xyzu"))
     elapsed = time.perf_counter() - start
     six = rep.six_term
     ledger = (six.domain, six.codomain, six.lowest_pair)
@@ -53,7 +44,7 @@ def test_criterion_2_xyzu():
 
 
 def test_criterion_3_x2z_y2u():
-    cfg = _load("x2z_y2u")
+    cfg = load_corpus("x2z_y2u")
     rep = analyze(cfg)
     trivial = rep.lowest_group == FinAbGroup(0, ())
     # a positive lower rank at either point must be rejected by validation
@@ -73,22 +64,21 @@ def test_criterion_4_quadric_powers():
     expected = {"quadric_power_2_2": 1, "quadric_power_3_2": 2, "quadric_power_2_3": 2}
     ok = True
     for name, r in expected.items():
-        cfg = _load(name)
-        group = lowest_vanishing(cfg)
-        ok = ok and group == FinAbGroup(r, ()) and q_empty_shortcut(cfg) == group
+        rep = analyze(load_corpus(name))
+        ok = ok and rep.lowest_group == FinAbGroup(r, ()) and rep.shortcut_agrees is True
     _line(ok, "criterion 4: quadric powers give ranks 1, 2, 2 and the shortcut agrees")
 
 
 def test_criterion_5_euler_consistency():
     rng = random.Random(1005)
-    configs = [_load(name) for name, _ in bundled()]
+    configs = [load_corpus(name) for name, _ in bundled()]
     configs += [random_valid_config(rng) for _ in range(1000)]
     failures = 0
     for cfg in configs:
-        six = six_term_check(cfg)
+        six = analyze(cfg).six_term
         mu = sum(r.milnor_number for r in cfg.isolated_points)
         book = (-1) ** (cfg.n - 1) * six.lowest_pair + (-1) ** cfg.n * (six.top_pair + mu)
-        if book != euler_total(cfg):
+        if book != oracles.euler_direct(cfg):
             failures += 1
     _line(failures == 0,
           f"criterion 5: euler bookkeeping exact on {len(configs)} configurations "
@@ -148,11 +138,12 @@ def test_criterion_8_bound_sandwich():
     ok = True
     detail = []
     for name, _ in bundled():
-        cfg = _load(name)
-        b = lowest_vanishing(cfg).free_rank
-        upper = upper_bound_lowest(cfg)
-        lower = lower_bound_lowest(cfg)
-        ok = ok and b <= upper and b <= min_bound(cfg)
+        cfg = load_corpus(name)
+        rep = analyze(cfg)
+        b = rep.lowest_group.free_rank
+        upper = rep.bounds.upper_lowest
+        lower = rep.bounds.lower_lowest
+        ok = ok and b <= upper and b <= rep.bounds.min_bound
         if lower is not None:
             ok = ok and lower <= b
         if not cfg.special_points:

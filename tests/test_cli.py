@@ -1,10 +1,15 @@
 import json
 import shutil
 
+import pytest
+
+import vancoh
 from vancoh import FinAbGroup, format_group
 from vancoh.cli import main, run
 from vancoh.corpus import bundled
 from vancoh.report import render_json
+
+from helpers import count_calls
 
 
 CORPUS = {name: path for name, path in bundled()}
@@ -56,6 +61,28 @@ class TestRun:
         assert reports[0].vanishing is not None
         assert reports[1].validation[0].code == "malformed-document"
 
+    @pytest.mark.parametrize("hostile", [
+        b'{"n": ' + b"7" * 5000 + b"}",  # past the interpreter's int digit limit
+        b"[" * 100_000,                  # past the decoder's nesting limit
+    ], ids=["long-integer", "deep-nesting"])
+    def test_hostile_document_gets_one_report(self, tmp_path, hostile):
+        path = tmp_path / "hostile.json"
+        path.write_bytes(hostile)
+        good = copy_corpus(tmp_path, "xyz")
+        reports, status = run([str(path), str(good)])
+        assert status == 1
+        assert len(reports) == 2
+        assert [v.code for v in reports[0].validation] == ["malformed-document"]
+        assert reports[1].validation == () and reports[1].vanishing is not None
+
+    @pytest.mark.parametrize("flags", [{}, {"costalk_required": True}, {"compute": False}],
+                             ids=["compute", "costalk-required", "validate"])
+    def test_validates_each_document_once(self, tmp_path, monkeypatch, flags):
+        calls = count_calls(monkeypatch, vancoh.model, "_validate")
+        paths = [str(copy_corpus(tmp_path, name)) for name in ("xyz", "xyzu", "x2z_y2u")]
+        run(paths, **flags)
+        assert len(calls) == len(paths)
+
     def test_unreadable(self, tmp_path):
         reports, status = run([str(tmp_path / "missing.json")])
         assert status == 1
@@ -77,6 +104,10 @@ class TestRun:
         assert status == 2
         assert reports[0].defect is not None
         assert reports[0].validation == ()
+        # a missing costalk is reported before the computation that would fail
+        reports, status = run([str(path)], costalk_required=True)
+        assert status == 1
+        assert [v.code for v in reports[0].validation] == ["missing-costalk"]
 
     def test_strict_unknown_keys(self, tmp_path):
         doc = json.loads(CORPUS["xyz"].read_text())

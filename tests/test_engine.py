@@ -1,28 +1,19 @@
-import json
 import random
 from dataclasses import replace
 
 import pytest
 
+import vancoh
 from vancoh import (Branch, CurveComponent, FinAbGroup, IntegerMatrix, IsolatedPoint,
-                    MonodromyData, SliceConfiguration, SpecialPoint, analyze, build_j,
-                    component_cohomology, decompose, euler_total, lower_bound_lowest,
-                    lowest_vanishing, matrix, min_bound, monodromy_checks,
-                    parse_configuration, polar_bounds, q_empty_shortcut,
-                    six_term_check, upper_bound_lowest)
+                    MonodromyData, SliceConfiguration, SpecialPoint, analyze,
+                    component_cohomology, matrix)
 from vancoh.engine import InternalDefectError, InvalidConfigurationError
 from vancoh.linalg import Submodule
 from vancoh.polynomial import IntPolynomial
-from vancoh.corpus import bundled
 
-from helpers import (conjugate_component, permute_config, rand_unimodular,
-                     random_valid_config, report_signature)
-
-
-def load_corpus(name):
-    result = parse_configuration(json.loads(dict(bundled())[name].read_text()))
-    assert result.configuration is not None
-    return result.configuration
+import oracles
+from helpers import (conjugate_component, count_calls, load_corpus, permute_config,
+                     rand_unimodular, random_valid_config, report_signature)
 
 
 def empty_config(n=3):
@@ -63,18 +54,18 @@ class TestComponentCohomology:
 
 class TestBuildJ:
     def test_xyz_block_structure(self):
-        j = build_j(load_corpus("xyz"))
+        j = analyze(load_corpus("xyz")).j_matrix
         assert (j.rows, j.cols) == (3, 5)
         # invariant block is the identity, point block is minus iota
         assert [row[:3] for row in j.tolist()] == IntegerMatrix.identity(3).tolist()
         assert [row[3:] for row in j.tolist()] == [[-1, 0], [1, -1], [0, 1]]
 
     def test_no_special_points(self):
-        j = build_j(load_corpus("quadric_power_3_2"))
+        j = analyze(load_corpus("quadric_power_3_2")).j_matrix
         assert (j.rows, j.cols) == (0, 2)
 
     def test_all_kernels_zero(self):
-        j = build_j(load_corpus("x2z_y2u"))
+        j = analyze(load_corpus("x2z_y2u")).j_matrix
         assert (j.rows, j.cols) == (0, 0)
 
     def test_two_branches_of_one_component_at_one_point(self):
@@ -87,9 +78,8 @@ class TestBuildJ:
                 "q", (Branch("S", matrix([[1]])), Branch("S", matrix([[1]]))),
                 1, 0, matrix([[1], [1]])),),
             isolated_points=())
-        j = build_j(cfg)
-        assert j.tolist() == [[1, -1], [1, -1]]
         rep = analyze(cfg)
+        assert rep.j_matrix.tolist() == [[1, -1], [1, -1]]
         assert rep.lowest_group == FinAbGroup(1, ())
         assert rep.g_rank == 1 and rep.i0_contribution == ()
 
@@ -102,8 +92,8 @@ class TestBuildJ:
             special_points=(SpecialPoint("q", (Branch("S", matrix([[-1]])),),
                                          0, 0, IntegerMatrix.zeros(0, 0)),),
             isolated_points=())
-        with pytest.raises(InternalDefectError):
-            build_j(cfg)
+        with pytest.raises(InternalDefectError, match="mutually inconsistent"):
+            analyze(cfg)
 
 
 class TestLowestVanishing:
@@ -112,38 +102,41 @@ class TestLowestVanishing:
         ("quadric_power_2_2", 1), ("quadric_power_3_2", 2), ("quadric_power_2_3", 2),
     ])
     def test_corpus_groups(self, name, rank):
-        assert lowest_vanishing(load_corpus(name)) == FinAbGroup(rank, ())
+        assert analyze(load_corpus(name)).lowest_group == FinAbGroup(rank, ())
 
     def test_always_free(self):
         rng = random.Random(32)
         for _ in range(25):
-            assert lowest_vanishing(random_valid_config(rng)).is_free
+            assert analyze(random_valid_config(rng)).lowest_group.is_free
 
 
 class TestDecompose:
     def test_branch_free_component(self):
-        g_rank, i0 = decompose(load_corpus("quadric_power_3_2"))
-        assert (g_rank, i0) == (0, [("S1", 2)])
+        rep = analyze(load_corpus("quadric_power_3_2"))
+        assert (rep.g_rank, rep.i0_contribution) == (0, (("S1", 2),))
 
     def test_xyz(self):
-        assert decompose(load_corpus("xyz")) == (2, [])
+        rep = analyze(load_corpus("xyz"))
+        assert (rep.g_rank, rep.i0_contribution) == (2, ())
 
     def test_empty(self):
-        assert decompose(empty_config()) == (0, [])
+        rep = analyze(empty_config())
+        assert (rep.g_rank, rep.i0_contribution) == (0, ())
 
     def test_structure_identity(self):
         rng = random.Random(33)
         for _ in range(25):
             cfg = random_valid_config(rng)
-            g_rank, i0 = decompose(cfg)
-            assert lowest_vanishing(cfg).free_rank == g_rank + sum(r for _, r in i0)
+            rep = analyze(cfg)
+            assert rep.lowest_group.free_rank == rep.g_rank + sum(
+                r for _, r in rep.i0_contribution)
 
 
 class TestEulerAndSixTerm:
     def test_xyz_values(self):
-        cfg = load_corpus("xyz")
-        assert euler_total(cfg) == 1
-        six = six_term_check(cfg)
+        rep = analyze(load_corpus("xyz"))
+        assert rep.euler_total == 1
+        six = rep.six_term
         assert (six.lowest_pair, six.domain, six.codomain, six.top_pair,
                 six.middle, six.branch_coker) == (2, 5, 3, 1, 4, 3)
         assert six.consistent
@@ -151,14 +144,13 @@ class TestEulerAndSixTerm:
     def test_isolated_only(self):
         cfg = replace(empty_config(), isolated_points=(
             IsolatedPoint("r1", 2), IsolatedPoint("r2", 3)))
-        assert euler_total(cfg) == -5
+        assert analyze(cfg).euler_total == -5
 
     def test_empty(self):
-        assert euler_total(empty_config()) == 0
+        assert analyze(empty_config()).euler_total == 0
 
     def test_q_empty_reduces_to_cokernel_side(self):
-        cfg = load_corpus("quadric_power_2_3")
-        six = six_term_check(cfg)
+        six = analyze(load_corpus("quadric_power_2_3")).six_term
         assert six.codomain == 0 and six.branch_coker == 0
         assert six.top_pair == six.middle  # the sequence splits in two
         assert six.consistent
@@ -192,38 +184,39 @@ class TestEulerAndSixTerm:
         rng = random.Random(34)
         for _ in range(40):
             cfg = random_valid_config(rng)
-            six = six_term_check(cfg)
+            six = analyze(cfg).six_term
             mu = sum(r.milnor_number for r in cfg.isolated_points)
             book = (-1) ** (cfg.n - 1) * six.lowest_pair + (-1) ** cfg.n * (six.top_pair + mu)
-            assert book == euler_total(cfg)
+            assert book == oracles.euler_direct(cfg)
 
 
 class TestShortcut:
     def test_corpus(self):
         for name in ("quadric_power_2_2", "quadric_power_3_2", "quadric_power_2_3"):
-            cfg = load_corpus(name)
-            assert q_empty_shortcut(cfg) == lowest_vanishing(cfg)
+            assert analyze(load_corpus(name)).shortcut_agrees is True
 
     def test_minus_id_component(self):
         cfg = replace(empty_config(), components=(
             CurveComponent("S", 1, 1, (matrix([[-1]]), matrix([[1]]))),))
-        assert q_empty_shortcut(cfg) == FinAbGroup(0, ())
+        rep = analyze(cfg)
+        assert rep.shortcut_agrees is True
+        assert rep.lowest_group == FinAbGroup(0, ())
 
     def test_two_components(self):
         cfg = replace(empty_config(), components=(
             CurveComponent("A", 0, 2, ()), CurveComponent("B", 0, 3, ())))
-        assert q_empty_shortcut(cfg) == FinAbGroup(5, ())
-        assert lowest_vanishing(cfg) == FinAbGroup(5, ())
+        rep = analyze(cfg)
+        assert rep.shortcut_agrees is True
+        assert rep.lowest_group == FinAbGroup(5, ())
 
-    def test_precondition(self):
-        with pytest.raises(ValueError):
-            q_empty_shortcut(load_corpus("xyz"))
+    def test_only_without_special_points(self):
+        assert analyze(load_corpus("xyz")).shortcut_agrees is None
 
     def test_random_q_empty(self):
         rng = random.Random(35)
         for _ in range(25):
             cfg = random_valid_config(rng, max_points=0)
-            assert q_empty_shortcut(cfg) == lowest_vanishing(cfg)
+            assert analyze(cfg).shortcut_agrees is True
 
 
 class TestBounds:
@@ -231,17 +224,18 @@ class TestBounds:
         ("xyz", 3), ("xyzu", 6), ("x2z_y2u", 0), ("quadric_power_2_2", 1),
     ])
     def test_upper(self, name, upper):
-        assert upper_bound_lowest(load_corpus(name)) == upper
+        assert analyze(load_corpus(name)).bounds.upper_lowest == upper
 
     def test_lower(self):
         cfg = load_corpus("xyz")
-        assert lower_bound_lowest(cfg) == 2  # tight: equals the true rank
+        bounds = analyze(cfg).bounds
+        assert bounds.lower_lowest == 2  # tight: equals the true rank
         no_costalk = replace(cfg, special_points=tuple(
             replace(q, costalk_rank=None) for q in cfg.special_points))
-        assert lower_bound_lowest(no_costalk) is None
+        assert analyze(no_costalk).bounds.lower_lowest is None
         zero_costalk = replace(cfg, special_points=tuple(
             replace(q, costalk_rank=0) for q in cfg.special_points))
-        assert lower_bound_lowest(zero_costalk) == upper_bound_lowest(cfg)
+        assert analyze(zero_costalk).bounds.lower_lowest == bounds.upper_lowest
 
     @pytest.mark.parametrize("name,expected", [
         ("x2z_y2u", 0),   # every component has a rank-zero point
@@ -249,15 +243,15 @@ class TestBounds:
         ("quadric_power_3_2", 2),  # no points: transversal-rank convention
     ])
     def test_min_bound(self, name, expected):
-        assert min_bound(load_corpus(name)) == expected
+        assert analyze(load_corpus(name)).bounds.min_bound == expected
 
     def test_min_bound_is_a_bound(self):
         rng = random.Random(36)
         for _ in range(30):
-            cfg = random_valid_config(rng)
-            b = lowest_vanishing(cfg).free_rank
-            assert b <= min_bound(cfg)
-            assert b <= upper_bound_lowest(cfg)
+            rep = analyze(random_valid_config(rng))
+            b = rep.lowest_group.free_rank
+            assert b <= rep.bounds.min_bound
+            assert b <= rep.bounds.upper_lowest
 
     def test_sandwich_with_consistent_costalk(self):
         # Attach costalk ranks that absorb the actual defect of the upper
@@ -265,8 +259,9 @@ class TestBounds:
         rng = random.Random(41)
         for _ in range(30):
             cfg = random_valid_config(rng)
-            b = lowest_vanishing(cfg).free_rank
-            defect = upper_bound_lowest(cfg) - b
+            rep = analyze(cfg)
+            b = rep.lowest_group.free_rank
+            defect = rep.bounds.upper_lowest - b
             if cfg.special_points:
                 points = list(cfg.special_points)
                 points[0] = replace(points[0], costalk_rank=defect + rng.randrange(0, 2))
@@ -275,19 +270,19 @@ class TestBounds:
                 cfg = replace(cfg, special_points=tuple(points))
             else:
                 assert defect == 0
-            lower = lower_bound_lowest(cfg)
-            assert lower is not None
-            assert lower <= b <= min(upper_bound_lowest(cfg), min_bound(cfg))
+            bounds = analyze(cfg).bounds
+            assert bounds.lower_lowest is not None
+            assert bounds.lower_lowest <= b <= min(bounds.upper_lowest, bounds.min_bound)
 
     def test_polar(self):
         cfg = replace(empty_config(), polar_data=((4, 0), (2, 1)))
-        assert polar_bounds(cfg) == [(0, 4), (1, 3)]
-        assert polar_bounds(empty_config()) == []
+        assert analyze(cfg).bounds.polar == ((0, 4), (1, 3))
+        assert analyze(empty_config()).bounds.polar == ()
 
 
 class TestMonodromyChecks:
     def test_xyz_predicates(self):
-        checks = monodromy_checks(load_corpus("xyz"))
+        checks = analyze(load_corpus("xyz")).monodromy
         assert checks.char_poly_divides
         assert checks.eigen_dims_ok == (("1", True),)
         assert checks.jordan_sizes_ok == (("1", True),)
@@ -296,11 +291,10 @@ class TestMonodromyChecks:
         md = MonodromyData(IntPolynomial((1, 0, 1)),
                            (IntPolynomial((-1, 1)),) * 3)
         cfg = replace(load_corpus("xyz"), monodromy_data=md)
-        assert not monodromy_checks(cfg).char_poly_divides
+        assert not analyze(cfg).monodromy.char_poly_divides
 
-    def test_requires_data(self):
-        with pytest.raises(ValueError):
-            monodromy_checks(empty_config())
+    def test_absent_without_data(self):
+        assert analyze(empty_config()).monodromy is None
 
 
 class TestAnalyze:
@@ -349,3 +343,35 @@ class TestInvariance:
             comp = rng.choice(cfg.components)
             u = rand_unimodular(rng, comp.transversal_rank)
             assert report_signature(analyze(conjugate_component(cfg, comp.id, u))) == base
+
+
+class TestSinglePass:
+    def test_each_intermediate_once(self, monkeypatch):
+        cfg = load_corpus("xyzu")
+        snf = count_calls(monkeypatch, vancoh.linalg, "smith_normal_form")
+        validations = count_calls(monkeypatch, vancoh.model, "_validate")
+        comps = count_calls(monkeypatch, vancoh.engine, "component_cohomology")
+        builds = count_calls(monkeypatch, vancoh.engine, "_build_j")
+        analyze(cfg)
+        assert len(snf) <= 848 // 5  # five times fewer than computing per caller
+        assert (len(validations), len(builds)) == (1, 1)
+        assert [c.id for c, _ in comps] == [c.id for c in cfg.components]
+
+    def test_euler_bookkeeping_fires(self, monkeypatch):
+        original = vancoh.engine.component_cohomology
+        monkeypatch.setattr(vancoh.engine, "component_cohomology", lambda c, n: replace(
+            original(c, n), coker=FinAbGroup(0, ())))  # Z^1 for xyz
+        with pytest.raises(InternalDefectError, match="Euler bookkeeping"):
+            analyze(load_corpus("xyz"))
+
+    def test_interaction_rank_fires(self, monkeypatch):
+        monkeypatch.setattr(vancoh.linalg, "intersect",
+                            lambda a, b: Submodule.zero(a.ambient_rank))
+        with pytest.raises(InternalDefectError, match="interaction rank"):
+            analyze(load_corpus("xyz"))  # interaction rank 2
+
+    def test_shortcut_fires(self, monkeypatch):
+        # a j with a nonzero row loses one kernel dimension
+        monkeypatch.setattr(vancoh.engine, "_build_j", lambda *args: matrix([[1, 0]]))
+        with pytest.raises(InternalDefectError, match="shortcut"):
+            analyze(load_corpus("quadric_power_3_2"))

@@ -1,0 +1,36 @@
+"""Byte-identity of the command line and demo outputs: each command runs in
+a fresh interpreter, must exit 0, and its stdout must hash to the recorded
+digest.  A change to any report, ledger or demo line fails here."""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+GOLDEN = {
+    "corpus --format json": "acf39f2e2832dc069a70a915c3e41f98fcb0648ed12d1c345ae3f5a35baabd17",
+    "corpus --format json --verbose":
+        "605becfbca38255df67570fa44eede928ae8163dc361b407eee9598d111f1526",
+    "01_exact_integer_linear_algebra":
+        "f208b2b630629e6ea34aa4e28ae03492ff94874c25d055f55cbdcc039fdc8191",
+    "02_three_planes_walkthrough": "4fe28fdf6478179e1ce239cdac1c1e27fcd6bb07f105dcd27e03bf842a5452f5",
+    "03_bounds_and_monodromy": "57f61799b7057b9109619a999114870857a768ae6d4a7f8f085bc2e2116bb60b",
+    "04_batch_reports": "5f66f5b697407a429d259394c2fe9661ee47172dc50674ca25ee166c5c31b192",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_stdout_digest(command):
+    args = (["-m", "vancoh.cli", *command.split()] if command.startswith("corpus")
+            else [f"demos/{command}.py"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN[command]

@@ -10,14 +10,7 @@ from vancoh import (Branch, CurveComponent, SpecialPoint, Submodule, branch_kern
 from vancoh.corpus import bundled
 from vancoh.linalg import IntegerMatrix
 
-from helpers import random_valid_config
-
-
-def load_corpus(name):
-    doc = json.loads(dict(bundled())[name].read_text())
-    result = parse_configuration(doc)
-    assert result.configuration is not None and not result.violations
-    return result.configuration
+from helpers import load_corpus, random_valid_config
 
 
 class TestSliceDegreeMap:
