@@ -125,26 +125,22 @@ def main(argv: list[str] | None = None) -> int:
                     "singularity germ from its sliced singular-locus data.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_output(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--verbose", action="store_true",
+                       help="print matrix literals regardless of size")
+
+    for name, text in (("validate", "validate configuration files"),
+                       ("compute", "validate and compute reports")):
+        p = sub.add_parser(name, help=text)
+        add_output(p)
         p.add_argument("--strict", action="store_true",
                        help="treat unknown document keys as fatal")
         p.add_argument("--costalk-required", action="store_true",
                        help="fail when the lower bound cannot be computed")
-        p.add_argument("--verbose", action="store_true",
-                       help="print matrix literals regardless of size")
-
-    p_validate = sub.add_parser("validate", help="validate configuration files")
-    add_common(p_validate)
-    p_validate.add_argument("paths", nargs="+")
-
-    p_compute = sub.add_parser("compute", help="validate and compute reports")
-    add_common(p_compute)
-    p_compute.add_argument("paths", nargs="+")
-
-    p_corpus = sub.add_parser("corpus", help="run the bundled examples against "
-                                             "their expected values")
-    add_common(p_corpus)
+        p.add_argument("paths", nargs="+")
+    add_output(sub.add_parser("corpus", help="run the bundled examples against "
+                                             "their expected values"))
 
     args = parser.parse_args(argv)
 

@@ -1,9 +1,12 @@
 """Exact linear algebra over the integers.
 
 Dense matrices of arbitrary-precision integers, Smith and Hermite normal
-forms, kernels, images, cokernels and lattice intersections.  Everything is
-pure and exact: no floats, no modular shortcuts, and every normal form is
-canonical, so equal inputs always produce identical outputs.
+forms, kernels, images, cokernels and lattice intersections.  The column
+Hermite normal form is the one elimination core: kernels, ranks,
+unimodularity and intersections all come from it, and the Smith normal form
+serves only the cokernel invariants.  Everything is pure and exact: no
+floats, no modular shortcuts, and every normal form is canonical, so equal
+inputs always produce identical outputs.
 """
 
 from __future__ import annotations
@@ -257,18 +260,6 @@ def diagonal_of(d: IntegerMatrix) -> list[int]:
     return [d.data[i][i] for i in range(min(d.rows, d.cols))]
 
 
-def rank(m: IntegerMatrix) -> int:
-    """Rank over the rationals (= number of nonzero Smith invariants)."""
-    return sum(1 for x in diagonal_of(smith_normal_form(m).d) if x)
-
-
-def is_unimodular(m: IntegerMatrix) -> bool:
-    """True iff ``m`` is square with determinant +-1."""
-    if not m.is_square:
-        return False
-    return all(x == 1 for x in diagonal_of(smith_normal_form(m).d))
-
-
 # ---------------------------------------------------------------------------
 # Column-style Hermite normal form and submodules
 # ---------------------------------------------------------------------------
@@ -283,43 +274,49 @@ def hnf_columns(m: IntegerMatrix) -> IntegerMatrix:
     of the lattice spanned by the columns of ``m``.
     """
     n = m.rows
-    live = [(j, list(m.column(j))) for j in range(m.cols)]
-    live = [(j, c) for j, c in live if any(c)]
-    done: list[list[int]] = []
+    live = [list(m.column(j)) for j in range(m.cols)]
+    pivots: list[tuple[int, list[int]]] = []
     for row in range(n):
-        # Euclid on the entries of this row until one active column is left.
-        while True:
-            active = [(j, c) for j, c in live if c[row]]
-            if len(active) <= 1:
-                break
-            _, pc = min(active, key=lambda item: (abs(item[1][row]), item[0]))
+        # Euclid on the entries of this row until one active column is left;
+        # ties go to the lowest original column.  Live columns are zero
+        # above this row, so each column operation touches the suffix only.
+        active = [c for c in live if c[row]]
+        while len(active) > 1:
+            pc = min(active, key=lambda c: abs(c[row]))
             p = pc[row]
-            for _, c in active:
-                if c is pc:
-                    continue
-                q = c[row] // p
-                if q:
-                    for i in range(n):
-                        c[i] -= q * pc[i]
-            live = [(j, c) for j, c in live if any(c)]
-        active = [(j, c) for j, c in live if c[row]]
-        if not active:
-            continue
-        pc = active[0][1]
-        if pc[row] < 0:
-            for i in range(n):
-                pc[i] = -pc[i]
-        p = pc[row]
-        # Normalize earlier pivots' entries at this row into [0, p).
-        for c in done:
-            q = c[row] // p
+            for c in active:
+                if c is not pc:
+                    q = c[row] // p
+                    c[row:] = [x - q * y for x, y in zip(c[row:], pc[row:])]
+            active = [c for c in active if c[row]]
+        if active:
+            pc = active[0]
+            if pc[row] < 0:
+                pc[row:] = [-x for x in pc[row:]]
+            pivots.append((row, pc))
+            live = [c for c in live if c is not pc]
+    # Bring each pivot column's entries in the later pivot rows into
+    # [0, pivot), last column first: reducing by columns that are already
+    # final keeps the entries small.
+    for k in range(len(pivots) - 2, -1, -1):
+        c = pivots[k][1]
+        for row, pc in pivots[k + 1:]:
+            q = c[row] // pc[row]
             if q:
-                for i in range(n):
-                    c[i] -= q * pc[i]
-        done.append(pc)
-        live = [(j, c) for j, c in live if c is not pc and any(c)]
-    data = tuple(tuple(done[j][i] for j in range(len(done))) for i in range(n))
-    return IntegerMatrix(n, len(done), data)
+                c[row:] = [x - q * y for x, y in zip(c[row:], pc[row:])]
+    data = tuple(tuple(c[i] for _, c in pivots) for i in range(n))
+    return IntegerMatrix(n, len(pivots), data)
+
+
+def rank(m: IntegerMatrix) -> int:
+    """Rank over the rationals: the number of column-HNF pivots."""
+    return hnf_columns(m).cols
+
+
+def is_unimodular(m: IntegerMatrix) -> bool:
+    """True iff ``m`` is square with determinant +-1, i.e. its columns
+    span the whole lattice and their Hermite normal form is the identity."""
+    return m.is_square and hnf_columns(m) == IntegerMatrix.identity(m.rows)
 
 
 @dataclass(frozen=True)
@@ -355,18 +352,27 @@ class Submodule:
         return self.basis.cols
 
 
+def _restricted_image(top: IntegerMatrix, bottom: IntegerMatrix) -> Submodule:
+    """The lattice {bottom x : top x = 0}, in canonical column-HNF basis.
+
+    Column HNF of the stacked [top; bottom]: pivot rows increase, so the
+    columns whose top block vanishes come last, and their bottom blocks
+    already are the Hermite basis of the wanted lattice (Kannan-Bachem).
+    """
+    h = hnf_columns(vstack([top, bottom]))
+    first = next((j for j in range(h.cols)
+                  if not any(h.data[i][j] for i in range(top.rows))), h.cols)
+    return Submodule(bottom.rows, IntegerMatrix(
+        bottom.rows, h.cols - first, tuple(r[first:] for r in h.data[top.rows:])))
+
+
 def kernel(m: IntegerMatrix) -> Submodule:
     """Integer kernel {x : m x = 0} of Z^cols, automatically saturated.
 
-    Read off the Smith normal form: columns of v beyond the rank span the
-    kernel, and being part of a unimodular basis they span a direct summand.
+    Read off the column HNF of [m; I] as the columns whose m block
+    vanishes.  Saturated: k x in the kernel with k != 0 puts x in it.
     """
-    snf = smith_normal_form(m)
-    r = sum(1 for x in diagonal_of(snf.d) if x)
-    kern_cols = IntegerMatrix(m.cols, m.cols - r,
-                              tuple(tuple(snf.v.data[i][j] for j in range(r, m.cols))
-                                    for i in range(m.cols)))
-    return Submodule(m.cols, hnf_columns(kern_cols))
+    return _restricted_image(m, IntegerMatrix.identity(m.cols))
 
 
 def image(m: IntegerMatrix) -> Submodule:
@@ -409,16 +415,12 @@ def cokernel(m: IntegerMatrix) -> FinAbGroup:
 
 
 def intersect(a: Submodule, b: Submodule) -> Submodule:
-    """Lattice intersection via the kernel of the stacked basis matrix."""
+    """Lattice intersection: the points A x that equal some -B y, read off
+    the column HNF of [A B; A 0]."""
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient rank mismatch in intersection")
-    if a.rank == 0 or b.rank == 0:
-        return Submodule.zero(a.ambient_rank)
-    stacked = hstack([a.basis, -b.basis])
-    k = kernel(stacked).basis  # (a.rank + b.rank) x d
-    coeffs = IntegerMatrix(a.rank, k.cols,
-                           tuple(k.data[i] for i in range(a.rank)))
-    return Submodule(a.ambient_rank, hnf_columns(a.basis * coeffs))
+    return _restricted_image(hstack([a.basis, b.basis]),
+                             hstack([a.basis, IntegerMatrix.zeros(a.ambient_rank, b.rank)]))
 
 
 def solve_in_basis(basis: IntegerMatrix, targets: IntegerMatrix) -> IntegerMatrix | None:

@@ -2,12 +2,13 @@ import json
 import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import vancoh
 from vancoh import FinAbGroup, format_group
 from vancoh.cli import main, run
 from vancoh.corpus import bundled
-from vancoh.report import render_json
+from vancoh.report import render_json, render_text
 
 from helpers import count_calls
 
@@ -130,6 +131,76 @@ class TestRun:
         assert status == 0
 
 
+def _slots(doc):
+    """Every (container, key) position of a decoded document."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield doc, key
+        yield from _slots(value)
+
+
+def _is_matrix(value):
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in value)
+
+
+MUTATIONS = ("truncate", "flip", "insert", "delete-key", "swap-type", "set-integer",
+             "resize-matrix")
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 16), st.floats(),
+                        st.text(max_size=3), st.just([]), st.just({}), st.just([[1]]))
+
+
+@st.composite
+def corpus_mutants(draw):
+    """A small corpus document with one byte-level or structural mutation;
+    integers and matrix sizes stay at most 16."""
+    raw = CORPUS[draw(st.sampled_from(("xyz", "x2z_y2u", "quadric_power_2_2")))].read_bytes()
+    kind = draw(st.sampled_from(MUTATIONS))
+    if kind in ("truncate", "flip", "insert"):
+        i = draw(st.integers(0, len(raw) - 1))
+        if kind == "truncate":
+            return raw[:i]
+        if kind == "flip":
+            return raw[:i] + bytes([raw[i] ^ 1 << draw(st.integers(0, 7))]) + raw[i + 1:]
+        return raw[:i] + bytes([draw(st.integers(0, 255))]) + raw[i:]
+    doc = json.loads(raw)
+    wanted = {"delete-key": lambda c, k: isinstance(c, dict),
+              "swap-type": lambda c, k: True,
+              "set-integer": lambda c, k: type(c[k]) is int,
+              "resize-matrix": lambda c, k: _is_matrix(c[k])}[kind]
+    container, key = draw(st.sampled_from([s for s in _slots(doc) if wanted(*s)]))
+    if kind == "delete-key":
+        del container[key]
+    elif kind == "swap-type":
+        old = type(container[key])
+        container[key] = draw(JSON_VALUES.filter(lambda v: type(v) is not old))
+    elif kind == "set-integer":
+        container[key] = draw(st.integers(-3, 16))
+    else:
+        cols = draw(st.integers(0, 16))
+        container[key] = draw(st.lists(st.lists(st.integers(-3, 3), min_size=cols,
+                                                max_size=cols), max_size=16))
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(corpus_mutants())
+def test_mutated_document_gets_one_report(tmp_path, mutant):
+    path = tmp_path / "mutant.json"
+    path.write_bytes(mutant)
+    good = CORPUS["xyz"]
+    reports, status = run([str(path), str(good)])
+    assert status in (0, 1, 2)
+    assert len(reports) == 2
+    assert reports[1].validation == () and reports[1].defect is None
+    assert reports[1].vanishing is not None
+    render_json(reports, True)
+    for r in reports:
+        render_text(r, True)
+
+
 class TestDeterminism:
     def test_identical_bytes_identical_reports(self, tmp_path):
         a = copy_corpus(tmp_path, "xyzu", "first.json")
@@ -178,6 +249,13 @@ class TestMainEntry:
         assert main(["corpus"]) == 0
         out = capsys.readouterr().out
         assert out.count(": ok") == 6
+
+    @pytest.mark.parametrize("flag", ["--strict", "--costalk-required"])
+    def test_corpus_rejects_document_flags(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["corpus", flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_matrix_suppression(self, tmp_path, capsys):
         path = copy_corpus(tmp_path, "xyzu")  # j matrix is 12x14

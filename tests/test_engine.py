@@ -349,13 +349,22 @@ class TestSinglePass:
     def test_each_intermediate_once(self, monkeypatch):
         cfg = load_corpus("xyzu")
         snf = count_calls(monkeypatch, vancoh.linalg, "smith_normal_form")
+        cokernels = count_calls(monkeypatch, vancoh.linalg, "cokernel")
         validations = count_calls(monkeypatch, vancoh.model, "_validate")
         comps = count_calls(monkeypatch, vancoh.engine, "component_cohomology")
         builds = count_calls(monkeypatch, vancoh.engine, "_build_j")
         analyze(cfg)
-        assert len(snf) <= 848 // 5  # five times fewer than computing per caller
+        # one Smith normal form per component, each for its cokernel
+        assert len(snf) == len(cfg.components) == 6
+        assert snf == cokernels
         assert (len(validations), len(builds)) == (1, 1)
         assert [c.id for c, _ in comps] == [c.id for c in cfg.components]
+
+    def test_validation_runs_no_smith_form(self, monkeypatch):
+        cfgs = [load_corpus(name) for name in ("xyz", "xyzu", "x2z_y2u")]
+        snf = count_calls(monkeypatch, vancoh.linalg, "smith_normal_form")
+        assert [vancoh.model.validate(cfg) for cfg in cfgs] == [[], [], []]
+        assert snf == []
 
     def test_euler_bookkeeping_fires(self, monkeypatch):
         original = vancoh.engine.component_cohomology

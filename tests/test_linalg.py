@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vancoh.linalg import (FinAbGroup, IntegerMatrix, Submodule, char_poly, cokernel,
-                           diagonal_of, hnf_columns, image, intersect, is_unimodular,
-                           kernel, matrix, rank, smith_normal_form, solve_in_basis)
+                           diagonal_of, hnf_columns, hstack, image, intersect,
+                           is_unimodular, kernel, matrix, rank, smith_normal_form,
+                           solve_in_basis)
 
 import oracles
 from helpers import exact_inverse, rand_matrix, rand_unimodular
@@ -232,6 +233,76 @@ class TestSolveInBasis:
         basis = hnf_columns(matrix([[2], [0]]))
         assert solve_in_basis(basis, matrix([[1], [0]])) is None
         assert solve_in_basis(basis, matrix([[0], [1]])) is None
+
+
+def rank_by_snf(m):
+    return sum(1 for x in diagonal_of(smith_normal_form(m).d) if x)
+
+
+def snf_kernel(m):
+    """The Smith route to the kernel: the columns of v beyond the rank."""
+    v, r = smith_normal_form(m).v, rank_by_snf(m)
+    return Submodule(m.cols, hnf_columns(IntegerMatrix(
+        m.cols, m.cols - r, tuple(row[r:] for row in v.data))))
+
+
+def snf_intersect(a, b):
+    """Intersection through the Smith kernel of [A -B], mapped back by A."""
+    if a.rank == 0 or b.rank == 0:
+        return Submodule.zero(a.ambient_rank)
+    k = snf_kernel(hstack([a.basis, -b.basis])).basis
+    coeffs = IntegerMatrix(a.rank, k.cols, k.data[:a.rank])
+    return Submodule(a.ambient_rank, hnf_columns(a.basis * coeffs))
+
+
+def differential_cases():
+    """Seeded random matrices, their unimodular conjugates, unimodular
+    matrices, and the empty shapes."""
+    rng = random.Random(43)
+    cases = [IntegerMatrix.zeros(r, c) for r, c in [(0, 0), (0, 1), (0, 5), (1, 0), (6, 0)]]
+    while len(cases) < 240:
+        r, c = rng.randint(1, 12), rng.randint(1, 16)
+        m = rand_matrix(rng, r, c, 9)
+        if r > 1 and rng.random() < 0.3:  # rank deficient: last row = first + second last
+            rows = list(m.data[:-1])
+            m = IntegerMatrix.from_rows(rows + [[x + y for x, y in zip(rows[0], rows[-1])]])
+        cases.append(m)
+        cases.append(rand_unimodular(rng, r) * m * rand_unimodular(rng, c))
+        if r == c or rng.random() < 0.2:
+            cases.append(rand_unimodular(rng, r))
+    return cases
+
+
+class TestDifferential:
+    """Hermite-route kernels, intersections, ranks and unimodularity against
+    the retired Smith route and the rational oracles."""
+
+    CASES = differential_cases()
+
+    def test_kernel_matches_smith_route(self):
+        for m in self.CASES:
+            assert kernel(m) == snf_kernel(m), m
+
+    def test_rank_matches_rational_oracle(self):
+        for m in self.CASES:
+            assert rank(m) == oracles.rational_rank(m.tolist()) == rank_by_snf(m), m
+
+    def test_is_unimodular_matches_determinant(self):
+        squares = [m for m in self.CASES if m.is_square]
+        assert sum(is_unimodular(m) for m in squares) >= 20
+        for m in self.CASES:
+            assert is_unimodular(m) == (m.is_square and oracles.bareiss_det(m.tolist())
+                                        in (1, -1)), m
+
+    def test_intersect_matches_smith_route(self):
+        rng = random.Random(44)
+        for m in self.CASES:
+            split = rng.randint(0, m.cols)
+            a = image(IntegerMatrix(m.rows, split, tuple(r[:split] for r in m.data)))
+            b = image(IntegerMatrix(m.rows, m.cols - split, tuple(r[split:] for r in m.data)))
+            assert intersect(a, b) == snf_intersect(a, b), m
+            zero = Submodule.zero(m.rows)
+            assert intersect(a, zero) == intersect(zero, a) == zero
 
 
 class TestCharPoly:
