@@ -3,10 +3,12 @@
 Given a validated configuration with a two-dimensional sliced singular
 locus, this module assembles the matrix of the Mayer-Vietoris comparison
 map j from component invariants and special-point cohomology into the
-branch kernels, computes the lowest group as ker j, and derives the
-Euler-characteristic bookkeeping, the six-term exactness ranks, the Betti
-bounds, and the monodromy divisibility predicates.  `analyze` does all of
-this in one pass and returns the immutable `VanishingReport`.
+branch kernels.  The lowest group is ker j, a free group, so only its rank
+is computed, by rank-nullity from the rank of j; no kernel basis is built.
+From it follow the Euler-characteristic bookkeeping, the six-term exactness
+ranks, the Betti bounds, and the monodromy divisibility predicates.
+`analyze` does all of this in one pass and returns the immutable
+`VanishingReport`.
 """
 
 from __future__ import annotations
@@ -161,9 +163,9 @@ def analyze(cfg: SliceConfiguration) -> VanishingReport:
     """Run the whole computation on a configuration in a single pass.
 
     Validation hands on the branch kernels; the component invariants, j and
-    ker j are each computed once, and every ledger and cross-check reads
-    them.  Raises InvalidConfigurationError on validation failure and
-    InternalDefectError when an internal invariant breaks.
+    the rank of ker j are each computed once, and every ledger and
+    cross-check reads them.  Raises InvalidConfigurationError on validation
+    failure and InternalDefectError when an internal invariant breaks.
     """
     violations, kernels = model._validate(cfg)
     if violations:
@@ -171,7 +173,8 @@ def analyze(cfg: SliceConfiguration) -> VanishingReport:
 
     comps = tuple(component_cohomology(c, cfg.n) for c in cfg.components)
     j = _build_j(cfg, comps, kernels)
-    lowest = FinAbGroup(linalg.kernel(j).rank, ())
+    # The integer kernel is saturated, so its rank is the rational nullity.
+    lowest = FinAbGroup(j.cols - linalg.rank(j), ())
     if not lowest.is_free:
         raise InternalDefectError("kernel of an integer matrix reported torsion")
     upper = sum(cc.invariants.rank for cc in comps)

@@ -1,10 +1,11 @@
 """Exact linear algebra over the integers.
 
 Dense matrices of arbitrary-precision integers, Smith and Hermite normal
-forms, kernels, images, cokernels and lattice intersections.  The column
-Hermite normal form is the one elimination core: kernels, ranks,
-unimodularity and intersections all come from it, and the Smith normal form
-serves only the cokernel invariants.  Everything is pure and exact: no
+forms, kernels, images, cokernels and lattice intersections.  One column
+echelon elimination is the core: ranks and unimodularity read its pivots,
+and its back-normalised form, the column Hermite normal form, gives kernels
+and intersections.  The Smith normal form serves only the cokernel
+invariants, without transforms.  Everything is pure and exact: no
 floats, no modular shortcuts, and every normal form is canonical, so equal
 inputs always produce identical outputs.
 """
@@ -142,28 +143,34 @@ class SNFResult(NamedTuple):
     v: IntegerMatrix
 
 
-def _swap_rows(a, i, j):
-    a[i], a[j] = a[j], a[i]
+# Each row or column operation is applied to every matrix in ``mats``.
+
+def _swap_rows(mats, i, j):
+    for a in mats:
+        a[i], a[j] = a[j], a[i]
 
 
-def _negate_row(a, i):
-    a[i] = [-x for x in a[i]]
+def _negate_row(mats, i):
+    for a in mats:
+        a[i] = [-x for x in a[i]]
 
 
-def _addmul_row(a, dst, src, q):
+def _addmul_row(mats, dst, src, q):
     # row[dst] += q * row[src]
-    rd, rs = a[dst], a[src]
-    a[dst] = [x + q * y for x, y in zip(rd, rs)]
+    for a in mats:
+        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
 
 
-def _swap_cols(a, i, j):
-    for row in a:
-        row[i], row[j] = row[j], row[i]
+def _swap_cols(mats, i, j):
+    for a in mats:
+        for row in a:
+            row[i], row[j] = row[j], row[i]
 
 
-def _addmul_col(a, dst, src, q):
-    for row in a:
-        row[dst] += q * row[src]
+def _addmul_col(mats, dst, src, q):
+    for a in mats:
+        for row in a:
+            row[dst] += q * row[src]
 
 
 def _select_pivot(a, t, rows, cols):
@@ -181,18 +188,17 @@ def _select_pivot(a, t, rows, cols):
     return best
 
 
-def smith_normal_form(m: IntegerMatrix) -> SNFResult:
-    """Diagonalize ``m`` as ``u * m * v = d`` by unimodular ``u``, ``v``.
+def _smith(a: list[list[int]], u: list[list[int]] | None = None,
+           v: list[list[int]] | None = None) -> None:
+    """Diagonalize the list matrix ``a`` in place into Smith normal form.
 
-    ``d`` is diagonal with nonnegative entries satisfying the divisibility
-    chain d1 | d2 | ... .  Total on all integer matrices, including empty
-    ones.  Exact arithmetic throughout; intermediate growth is handled by
-    Python's big integers.
+    Every row operation is repeated on ``u`` and every column operation on
+    ``v`` when they are given; the diagonal does not depend on them.
     """
-    rows, cols = m.rows, m.cols
-    a = [list(r) for r in m.data]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    rows = len(a)
+    cols = len(a[0]) if a else 0
+    left = [a] if u is None else [a, u]
+    right = [a] if v is None else [a, v]
 
     t = 0
     while t < rows and t < cols:
@@ -201,14 +207,11 @@ def smith_normal_form(m: IntegerMatrix) -> SNFResult:
             break
         _, pi, pj = sel
         if pi != t:
-            _swap_rows(a, t, pi)
-            _swap_rows(u, t, pi)
+            _swap_rows(left, t, pi)
         if pj != t:
-            _swap_cols(a, t, pj)
-            _swap_cols(v, t, pj)
+            _swap_cols(right, t, pj)
         if a[t][t] < 0:
-            _negate_row(a, t)
-            _negate_row(u, t)
+            _negate_row(left, t)
 
         pivot = a[t][t]
         dirty = False
@@ -217,8 +220,7 @@ def smith_normal_form(m: IntegerMatrix) -> SNFResult:
             if x:
                 q = x // pivot
                 if q:
-                    _addmul_row(a, i, t, -q)
-                    _addmul_row(u, i, t, -q)
+                    _addmul_row(left, i, t, -q)
                 if a[i][t]:
                     dirty = True
         for j in range(t + 1, cols):
@@ -226,8 +228,7 @@ def smith_normal_form(m: IntegerMatrix) -> SNFResult:
             if x:
                 q = x // pivot
                 if q:
-                    _addmul_col(a, j, t, -q)
-                    _addmul_col(v, j, t, -q)
+                    _addmul_col(right, j, t, -q)
                 if a[t][j]:
                     dirty = True
         if dirty:
@@ -244,11 +245,24 @@ def smith_normal_form(m: IntegerMatrix) -> SNFResult:
             if offender is not None:
                 break
         if offender is not None:
-            _addmul_row(a, t, offender, 1)
-            _addmul_row(u, t, offender, 1)
+            _addmul_row(left, t, offender, 1)
             continue
         t += 1
 
+
+def smith_normal_form(m: IntegerMatrix) -> SNFResult:
+    """Diagonalize ``m`` as ``u * m * v = d`` by unimodular ``u``, ``v``.
+
+    ``d`` is diagonal with nonnegative entries satisfying the divisibility
+    chain d1 | d2 | ... .  Total on all integer matrices, including empty
+    ones.  Exact arithmetic throughout; intermediate growth is handled by
+    Python's big integers.
+    """
+    rows, cols = m.rows, m.cols
+    a = [list(r) for r in m.data]
+    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    _smith(a, u, v)
     return SNFResult(
         IntegerMatrix(rows, rows, tuple(tuple(r) for r in u)),
         IntegerMatrix(rows, cols, tuple(tuple(r) for r in a)),
@@ -264,6 +278,45 @@ def diagonal_of(d: IntegerMatrix) -> list[int]:
 # Column-style Hermite normal form and submodules
 # ---------------------------------------------------------------------------
 
+def _echelon(m: IntegerMatrix) -> list[tuple[int, list[int]]]:
+    """Column echelon form of ``m`` as (pivot row, column) pairs.
+
+    Pivot rows strictly increase, pivots are positive, every column is zero
+    above its pivot row, and zero columns are dropped.  The columns are
+    obtained from those of ``m`` by unimodular column operations, so they
+    span the same lattice.
+    """
+    n = m.rows
+    live = [list(m.column(j)) for j in range(m.cols)]
+    pivots: list[tuple[int, list[int]]] = []
+    for row in range(n):
+        # Euclid on the entries of this row until one active column is left;
+        # ties go to the lowest original column.  Live columns are zero
+        # above this row, so each column operation touches the suffix only.
+        # Quotients round to the nearest integer, which leaves remainders of
+        # at most |p|/2 (Havas-Majewski-Matthews) and needs fewer rounds
+        # than floor quotients.
+        active = [c for c in live if c[row]]
+        while len(active) > 1:
+            pc = min(active, key=lambda c: abs(c[row]))
+            p = pc[row]
+            half = p // 2 if p > 0 else -(-p // 2)
+            ps = pc[row:]
+            for c in active:
+                if c is not pc:
+                    q = (c[row] + half) // p
+                    if q:
+                        c[row:] = [x - q * y for x, y in zip(c[row:], ps)]
+            active = [c for c in active if c[row]]
+        if active:
+            pc = active[0]
+            if pc[row] < 0:
+                pc[row:] = [-x for x in pc[row:]]
+            pivots.append((row, pc))
+            live = [c for c in live if c is not pc]
+    return pivots
+
+
 def hnf_columns(m: IntegerMatrix) -> IntegerMatrix:
     """Canonical basis of the column span of ``m``.
 
@@ -273,28 +326,7 @@ def hnf_columns(m: IntegerMatrix) -> IntegerMatrix:
     result has exactly rank-many columns and is the unique canonical basis
     of the lattice spanned by the columns of ``m``.
     """
-    n = m.rows
-    live = [list(m.column(j)) for j in range(m.cols)]
-    pivots: list[tuple[int, list[int]]] = []
-    for row in range(n):
-        # Euclid on the entries of this row until one active column is left;
-        # ties go to the lowest original column.  Live columns are zero
-        # above this row, so each column operation touches the suffix only.
-        active = [c for c in live if c[row]]
-        while len(active) > 1:
-            pc = min(active, key=lambda c: abs(c[row]))
-            p = pc[row]
-            for c in active:
-                if c is not pc:
-                    q = c[row] // p
-                    c[row:] = [x - q * y for x, y in zip(c[row:], pc[row:])]
-            active = [c for c in active if c[row]]
-        if active:
-            pc = active[0]
-            if pc[row] < 0:
-                pc[row:] = [-x for x in pc[row:]]
-            pivots.append((row, pc))
-            live = [c for c in live if c is not pc]
+    pivots = _echelon(m)
     # Bring each pivot column's entries in the later pivot rows into
     # [0, pivot), last column first: reducing by columns that are already
     # final keeps the entries small.
@@ -304,19 +336,26 @@ def hnf_columns(m: IntegerMatrix) -> IntegerMatrix:
             q = c[row] // pc[row]
             if q:
                 c[row:] = [x - q * y for x, y in zip(c[row:], pc[row:])]
-    data = tuple(tuple(c[i] for _, c in pivots) for i in range(n))
-    return IntegerMatrix(n, len(pivots), data)
+    data = tuple(tuple(c[i] for _, c in pivots) for i in range(m.rows))
+    return IntegerMatrix(m.rows, len(pivots), data)
 
 
 def rank(m: IntegerMatrix) -> int:
-    """Rank over the rationals: the number of column-HNF pivots."""
-    return hnf_columns(m).cols
+    """Rank over the rationals: the number of column-echelon pivots."""
+    return len(_echelon(m))
 
 
 def is_unimodular(m: IntegerMatrix) -> bool:
-    """True iff ``m`` is square with determinant +-1, i.e. its columns
-    span the whole lattice and their Hermite normal form is the identity."""
-    return m.is_square and hnf_columns(m) == IntegerMatrix.identity(m.rows)
+    """True iff ``m`` is square with determinant +-1.
+
+    The column echelon form of a square matrix of full rank is triangular
+    and reached by unimodular column operations, so |det m| is the product
+    of its positive pivots: all of them must be 1.
+    """
+    if not m.is_square:
+        return False
+    pivots = _echelon(m)
+    return len(pivots) == m.rows and all(c[row] == 1 for row, c in pivots)
 
 
 @dataclass(frozen=True)
@@ -409,8 +448,10 @@ class FinAbGroup:
 
 
 def cokernel(m: IntegerMatrix) -> FinAbGroup:
-    """Z^rows / (column span of m), from the Smith invariants."""
-    diag = [x for x in diagonal_of(smith_normal_form(m).d) if x]
+    """Z^rows / (column span of m), from the Smith diagonal alone."""
+    a = [list(r) for r in m.data]
+    _smith(a)
+    diag = [a[i][i] for i in range(min(m.rows, m.cols)) if a[i][i]]
     return FinAbGroup(m.rows - len(diag), tuple(x for x in diag if x > 1))
 
 

@@ -8,12 +8,12 @@ from vancoh import (Branch, CurveComponent, FinAbGroup, IntegerMatrix, IsolatedP
                     MonodromyData, SliceConfiguration, SpecialPoint, analyze,
                     component_cohomology, matrix)
 from vancoh.engine import InternalDefectError, InvalidConfigurationError
-from vancoh.linalg import Submodule
+from vancoh.linalg import Submodule, hstack
 from vancoh.polynomial import IntPolynomial
 
 import oracles
 from helpers import (conjugate_component, count_calls, load_corpus, permute_config,
-                     rand_unimodular, random_valid_config, report_signature)
+                     rand_matrix, rand_unimodular, random_valid_config, report_signature)
 
 
 def empty_config(n=3):
@@ -108,6 +108,41 @@ class TestLowestVanishing:
         rng = random.Random(32)
         for _ in range(25):
             assert analyze(random_valid_config(rng)).lowest_group.is_free
+
+    def test_rank_is_rational_nullity(self):
+        rng = random.Random(33)
+        for _ in range(60):
+            rep = analyze(random_valid_config(rng, max_rank=6))
+            j = rep.j_matrix
+            assert rep.lowest_group.free_rank == oracles.rational_nullity(j.tolist(), j.cols)
+
+    def test_dense_iota(self):
+        # identity monodromies: the invariants and both branch kernels are the
+        # whole Z^mu, so ker j pairs a, b with iota1 a = iota2 b.  The blocks
+        # share four columns, so j has neither full row nor full column rank.
+        rng = random.Random(34)
+        mu, f1, f2 = 16, 10, 9
+        iota1 = rand_matrix(rng, mu, f1, 9)
+        iota2 = hstack([IntegerMatrix(mu, 4, tuple(r[:4] for r in iota1.data)),
+                        rand_matrix(rng, mu, f2 - 4, 9)])
+        iotas = [iota1, iota2]
+        for iota in iotas:
+            assert oracles.rational_rank(iota.tolist()) == iota.cols
+        ident = IntegerMatrix.identity(mu)
+        cfg = SliceConfiguration(
+            n=3, original_n=3, original_s=2,
+            components=(CurveComponent("S", 0, mu, (ident, ident)),),
+            special_points=tuple(
+                SpecialPoint(f"q{k}", (Branch("S", ident),), iota.cols, 0, iota)
+                for k, iota in enumerate(iotas)),
+            isolated_points=())
+        rep = analyze(cfg)
+        j = rep.j_matrix
+        stacked = [r1 + r2 for r1, r2 in zip(iotas[0].tolist(), iotas[1].tolist())]
+        expected = f1 + f2 - oracles.rational_rank(stacked)
+        assert expected == 4 and j.rows + expected > j.cols
+        assert rep.lowest_group == FinAbGroup(expected, ())
+        assert expected == oracles.rational_nullity(j.tolist(), j.cols)
 
 
 class TestDecompose:
@@ -349,22 +384,29 @@ class TestSinglePass:
     def test_each_intermediate_once(self, monkeypatch):
         cfg = load_corpus("xyzu")
         snf = count_calls(monkeypatch, vancoh.linalg, "smith_normal_form")
+        smith = count_calls(monkeypatch, vancoh.linalg, "_smith")
         cokernels = count_calls(monkeypatch, vancoh.linalg, "cokernel")
+        kernels = count_calls(monkeypatch, vancoh.linalg, "kernel")
         validations = count_calls(monkeypatch, vancoh.model, "_validate")
         comps = count_calls(monkeypatch, vancoh.engine, "component_cohomology")
         builds = count_calls(monkeypatch, vancoh.engine, "_build_j")
         analyze(cfg)
-        # one Smith normal form per component, each for its cokernel
-        assert len(snf) == len(cfg.components) == 6
-        assert snf == cokernels
+        # one Smith elimination per component, each for its cokernel and
+        # without transforms
+        assert len(cokernels) == len(smith) == len(cfg.components) == 6
+        assert snf == []
+        # one kernel per component and per branch; ker j is counted, not built
+        branches = sum(len(q.branches) for q in cfg.special_points)
+        assert len(kernels) == 6 + branches == 18
         assert (len(validations), len(builds)) == (1, 1)
         assert [c.id for c, _ in comps] == [c.id for c in cfg.components]
 
     def test_validation_runs_no_smith_form(self, monkeypatch):
         cfgs = [load_corpus(name) for name in ("xyz", "xyzu", "x2z_y2u")]
         snf = count_calls(monkeypatch, vancoh.linalg, "smith_normal_form")
+        smith = count_calls(monkeypatch, vancoh.linalg, "_smith")
         assert [vancoh.model.validate(cfg) for cfg in cfgs] == [[], [], []]
-        assert snf == []
+        assert snf == smith == []
 
     def test_euler_bookkeeping_fires(self, monkeypatch):
         original = vancoh.engine.component_cohomology

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from vancoh.linalg import (FinAbGroup, IntegerMatrix, Submodule, char_poly, cokernel,
                            diagonal_of, hnf_columns, hstack, image, intersect,
                            is_unimodular, kernel, matrix, rank, smith_normal_form,
-                           solve_in_basis)
+                           solve_in_basis, vstack)
 
 import oracles
 from helpers import exact_inverse, rand_matrix, rand_unimodular
@@ -204,17 +204,88 @@ class TestHermite:
             assert hnf_columns(m) == hnf_columns(m * v)
 
     def test_pivot_shape(self):
-        h = hnf_columns(matrix([[0, 2, 4], [1, 1, 1], [3, 0, 2]]))
-        last = -1
-        for j in range(h.cols):
-            col = h.column(j)
-            pivot_row = next(i for i, x in enumerate(col) if x)
-            assert pivot_row > last
-            last = pivot_row
-            assert col[pivot_row] > 0
-            for j2 in range(j):
-                x = h.data[pivot_row][j2]
-                assert 0 <= x < col[pivot_row]
+        assert_column_hnf(hnf_columns(matrix([[0, 2, 4], [1, 1, 1], [3, 0, 2]])))
+
+
+def assert_column_hnf(h):
+    """Pivot rows strictly increase, pivots are positive, and earlier
+    columns lie in [0, pivot) in each pivot row."""
+    last = -1
+    for j in range(h.cols):
+        col = h.column(j)
+        pivot_row = next(i for i, x in enumerate(col) if x)
+        assert pivot_row > last
+        last = pivot_row
+        assert col[pivot_row] > 0
+        for j2 in range(j):
+            x = h.data[pivot_row][j2]
+            assert 0 <= x < col[pivot_row]
+
+
+def rounding_cases():
+    """Matrices at the edges of the nearest-integer Euclid step: exact ties
+    |c| = |p|/2 with even pivots of both signs, entries near 2^200, tall
+    [m; I] stacks, and square matrices of determinant +-1 that are not
+    triangular and of determinant +-2."""
+    rng = random.Random(47)
+    cases = []
+    for p in (2, 4, 6, 10, -2, -4, -6, -10):
+        h = abs(p) // 2
+        for ties in ([p, 3 * h, -3 * h], [p, -p, 3 * h, 5 * h]):
+            width = len(ties)
+            for _ in range(3):
+                cases.append(matrix([ties] + [[rng.randint(-9, 9) for _ in range(width)]
+                                              for _ in range(rng.randint(1, 3))]))
+    big = 2 ** 200
+    for _ in range(20):
+        r, c = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[rng.choice((-1, 1)) * (big - rng.randint(0, 2 ** 20)) if rng.random() < 0.7
+                 else rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+        if r > 2 and rng.random() < 0.4:
+            rows[-1] = [x - y for x, y in zip(rows[0], rows[1])]
+        cases.append(matrix(rows))
+    for _ in range(15):
+        m = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 8), 9)
+        cases.append(vstack([m, IntegerMatrix.identity(m.cols)]))
+    unimodular = []
+    while len(unimodular) < 20:
+        n = rng.randint(2, 6)
+        m = rand_unimodular(rng, n, bound=9)
+        if any(m.data[i][j] for i in range(n) for j in range(i)) and \
+                any(m.data[i][j] for i in range(n) for j in range(i + 1, n)):
+            unimodular.append(m)
+    cases += unimodular
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        two = matrix([[(1 + (i == 0)) * (i == j) for j in range(n)] for i in range(n)])
+        cases.append(rand_unimodular(rng, n, bound=9) * two * rand_unimodular(rng, n, bound=9))
+    return cases
+
+
+class TestNearestQuotients:
+    """The column echelon form behind hnf_columns, rank and is_unimodular on
+    the edge cases of its nearest-integer quotients."""
+
+    CASES = rounding_cases()
+
+    def test_hnf_canonical_and_shaped(self):
+        rng = random.Random(48)
+        for m in self.CASES:
+            h = hnf_columns(m)
+            assert_column_hnf(h)
+            assert solve_in_basis(h, m) is not None, m
+            assert hnf_columns(m * rand_unimodular(rng, m.cols, bound=9)) == h, m
+
+    def test_rank_matches_rational_oracle(self):
+        for m in self.CASES:
+            assert rank(m) == oracles.rational_rank(m.tolist()), m
+
+    def test_is_unimodular_matches_determinant(self):
+        squares = [m for m in self.CASES if m.is_square]
+        dets = [oracles.bareiss_det(m.tolist()) for m in squares]
+        assert dets.count(2) + dets.count(-2) >= 10
+        for m, det in zip(squares, dets):
+            assert is_unimodular(m) == (det in (1, -1)), m
 
 
 class TestSolveInBasis:
