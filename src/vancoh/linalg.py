@@ -3,9 +3,12 @@
 Dense matrices of arbitrary-precision integers, Smith and Hermite normal
 forms, kernels, images, cokernels and lattice intersections.  One column
 echelon elimination is the core: ranks and unimodularity read its pivots,
-and its back-normalised form, the column Hermite normal form, gives kernels
-and intersections.  The Smith normal form serves only the cokernel
-invariants, without transforms.  Everything is pure and exact: no
+and one back-normalisation turns it into the column Hermite normal form,
+which gives images.  Kernels and intersections back-normalise only the
+columns they return, those whose pivots lie below the stacked top block;
+back-normalising a column reads only later pivots, so these equal the
+columns of the full Hermite form.  The Smith normal form serves only the
+cokernel invariants, without transforms.  Everything is pure and exact: no
 floats, no modular shortcuts, and every normal form is canonical, so equal
 inputs always produce identical outputs.
 """
@@ -287,7 +290,7 @@ def _echelon(m: IntegerMatrix) -> list[tuple[int, list[int]]]:
     span the same lattice.
     """
     n = m.rows
-    live = [list(m.column(j)) for j in range(m.cols)]
+    live = [list(c) for c in zip(*m.data)]
     pivots: list[tuple[int, list[int]]] = []
     for row in range(n):
         # Euclid on the entries of this row until one active column is left;
@@ -317,6 +320,27 @@ def _echelon(m: IntegerMatrix) -> list[tuple[int, list[int]]]:
     return pivots
 
 
+def _back_normalise(pivots: list[tuple[int, list[int]]], first: int = 0) -> list[list[int]]:
+    """Finish the Hermite form of the pivot columns from ``first`` on.
+
+    Brings each such column's entries in the later pivot rows into
+    [0, pivot), last column first: reducing by columns that are already
+    final keeps the entries small.  Column k reads only columns k+1..., so
+    the returned columns equal those of the full Hermite form.
+    """
+    for k in range(len(pivots) - 2, first - 1, -1):
+        c = pivots[k][1]
+        for row, pc in pivots[k + 1:]:
+            q = c[row] // pc[row]
+            if q:
+                c[row:] = [x - q * y for x, y in zip(c[row:], pc[row:])]
+    return [c for _, c in pivots[first:]]
+
+
+def _from_columns(rows: int, columns: list[list[int]]) -> IntegerMatrix:
+    return IntegerMatrix(rows, len(columns), tuple(zip(*columns)) if columns else ((),) * rows)
+
+
 def hnf_columns(m: IntegerMatrix) -> IntegerMatrix:
     """Canonical basis of the column span of ``m``.
 
@@ -326,18 +350,7 @@ def hnf_columns(m: IntegerMatrix) -> IntegerMatrix:
     result has exactly rank-many columns and is the unique canonical basis
     of the lattice spanned by the columns of ``m``.
     """
-    pivots = _echelon(m)
-    # Bring each pivot column's entries in the later pivot rows into
-    # [0, pivot), last column first: reducing by columns that are already
-    # final keeps the entries small.
-    for k in range(len(pivots) - 2, -1, -1):
-        c = pivots[k][1]
-        for row, pc in pivots[k + 1:]:
-            q = c[row] // pc[row]
-            if q:
-                c[row:] = [x - q * y for x, y in zip(c[row:], pc[row:])]
-    data = tuple(tuple(c[i] for _, c in pivots) for i in range(m.rows))
-    return IntegerMatrix(m.rows, len(pivots), data)
+    return _from_columns(m.rows, _back_normalise(_echelon(m)))
 
 
 def rank(m: IntegerMatrix) -> int:
@@ -394,15 +407,17 @@ class Submodule:
 def _restricted_image(top: IntegerMatrix, bottom: IntegerMatrix) -> Submodule:
     """The lattice {bottom x : top x = 0}, in canonical column-HNF basis.
 
-    Column HNF of the stacked [top; bottom]: pivot rows increase, so the
-    columns whose top block vanishes come last, and their bottom blocks
-    already are the Hermite basis of the wanted lattice (Kannan-Bachem).
+    Column echelon form of the stacked [top; bottom]: pivot rows increase,
+    so the columns whose top block vanishes are the last ones, those with
+    pivot rows in the bottom block, and their bottom blocks span the wanted
+    lattice (Kannan-Bachem).  Only these columns are back-normalised; that
+    reads only later pivots, so they equal the trailing columns of the full
+    column HNF and their bottom blocks are the Hermite basis.
     """
-    h = hnf_columns(vstack([top, bottom]))
-    first = next((j for j in range(h.cols)
-                  if not any(h.data[i][j] for i in range(top.rows))), h.cols)
-    return Submodule(bottom.rows, IntegerMatrix(
-        bottom.rows, h.cols - first, tuple(r[first:] for r in h.data[top.rows:])))
+    pivots = _echelon(vstack([top, bottom]))
+    first = next((k for k, (row, _) in enumerate(pivots) if row >= top.rows), len(pivots))
+    return Submodule(bottom.rows, _from_columns(
+        bottom.rows, [c[top.rows:] for c in _back_normalise(pivots, first)]))
 
 
 def kernel(m: IntegerMatrix) -> Submodule:

@@ -184,12 +184,29 @@ def corpus_mutants(draw):
     return json.dumps(doc).encode()
 
 
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(corpus_mutants())
-def test_mutated_document_gets_one_report(tmp_path, mutant):
+JSON_TREES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-16, 16), st.floats(), st.text(max_size=4)),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(st.text(max_size=4), children, max_size=4)),
+    max_leaves=16)
+
+
+@st.composite
+def arbitrary_values(draw):
+    """A small corpus document with one position holding an arbitrary JSON
+    value; integers and container sizes stay at most 16."""
+    doc = json.loads(CORPUS[draw(st.sampled_from(("xyz", "x2z_y2u", "quadric_power_2_2")))]
+                     .read_bytes())
+    container, key = draw(st.sampled_from(list(_slots(doc))))
+    container[key] = draw(JSON_TREES)
+    return json.dumps(doc).encode()
+
+
+def assert_one_report_each(tmp_path, data):
+    """``data`` as a file before a valid xyz: one report each, the second
+    clean, an exit status in {0, 1, 2} and both renderers working."""
     path = tmp_path / "mutant.json"
-    path.write_bytes(mutant)
+    path.write_bytes(data)
     good = CORPUS["xyz"]
     reports, status = run([str(path), str(good)])
     assert status in (0, 1, 2)
@@ -199,6 +216,20 @@ def test_mutated_document_gets_one_report(tmp_path, mutant):
     render_json(reports, True)
     for r in reports:
         render_text(r, True)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(corpus_mutants())
+def test_mutated_document_gets_one_report(tmp_path, mutant):
+    assert_one_report_each(tmp_path, mutant)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.binary(max_size=256), arbitrary_values()))
+def test_raw_bytes_and_arbitrary_values_get_one_report(tmp_path, data):
+    assert_one_report_each(tmp_path, data)
 
 
 class TestDeterminism:

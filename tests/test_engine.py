@@ -387,6 +387,9 @@ class TestSinglePass:
         smith = count_calls(monkeypatch, vancoh.linalg, "_smith")
         cokernels = count_calls(monkeypatch, vancoh.linalg, "cokernel")
         kernels = count_calls(monkeypatch, vancoh.linalg, "kernel")
+        images = count_calls(monkeypatch, vancoh.linalg, "image")
+        hnfs = count_calls(monkeypatch, vancoh.linalg, "hnf_columns")
+        echelons = count_calls(monkeypatch, vancoh.linalg, "_echelon")
         validations = count_calls(monkeypatch, vancoh.model, "_validate")
         comps = count_calls(monkeypatch, vancoh.engine, "component_cohomology")
         builds = count_calls(monkeypatch, vancoh.engine, "_build_j")
@@ -398,6 +401,13 @@ class TestSinglePass:
         # one kernel per component and per branch; ker j is counted, not built
         branches = sum(len(q.branches) for q in cfg.special_points)
         assert len(kernels) == 6 + branches == 18
+        # kernels and the intersection back-normalise inside their own
+        # echelon pass: the only full Hermite forms are the cross-check's two
+        # images, and each kernel, rank, unimodularity, image and intersect
+        # call runs exactly one elimination
+        assert len(hnfs) == len(images) == 2
+        assert hnfs == images
+        assert len(echelons) == 50
         assert (len(validations), len(builds)) == (1, 1)
         assert [c.id for c, _ in comps] == [c.id for c in cfg.components]
 

@@ -326,29 +326,64 @@ def snf_intersect(a, b):
     return Submodule(a.ambient_rank, hnf_columns(a.basis * coeffs))
 
 
+def rank_deficient(m):
+    """``m`` with its last row replaced by the first plus the second last."""
+    rows = list(m.data[:-1])
+    return IntegerMatrix.from_rows(rows + [[x + y for x, y in zip(rows[0], rows[-1])]])
+
+
 def differential_cases():
     """Seeded random matrices, their unimodular conjugates, unimodular
-    matrices, and the empty shapes."""
+    matrices, the empty shapes, an all-zero matrix, and the stacks that
+    kernel and intersect eliminate, [m; I] and [A B; A 0], with entries up
+    to 2^64."""
     rng = random.Random(43)
     cases = [IntegerMatrix.zeros(r, c) for r, c in [(0, 0), (0, 1), (0, 5), (1, 0), (6, 0)]]
     while len(cases) < 240:
         r, c = rng.randint(1, 12), rng.randint(1, 16)
         m = rand_matrix(rng, r, c, 9)
-        if r > 1 and rng.random() < 0.3:  # rank deficient: last row = first + second last
-            rows = list(m.data[:-1])
-            m = IntegerMatrix.from_rows(rows + [[x + y for x, y in zip(rows[0], rows[-1])]])
+        if r > 1 and rng.random() < 0.3:
+            m = rank_deficient(m)
         cases.append(m)
         cases.append(rand_unimodular(rng, r) * m * rand_unimodular(rng, c))
         if r == c or rng.random() < 0.2:
             cases.append(rand_unimodular(rng, r))
+    cases.append(IntegerMatrix.zeros(4, 3))
+    rng = random.Random(45)
+    big = 2 ** 64
+    for _ in range(15):
+        m = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 6), big)
+        if m.rows > 1 and rng.random() < 0.4:
+            m = rank_deficient(m)
+        cases.append(vstack([m, IntegerMatrix.identity(m.cols)]))
+    for _ in range(15):
+        r, c = rng.randint(1, 4), rng.randint(1, 4)
+        a, b = rand_matrix(rng, r, c, big), rand_matrix(rng, r, c, big)
+        if r > 1 and rng.random() < 0.5:
+            a = rank_deficient(a)
+        cases.append(vstack([hstack([a, b]), hstack([a, IntegerMatrix.zeros(r, c)])]))
     return cases
 
 
+def snf_image(m):
+    """The Smith route to the image: the nonzero columns of m v."""
+    mv, r = m * smith_normal_form(m).v, rank_by_snf(m)
+    return IntegerMatrix(m.rows, r, tuple(row[:r] for row in mv.data))
+
+
 class TestDifferential:
-    """Hermite-route kernels, intersections, ranks and unimodularity against
-    the retired Smith route and the rational oracles."""
+    """Hermite-route kernels, intersections, images, ranks and unimodularity
+    against the retired Smith route and the rational oracles."""
 
     CASES = differential_cases()
+
+    def test_hnf_columns_matches_smith_route(self):
+        for m in self.CASES:
+            h = hnf_columns(m)
+            assert (h.rows, h.cols) == (m.rows, oracles.rational_rank(m.tolist())), m
+            assert_column_hnf(h)
+            assert image(m) == Submodule(m.rows, h)
+            assert hnf_columns(snf_image(m)) == h, m
 
     def test_kernel_matches_smith_route(self):
         for m in self.CASES:
