@@ -7,8 +7,8 @@ kernels, images, cokernels, lattice intersections and characteristic
 polynomials.
 """
 
-from vancoh import (Submodule, char_poly, cokernel, image, intersect, kernel,
-                    matrix, poly_divides, smith_normal_form)
+from vancoh import (char_poly, cokernel, image, intersect, kernel, matrix,
+                    poly_divides, smith_normal_form)
 
 # ---------------------------------------------------------------------------
 # Smith normal form: u * m * v = d with unimodular u, v
@@ -34,12 +34,12 @@ print()
 # ---------------------------------------------------------------------------
 k = kernel(matrix([[1, 1, 1]]))
 print("kernel of the sum functional on Z^3:")
-print("  basis columns:", [k.basis.column(j) for j in range(k.rank)])
+print("  basis columns:", list(zip(*k.basis.data)))
 print("  rank:", k.rank)
 print()
 
 # Canonical bases make equality of sublattices a plain comparison:
-same = Submodule.from_columns(3, matrix([[1, 0], [1, 1], [-2, -1]]))
+same = image(matrix([[1, 0], [1, 1], [-2, -1]]))
 print("another spanning set, same lattice?", same == k)
 print()
 
@@ -49,8 +49,7 @@ print()
 a = image(matrix([[2, 0], [0, 1]]))
 b = image(matrix([[1], [1]]))
 both = intersect(a, b)
-print("span{(2,0),(0,1)} intersect span{(1,1)} =",
-      [both.basis.column(j) for j in range(both.rank)])
+print("span{(2,0),(0,1)} intersect span{(1,1)} =", list(zip(*both.basis.data)))
 print()
 
 # ---------------------------------------------------------------------------

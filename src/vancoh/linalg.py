@@ -7,10 +7,12 @@ and one back-normalisation turns it into the column Hermite normal form,
 which gives images.  Kernels and intersections back-normalise only the
 columns they return, those whose pivots lie below the stacked top block;
 back-normalising a column reads only later pivots, so these equal the
-columns of the full Hermite form.  The Smith normal form serves only the
-cokernel invariants, without transforms.  Everything is pure and exact: no
-floats, no modular shortcuts, and every normal form is canonical, so equal
-inputs always produce identical outputs.
+columns of the full Hermite form.  A `Submodule` is nothing but its
+Hermite basis, so `image`, `kernel` and `intersect` are the only ways to
+get one.  The Smith normal form serves only the cokernel invariants,
+without transforms.  Everything is pure and exact: no floats, no modular
+shortcuts, and every normal form is canonical, so equal inputs always
+produce identical outputs.
 """
 
 from __future__ import annotations
@@ -56,10 +58,6 @@ class IntegerMatrix:
         if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
             raise ValueError("matrix data does not match declared shape")
 
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.data[i][j]
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -71,9 +69,6 @@ class IntegerMatrix:
         return IntegerMatrix(self.cols, self.rows,
                              tuple(tuple(self.data[i][j] for i in range(self.rows))
                                    for j in range(self.cols)))
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.data[i][j] for i in range(self.rows))
 
     def trace(self) -> int:
         if not self.is_square:
@@ -273,10 +268,6 @@ def smith_normal_form(m: IntegerMatrix) -> SNFResult:
     )
 
 
-def diagonal_of(d: IntegerMatrix) -> list[int]:
-    return [d.data[i][i] for i in range(min(d.rows, d.cols))]
-
-
 # ---------------------------------------------------------------------------
 # Column-style Hermite normal form and submodules
 # ---------------------------------------------------------------------------
@@ -373,31 +364,18 @@ def is_unimodular(m: IntegerMatrix) -> bool:
 
 @dataclass(frozen=True)
 class Submodule:
-    """Sublattice of Z^ambient_rank with canonical column-HNF basis.
+    """Sublattice of Z^ambient_rank, held as its canonical column-HNF basis.
 
-    Canonicality turns submodule equality into plain matrix equality.
+    Canonicality turns submodule equality into plain matrix equality.  In
+    the library the basis comes only from `image` or from the kernel and
+    intersection routines, so it is always in Hermite form.
     """
 
-    ambient_rank: int
     basis: IntegerMatrix
 
-    @staticmethod
-    def from_columns(ambient_rank: int, columns: IntegerMatrix) -> "Submodule":
-        if columns.rows != ambient_rank:
-            raise ValueError("column length does not match ambient rank")
-        return Submodule(ambient_rank, hnf_columns(columns))
-
-    @staticmethod
-    def zero(ambient_rank: int) -> "Submodule":
-        return Submodule(ambient_rank, IntegerMatrix.zeros(ambient_rank, 0))
-
-    @staticmethod
-    def full(ambient_rank: int) -> "Submodule":
-        return Submodule(ambient_rank, IntegerMatrix.identity(ambient_rank))
-
-    def __post_init__(self):
-        if self.basis.rows != self.ambient_rank:
-            raise ValueError("basis rows must equal ambient rank")
+    @property
+    def ambient_rank(self) -> int:
+        return self.basis.rows
 
     @property
     def rank(self) -> int:
@@ -416,7 +394,7 @@ def _restricted_image(top: IntegerMatrix, bottom: IntegerMatrix) -> Submodule:
     """
     pivots = _echelon(vstack([top, bottom]))
     first = next((k for k, (row, _) in enumerate(pivots) if row >= top.rows), len(pivots))
-    return Submodule(bottom.rows, _from_columns(
+    return Submodule(_from_columns(
         bottom.rows, [c[top.rows:] for c in _back_normalise(pivots, first)]))
 
 
@@ -431,7 +409,7 @@ def kernel(m: IntegerMatrix) -> Submodule:
 
 def image(m: IntegerMatrix) -> Submodule:
     """Column span of ``m`` as a canonical submodule of Z^rows."""
-    return Submodule(m.rows, hnf_columns(m))
+    return Submodule(hnf_columns(m))
 
 
 @dataclass(frozen=True)
@@ -456,10 +434,6 @@ class FinAbGroup:
     @property
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
-
-    @property
-    def is_free(self) -> bool:
-        return not self.torsion
 
 
 def cokernel(m: IntegerMatrix) -> FinAbGroup:
@@ -490,30 +464,26 @@ def solve_in_basis(basis: IntegerMatrix, targets: IntegerMatrix) -> IntegerMatri
     pivots = []
     seen = -1
     for j in range(basis.cols):
-        col = basis.column(j)
-        prow = next((i for i, x in enumerate(col) if x), None)
+        prow = next((i for i, row in enumerate(basis.data) if row[j]), None)
         if prow is None or prow <= seen:
             raise ValueError("basis is not in column Hermite normal form")
         pivots.append(prow)
         seen = prow
     out_cols = []
     for jt in range(targets.cols):
-        residual = list(targets.column(jt))
+        residual = [row[jt] for row in targets.data]
         coeffs = []
         for j, prow in enumerate(pivots):
-            p = basis.data[prow][j]
-            q, r = divmod(residual[prow], p)
+            q, r = divmod(residual[prow], basis.data[prow][j])
             if r:
                 return None
             coeffs.append(q)
             if q:
-                for i in range(basis.rows):
-                    residual[i] -= q * basis.data[i][j]
+                residual = [x - q * row[j] for x, row in zip(residual, basis.data)]
         if any(residual):
             return None
         out_cols.append(coeffs)
-    data = tuple(tuple(out_cols[j][i] for j in range(targets.cols)) for i in range(basis.cols))
-    return IntegerMatrix(basis.cols, targets.cols, data)
+    return _from_columns(basis.cols, out_cols)
 
 
 # ---------------------------------------------------------------------------

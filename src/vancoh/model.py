@@ -262,12 +262,18 @@ def _validate(cfg: SliceConfiguration) -> tuple[list[Violation], list[list[Submo
                                  f"need one per-component polynomial per component "
                                  f"({len(cfg.components)}), got {len(md.component_char_polys)}"))
         for kind, entries in (("eigen_dims", md.eigen_dims), ("jordan_sizes", md.jordan_sizes)):
+            labels: set[str] = set()
             for e in entries:
+                subject = f"monodromy_data.{kind}[{e.eigenvalue}]"
+                if e.eigenvalue in labels:
+                    out.append(Violation("duplicate-eigenvalue", subject,
+                                         "eigenvalue labels must be unique within each list"))
+                labels.add(e.eigenvalue)
                 if e.total < 0 or any(x < 0 for x in e.components):
-                    out.append(Violation("negative-rank", f"monodromy_data.{kind}[{e.eigenvalue}]",
+                    out.append(Violation("negative-rank", subject,
                                          "eigenvalue integers must be nonnegative"))
                 if len(e.components) != len(cfg.components):
-                    out.append(Violation("eigenvalue-count", f"monodromy_data.{kind}[{e.eigenvalue}]",
+                    out.append(Violation("eigenvalue-count", subject,
                                          f"need one integer per component ({len(cfg.components)}), "
                                          f"got {len(e.components)}"))
 

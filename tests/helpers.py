@@ -22,6 +22,10 @@ def load_corpus(name: str) -> SliceConfiguration:
     return result.configuration
 
 
+def diagonal_of(d: IntegerMatrix) -> list[int]:
+    return [d.data[i][i] for i in range(min(d.rows, d.cols))]
+
+
 def rand_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> IntegerMatrix:
     return IntegerMatrix.from_rows(
         [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)], cols)

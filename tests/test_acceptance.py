@@ -10,12 +10,11 @@ from dataclasses import replace
 
 from vancoh import FinAbGroup, analyze
 from vancoh.corpus import bundled
-from vancoh.linalg import (IntegerMatrix, diagonal_of, image, kernel,
-                           smith_normal_form)
+from vancoh.linalg import IntegerMatrix, image, kernel, smith_normal_form
 
 import oracles
-from helpers import (conjugate_component, load_corpus, permute_config, rand_matrix,
-                     rand_unimodular, random_valid_config, report_signature)
+from helpers import (conjugate_component, diagonal_of, load_corpus, permute_config,
+                     rand_matrix, rand_unimodular, random_valid_config, report_signature)
 
 
 def _line(ok: bool, label: str) -> None:

@@ -105,10 +105,26 @@ class TestRun:
         assert status == 2
         assert reports[0].defect is not None
         assert reports[0].validation == ()
+        doc_out = json.loads(render_json(reports))[0]
+        assert doc_out["defect"] == reports[0].defect
+        assert "vanishing" not in doc_out
+        assert f"  DEFECT: {reports[0].defect}\n" in render_text(reports[0])
         # a missing costalk is reported before the computation that would fail
         reports, status = run([str(path)], costalk_required=True)
         assert status == 1
         assert [v.code for v in reports[0].validation] == ["missing-costalk"]
+
+    def test_polar_bounds_rendered(self, tmp_path):
+        doc = json.loads(CORPUS["quadric_power_2_2"].read_text())
+        doc["polar_data"] = [[3, 1], [0, 0]]
+        path = tmp_path / "polar.json"
+        path.write_text(json.dumps(doc))
+        reports, status = run([str(path)])
+        assert status == 0
+        text = render_text(reports[0])
+        assert "  polar bound: b_(n-0)(F) <= 4\n  polar bound: b_(n-1)(F) <= 0\n" in text
+        assert json.loads(render_json(reports))[0]["vanishing"]["bounds"]["polar"] \
+            == [[0, 4], [1, 0]]
 
     def test_strict_unknown_keys(self, tmp_path):
         doc = json.loads(CORPUS["xyz"].read_text())

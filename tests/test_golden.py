@@ -16,6 +16,7 @@ GOLDEN = {
     "corpus --format json": "acf39f2e2832dc069a70a915c3e41f98fcb0648ed12d1c345ae3f5a35baabd17",
     "corpus --format json --verbose":
         "605becfbca38255df67570fa44eede928ae8163dc361b407eee9598d111f1526",
+    "corpus --verbose": "28f4bda582a33252a526d1e06c1a348cd868c2fe41e071a69240dd2a9c61629c",
     "01_exact_integer_linear_algebra":
         "f208b2b630629e6ea34aa4e28ae03492ff94874c25d055f55cbdcc039fdc8191",
     "02_three_planes_walkthrough": "4fe28fdf6478179e1ce239cdac1c1e27fcd6bb07f105dcd27e03bf842a5452f5",

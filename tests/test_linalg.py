@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vancoh.linalg import (FinAbGroup, IntegerMatrix, Submodule, char_poly, cokernel,
-                           diagonal_of, hnf_columns, hstack, image, intersect,
-                           is_unimodular, kernel, matrix, rank, smith_normal_form,
-                           solve_in_basis, vstack)
+                           hnf_columns, hstack, image, intersect, is_unimodular, kernel,
+                           matrix, rank, smith_normal_form, solve_in_basis, vstack)
 
 import oracles
-from helpers import exact_inverse, rand_matrix, rand_unimodular
+from helpers import diagonal_of, exact_inverse, rand_matrix, rand_unimodular
 
 
 def small_matrices(max_dim=5, bound=9):
@@ -76,30 +75,30 @@ class TestSmithNormalForm:
 
 class TestKernelImage:
     def test_kernel_identity(self):
-        assert kernel(IntegerMatrix.identity(4)) == Submodule.zero(4)
+        assert kernel(IntegerMatrix.identity(4)) == image(IntegerMatrix.zeros(4, 0))
 
     def test_kernel_zero_row(self):
-        assert kernel(matrix([[0, 0, 0]])) == Submodule.full(3)
+        assert kernel(matrix([[0, 0, 0]])) == image(IntegerMatrix.identity(3))
 
     def test_kernel_sum_functional(self):
         k = kernel(matrix([[1, 1, 1]]))
         assert k.rank == 2
-        for j in range(k.rank):
-            assert sum(k.basis.column(j)) == 0
+        for col in zip(*k.basis.data):
+            assert sum(col) == 0
         assert k.rank == 3 - oracles.rational_rank([[1, 1, 1]])
 
     def test_image_full(self):
-        assert image(IntegerMatrix.identity(3)) == Submodule.full(3)
+        assert image(IntegerMatrix.identity(3)).basis == IntegerMatrix.identity(3)
 
     def test_image_zero(self):
-        assert image(IntegerMatrix.zeros(3, 2)) == Submodule.zero(3)
+        assert image(IntegerMatrix.zeros(3, 2)).basis == IntegerMatrix.zeros(3, 0)
 
     def test_image_sum_zero_columns(self):
         m = matrix([[1, 0], [-1, 1], [0, -1]])
         im = image(m)
         assert im.rank == 2
-        for j in range(im.rank):
-            assert sum(im.basis.column(j)) == 0
+        for col in zip(*im.basis.data):
+            assert sum(col) == 0
 
     @settings(max_examples=200, deadline=None)
     @given(small_matrices())
@@ -143,21 +142,22 @@ class TestCokernel:
 class TestIntersect:
     def test_with_full(self):
         s = image(matrix([[2, 0], [0, 0], [0, 3]]))
-        assert intersect(Submodule.full(3), s) == s
-        assert intersect(s, Submodule.full(3)) == s
+        assert intersect(image(IntegerMatrix.identity(3)), s) == s
+        assert intersect(s, image(IntegerMatrix.identity(3))) == s
 
     def test_with_zero(self):
         s = image(matrix([[1], [1]]))
-        assert intersect(s, Submodule.zero(2)) == Submodule.zero(2)
+        zero = image(IntegerMatrix.zeros(2, 0))
+        assert intersect(s, zero) == zero
 
     def test_transverse_lines(self):
-        a = Submodule.from_columns(2, matrix([[1], [0]]))
-        b = Submodule.from_columns(2, matrix([[1], [1]]))
-        assert intersect(a, b) == Submodule.zero(2)
+        a = image(matrix([[1], [0]]))
+        b = image(matrix([[1], [1]]))
+        assert intersect(a, b) == image(IntegerMatrix.zeros(2, 0))
 
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError):
-            intersect(Submodule.full(2), Submodule.full(3))
+            intersect(image(IntegerMatrix.identity(2)), image(IntegerMatrix.identity(3)))
 
     def test_commutative_idempotent(self):
         rng = random.Random(11)
@@ -174,10 +174,10 @@ class TestIntersect:
 
     def test_index_two_overlap(self):
         # span{(2,0),(0,1)} and span{(1,1)} meet in the even multiples of (1,1)
-        a = Submodule.from_columns(2, matrix([[2, 0], [0, 1]]))
-        b = Submodule.from_columns(2, matrix([[1], [1]]))
+        a = image(matrix([[2, 0], [0, 1]]))
+        b = image(matrix([[1], [1]]))
         got = intersect(a, b)
-        assert got == Submodule.from_columns(2, matrix([[2], [2]]))
+        assert got == image(matrix([[2], [2]]))
 
     def test_rank_against_rational_oracle(self):
         # rank(A cap B) = rk A + rk B - rk [A B]: any rational point of the
@@ -211,8 +211,7 @@ def assert_column_hnf(h):
     """Pivot rows strictly increase, pivots are positive, and earlier
     columns lie in [0, pivot) in each pivot row."""
     last = -1
-    for j in range(h.cols):
-        col = h.column(j)
+    for j, col in enumerate(zip(*h.data)):
         pivot_row = next(i for i, x in enumerate(col) if x)
         assert pivot_row > last
         last = pivot_row
@@ -305,6 +304,22 @@ class TestSolveInBasis:
         assert solve_in_basis(basis, matrix([[1], [0]])) is None
         assert solve_in_basis(basis, matrix([[0], [1]])) is None
 
+    @pytest.mark.parametrize("basis,targets", [
+        (IntegerMatrix.identity(2), IntegerMatrix.zeros(3, 1)),
+        (matrix([[0], [0]]), IntegerMatrix.zeros(2, 1)),        # a zero column has no pivot
+        (matrix([[0, 1], [1, 0]]), IntegerMatrix.zeros(2, 1)),  # pivot rows decrease
+        (IntegerMatrix.zeros(0, 1), IntegerMatrix.zeros(0, 1)),  # no rows, so no pivot
+    ], ids=["row-mismatch", "zero-column", "decreasing-pivots", "0x1"])
+    def test_rejects_bad_input(self, basis, targets):
+        with pytest.raises(ValueError):
+            solve_in_basis(basis, targets)
+
+    def test_empty_shapes(self):
+        assert solve_in_basis(IntegerMatrix.zeros(0, 0), IntegerMatrix.zeros(0, 3)) \
+            == IntegerMatrix.zeros(0, 3)
+        basis = hnf_columns(matrix([[2], [1]]))
+        assert solve_in_basis(basis, IntegerMatrix.zeros(2, 0)) == IntegerMatrix.zeros(1, 0)
+
 
 def rank_by_snf(m):
     return sum(1 for x in diagonal_of(smith_normal_form(m).d) if x)
@@ -313,17 +328,16 @@ def rank_by_snf(m):
 def snf_kernel(m):
     """The Smith route to the kernel: the columns of v beyond the rank."""
     v, r = smith_normal_form(m).v, rank_by_snf(m)
-    return Submodule(m.cols, hnf_columns(IntegerMatrix(
-        m.cols, m.cols - r, tuple(row[r:] for row in v.data))))
+    return image(IntegerMatrix(m.cols, m.cols - r, tuple(row[r:] for row in v.data)))
 
 
 def snf_intersect(a, b):
     """Intersection through the Smith kernel of [A -B], mapped back by A."""
     if a.rank == 0 or b.rank == 0:
-        return Submodule.zero(a.ambient_rank)
+        return image(IntegerMatrix.zeros(a.ambient_rank, 0))
     k = snf_kernel(hstack([a.basis, -b.basis])).basis
     coeffs = IntegerMatrix(a.rank, k.cols, k.data[:a.rank])
-    return Submodule(a.ambient_rank, hnf_columns(a.basis * coeffs))
+    return image(a.basis * coeffs)
 
 
 def rank_deficient(m):
@@ -382,7 +396,7 @@ class TestDifferential:
             h = hnf_columns(m)
             assert (h.rows, h.cols) == (m.rows, oracles.rational_rank(m.tolist())), m
             assert_column_hnf(h)
-            assert image(m) == Submodule(m.rows, h)
+            assert image(m) == Submodule(h)
             assert hnf_columns(snf_image(m)) == h, m
 
     def test_kernel_matches_smith_route(self):
@@ -407,7 +421,7 @@ class TestDifferential:
             a = image(IntegerMatrix(m.rows, split, tuple(r[:split] for r in m.data)))
             b = image(IntegerMatrix(m.rows, m.cols - split, tuple(r[split:] for r in m.data)))
             assert intersect(a, b) == snf_intersect(a, b), m
-            zero = Submodule.zero(m.rows)
+            zero = image(IntegerMatrix.zeros(m.rows, 0))
             assert intersect(a, zero) == intersect(zero, a) == zero
 
 

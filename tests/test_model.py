@@ -4,9 +4,9 @@ from dataclasses import replace
 
 import pytest
 
-from vancoh import (Branch, CurveComponent, SpecialPoint, Submodule, branch_kernel,
-                    matrix, parse_configuration, serialize_configuration,
-                    slice_degree_map, validate)
+from vancoh import (Branch, CurveComponent, EigenvalueData, IntPolynomial, IsolatedPoint,
+                    SpecialPoint, branch_kernel, image, matrix, parse_configuration,
+                    serialize_configuration, slice_degree_map, validate)
 from vancoh.corpus import bundled
 from vancoh.linalg import IntegerMatrix
 
@@ -26,10 +26,10 @@ class TestSliceDegreeMap:
 
 class TestBranchKernel:
     def test_identity(self):
-        assert branch_kernel(Branch("S", matrix([[1]]))) == Submodule.full(1)
+        assert branch_kernel(Branch("S", matrix([[1]]))) == image(IntegerMatrix.identity(1))
 
     def test_minus_identity(self):
-        assert branch_kernel(Branch("S", matrix([[-1]]))) == Submodule.zero(1)
+        assert branch_kernel(Branch("S", matrix([[-1]]))) == image(IntegerMatrix.zeros(1, 0))
 
     def test_shear(self):
         k = branch_kernel(Branch("S", matrix([[1, 1], [0, 1]])))
@@ -38,6 +38,10 @@ class TestBranchKernel:
     def test_deterministic(self):
         b = Branch("S", matrix([[1, 2], [0, -1]]))
         assert branch_kernel(b) == branch_kernel(b)
+
+
+def _with_monodromy(**changes):
+    return lambda cfg: replace(cfg, monodromy_data=replace(cfg.monodromy_data, **changes))
 
 
 class TestValidate:
@@ -108,6 +112,44 @@ class TestValidate:
         cfg = load_corpus("xyzu")
         assert validate(cfg) == validate(cfg)
 
+    @pytest.mark.parametrize("mutate,expected", [
+        (lambda cfg: replace(cfg, original_n=2, original_s=1),
+         [("dimension-range", "original_s")]),
+        # a negative genus also makes 2*genus + branches miss the loop count
+        (lambda cfg: replace(cfg, components=(replace(cfg.components[0], genus=-1),)
+                             + cfg.components[1:]),
+         [("negative-genus", "S1"), ("loop-count", "S1")]),
+        (lambda cfg: replace(cfg, special_points=(
+            replace(cfg.special_points[0], costalk_rank=-1),)),
+         [("negative-rank", "q1")]),
+        (lambda cfg: replace(cfg, isolated_points=(IsolatedPoint("r1", -1),)),
+         [("negative-rank", "r1")]),
+        (_with_monodromy(char_poly=IntPolynomial.zero()),
+         [("zero-polynomial", "monodromy_data.char_poly")]),
+        (_with_monodromy(component_char_polys=(
+            IntPolynomial((-1, 1)), IntPolynomial.zero(), IntPolynomial((-1, 1)))),
+         [("zero-polynomial", "monodromy_data.component_char_polys[1]")]),
+        (_with_monodromy(eigen_dims=(EigenvalueData("1", -1, (1, 1, 1)),)),
+         [("negative-rank", "monodromy_data.eigen_dims[1]")]),
+        (_with_monodromy(jordan_sizes=(EigenvalueData("1", 1, (1, -1, 1)),)),
+         [("negative-rank", "monodromy_data.jordan_sizes[1]")]),
+        (_with_monodromy(jordan_sizes=(EigenvalueData("1", 1, (1, 1)),)),
+         [("eigenvalue-count", "monodromy_data.jordan_sizes[1]")]),
+        (_with_monodromy(eigen_dims=(EigenvalueData("1", 9, (1, 1, 1)),
+                                     EigenvalueData("1", 0, (1, 1, 1)))),
+         [("duplicate-eigenvalue", "monodromy_data.eigen_dims[1]")]),
+        (_with_monodromy(jordan_sizes=(EigenvalueData("1", 1, (1, 1, 1)),
+                                       EigenvalueData("-1", 0, (0, 0, 0)),
+                                       EigenvalueData("1", 1, (1, 1, 1)))),
+         [("duplicate-eigenvalue", "monodromy_data.jordan_sizes[1]")]),
+    ], ids=["original_s-range", "negative-genus", "negative-costalk", "negative-milnor",
+            "zero-char-poly", "zero-component-char-poly", "negative-eigen-total",
+            "negative-jordan-component", "eigenvalue-count", "duplicate-eigen-label",
+            "duplicate-jordan-label"])
+    def test_single_fault(self, mutate, expected):
+        violations = validate(mutate(load_corpus("xyz")))
+        assert [(v.code, v.subject) for v in violations] == expected
+
 
 class TestRoundTrip:
     def test_corpus_round_trip(self):
@@ -141,6 +183,17 @@ class TestRoundTrip:
         assert any(v.code == "malformed-document" for v in result.violations)
         assert parse_configuration([1, 2, 3]).configuration is None
         assert parse_configuration({"n": 3}).configuration is None  # missing keys
+        doc = serialize_configuration(load_corpus("xyz"))
+        ragged = json.loads(json.dumps(doc))
+        ragged["special_points"][0]["iota"] = [[1, 0], [-1]]
+        cases = [(ragged, "special_points[0].iota")] + [
+            (dict(doc, polar_data=polar), "polar_data")
+            for polar in ([[1]], [[1, True]], {"0": [1, 0]})]
+        for bad, path in cases:
+            result = parse_configuration(bad)
+            assert result.configuration is None
+            assert [(v.code, v.subject) for v in result.violations] \
+                == [("malformed-document", path)]
 
     def test_null_costalk_treated_as_absent(self):
         doc = serialize_configuration(load_corpus("xyz"))
