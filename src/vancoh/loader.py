@@ -1,14 +1,17 @@
 """Reading and writing configuration documents.
 
-A configuration is one JSON document: a key/value tree whose top-level keys
-are ``n``, ``original_n``, ``original_s``, ``components``,
-``special_points``, ``isolated_points`` and the optional ``polar_data`` and
-``monodromy_data``.  Matrices are nested row lists of integers; polynomials
-are coefficient lists in ascending order (index = power of t).
+A configuration is one JSON document.  The record tables below are the
+single statement of its format: each lists one record's keys, which are the
+field names of its `model` dataclass, in the order they are checked, with
+the kind of value each holds and, for an optional key, the default it takes
+when absent.  `parse_configuration` and `serialize_configuration` both walk
+them.  Matrices are nested row lists of integers; polynomials are
+coefficient lists in ascending order (index = power of t).
 
 Parsing never throws on bad content: structural problems come back as
-violations, so a batch run can keep going on the other inputs.  Unknown
-keys are collected separately; strict mode turns them into violations.
+violations, one per malformed position, so a batch run can keep going on
+the other inputs.  Unknown keys are collected separately; strict mode turns
+them into violations.
 """
 
 from __future__ import annotations
@@ -21,15 +24,6 @@ from .model import (Branch, CurveComponent, EigenvalueData, IsolatedPoint, Monod
                     SliceConfiguration, SpecialPoint, Violation)
 from .polynomial import IntPolynomial
 
-_TOP_KEYS = {"n", "original_n", "original_s", "components", "special_points",
-             "isolated_points", "polar_data", "monodromy_data"}
-_COMPONENT_KEYS = {"id", "genus", "transversal_rank", "loop_monodromies"}
-_POINT_KEYS = {"id", "branches", "fq_rank_low", "fq_rank_high", "iota", "costalk_rank"}
-_BRANCH_KEYS = {"component_id", "monodromy"}
-_ISOLATED_KEYS = {"id", "milnor_number"}
-_MONODROMY_KEYS = {"char_poly", "component_char_polys", "eigen_dims", "jordan_sizes"}
-_EIGEN_KEYS = {"eigenvalue", "total", "components"}
-
 
 @dataclass
 class ParseResult:
@@ -38,69 +32,167 @@ class ParseResult:
     unknown_keys: list[str]
 
 
-class _Reader:
-    def __init__(self):
-        self.violations: list[Violation] = []
-        self.unknown: list[str] = []
+def _bad(r: ParseResult, path: str, detail: str) -> None:
+    r.violations.append(Violation("malformed-document", path, detail))
 
-    def bad(self, path: str, detail: str) -> None:
-        self.violations.append(Violation("malformed-document", path, detail))
 
-    def check_keys(self, obj: dict, allowed: set[str], path: str) -> None:
-        for key in obj:
-            if key not in allowed:
-                self.unknown.append(f"{path}.{key}" if path else key)
+# Kinds of value.  `read(r, value, path)` returns the parsed value, or
+# reports each malformed position in `r` and returns None; a configuration
+# is only assembled from a document with no violations, so those Nones are
+# never seen.  `write(parsed)` gives the plain JSON form back.
 
-    def integer(self, obj: dict, key: str, path: str, required: bool = True) -> int | None:
-        if key not in obj:
-            if required:
-                self.bad(f"{path}.{key}" if path else key, "missing required key")
-            return None
-        value = obj[key]
-        if value is None and not required:
-            return None
-        if not isinstance(value, int) or isinstance(value, bool):
-            self.bad(f"{path}.{key}" if path else key, "expected an integer")
-            return None
-        return value
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
-    def string(self, obj: dict, key: str, path: str) -> str | None:
-        value = obj.get(key)
-        if not isinstance(value, str):
-            self.bad(f"{path}.{key}" if path else key, "expected a string")
-            return None
-        return value
 
-    def matrix(self, value, path: str) -> IntegerMatrix | None:
-        if not isinstance(value, list) or any(not isinstance(r, list) for r in value):
-            self.bad(path, "expected a matrix as nested row lists")
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(_is_int(x) for x in value)
+
+
+def _same(value):
+    return value
+
+
+class _Leaf:
+    """A value accepted when `ok(value)` and built as `build(value)`."""
+
+    def __init__(self, detail: str, ok, build=_same, write=_same):
+        self.detail, self.ok, self.build, self.write = detail, ok, build, write
+
+    def read(self, r: ParseResult, value, path: str):
+        if self.ok(value):
+            return self.build(value)
+        _bad(r, path, self.detail)
+        return None
+
+
+_INT = _Leaf("expected an integer", _is_int)
+_OPTIONAL_INT = _Leaf("expected an integer", lambda v: v is None or _is_int(v))  # null = absent
+_STR = _Leaf("expected a string", lambda v: isinstance(v, str))
+_POLYNOMIAL = _Leaf("expected a polynomial as an ascending coefficient list", _is_int_list,
+                    IntPolynomial.from_coeffs, lambda p: list(p.coeffs))
+_INTS = _Leaf("expected a list of integers", _is_int_list, tuple, list)
+_PAIRS = _Leaf("expected a list of [lambda_k, clk_betti_k] integer pairs",
+               lambda v: isinstance(v, list) and all(_is_int_list(p) and len(p) == 2 for p in v),
+               lambda v: tuple(map(tuple, v)), lambda pairs: [list(p) for p in pairs])
+
+
+class _Matrix:
+    """Nested row lists of integers."""
+
+    write = staticmethod(IntegerMatrix.tolist)
+
+    def read(self, r: ParseResult, value, path: str):
+        if not isinstance(value, list) or any(not isinstance(row, list) for row in value):
+            _bad(r, path, "expected a matrix as nested row lists")
             return None
-        for r in value:
-            if any(not isinstance(x, int) or isinstance(x, bool) for x in r):
-                self.bad(path, "matrix entries must be integers")
+        for row in value:
+            if any(not isinstance(x, int) or isinstance(x, bool) for x in row):  # hot: inline
+                _bad(r, path, "matrix entries must be integers")
                 return None
         try:
             return IntegerMatrix.from_rows(value)
-        except ValueError as exc:
-            self.bad(path, str(exc))
+        except ValueError as exc:  # ragged rows
+            _bad(r, path, str(exc))
             return None
 
-    def polynomial(self, value, path: str) -> IntPolynomial | None:
-        if not isinstance(value, list) or any(
-                not isinstance(c, int) or isinstance(c, bool) for c in value):
-            self.bad(path, "expected a polynomial as an ascending coefficient list")
-            return None
-        return IntPolynomial.from_coeffs(value)
 
-    def obj_list(self, obj: dict, key: str, path: str):
-        value = obj.get(key)
-        if value is None:
-            self.bad(f"{path}.{key}" if path else key, "missing required key")
+_MATRIX = _Matrix()
+
+
+class _ListOf:
+    """A list of `item` values, each read at its own index once the list
+    passes `ok`."""
+
+    def __init__(self, item, detail: str, ok=lambda v: isinstance(v, list)):
+        self.item, self.detail, self.ok = item, detail, ok
+
+    def read(self, r: ParseResult, value, path: str):
+        if not self.ok(value):
+            _bad(r, path, self.detail)
             return None
-        if not isinstance(value, list) or any(not isinstance(x, dict) for x in value):
-            self.bad(f"{path}.{key}" if path else key, "expected a list of objects")
+        read = self.item.read
+        return tuple([read(r, x, f"{path}[{i}]") for i, x in enumerate(value)])
+
+    def write(self, values) -> list:
+        return [self.item.write(x) for x in values]
+
+
+_REQUIRED = object()
+
+
+class _Record:
+    """A JSON object holding one `cls` dataclass: `fields` are
+    ``(key, kind)`` or ``(key, kind, default)`` for an optional key."""
+
+    def __init__(self, cls, *fields):
+        self.cls = cls
+        self.fields = [(f[0], f[1], f[2] if len(f) > 2 else _REQUIRED) for f in fields]
+        self.keys = frozenset(key for key, _, _ in self.fields)
+
+    def read(self, r: ParseResult, value, path: str):
+        if not isinstance(value, dict):
+            _bad(r, path, "expected an object")
             return None
-        return value
+        prefix = f"{path}." if path else ""
+        keys = self.keys
+        if not keys.issuperset(value):
+            r.unknown_keys.extend(f"{prefix}{key}" for key in value if key not in keys)
+        args = {}
+        for key, kind, default in self.fields:
+            if key in value:
+                args[key] = kind.read(r, value[key], prefix + key)
+            elif default is _REQUIRED:
+                _bad(r, prefix + key, "missing required key")
+                args[key] = None
+            else:
+                args[key] = default
+        return self.cls(**args)
+
+    def write(self, obj) -> dict:
+        out = {}
+        for key, kind, default in self.fields:
+            value = getattr(obj, key)
+            if default is _REQUIRED or value != default:
+                out[key] = kind.write(value)
+        return out
+
+
+def _records(*fields) -> _ListOf:
+    return _ListOf(_Record(*fields), "expected a list of objects",
+                   lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v))
+
+
+_EIGEN = _records(EigenvalueData, ("eigenvalue", _STR), ("total", _INT), ("components", _INTS))
+
+_CONFIGURATION = _Record(
+    SliceConfiguration,
+    ("n", _INT),
+    ("original_n", _INT),
+    ("original_s", _INT),
+    ("components", _records(
+        CurveComponent,
+        ("id", _STR),
+        ("genus", _INT),
+        ("transversal_rank", _INT),
+        ("loop_monodromies", _ListOf(_MATRIX, "expected a list of matrices")))),
+    ("special_points", _records(
+        SpecialPoint,
+        ("id", _STR),
+        ("fq_rank_low", _INT),
+        ("fq_rank_high", _INT),
+        ("costalk_rank", _OPTIONAL_INT, None),
+        ("branches", _records(Branch, ("component_id", _STR), ("monodromy", _MATRIX))),
+        ("iota", _MATRIX))),
+    ("isolated_points", _records(IsolatedPoint, ("id", _STR), ("milnor_number", _INT))),
+    ("polar_data", _PAIRS, None),
+    ("monodromy_data", _Record(
+        MonodromyData,
+        ("char_poly", _POLYNOMIAL),
+        ("component_char_polys", _ListOf(_POLYNOMIAL, "expected a list of polynomials")),
+        ("eigen_dims", _EIGEN, ()),
+        ("jordan_sizes", _EIGEN, ())), None),
+)
 
 
 def parse_configuration(doc) -> ParseResult:
@@ -109,202 +201,20 @@ def parse_configuration(doc) -> ParseResult:
     Returns the configuration (or None if it could not be assembled), the
     structural violations, and the list of unknown key paths.
     """
-    r = _Reader()
+    result = ParseResult(None, [], [])
     if not isinstance(doc, dict):
-        r.bad("", "top-level document must be an object")
-        return ParseResult(None, r.violations, r.unknown)
-    r.check_keys(doc, _TOP_KEYS, "")
-
-    n = r.integer(doc, "n", "")
-    original_n = r.integer(doc, "original_n", "")
-    original_s = r.integer(doc, "original_s", "")
-
-    components: list[CurveComponent] = []
-    raw_components = r.obj_list(doc, "components", "")
-    if raw_components is not None:
-        for idx, raw in enumerate(raw_components):
-            path = f"components[{idx}]"
-            r.check_keys(raw, _COMPONENT_KEYS, path)
-            cid = r.string(raw, "id", path)
-            genus = r.integer(raw, "genus", path)
-            mu = r.integer(raw, "transversal_rank", path)
-            loops_raw = raw.get("loop_monodromies")
-            loops: list[IntegerMatrix] = []
-            if not isinstance(loops_raw, list):
-                r.bad(f"{path}.loop_monodromies", "expected a list of matrices")
-            else:
-                for w, m in enumerate(loops_raw):
-                    parsed = r.matrix(m, f"{path}.loop_monodromies[{w}]")
-                    if parsed is not None:
-                        loops.append(parsed)
-            if None in (cid, genus, mu):
-                continue
-            components.append(CurveComponent(cid, genus, mu, tuple(loops)))
-
-    points: list[SpecialPoint] = []
-    raw_points = r.obj_list(doc, "special_points", "")
-    if raw_points is not None:
-        for idx, raw in enumerate(raw_points):
-            path = f"special_points[{idx}]"
-            r.check_keys(raw, _POINT_KEYS, path)
-            qid = r.string(raw, "id", path)
-            low = r.integer(raw, "fq_rank_low", path)
-            high = r.integer(raw, "fq_rank_high", path)
-            costalk = r.integer(raw, "costalk_rank", path, required=False)
-            branches: list[Branch] = []
-            raw_branches = r.obj_list(raw, "branches", path)
-            ok = raw_branches is not None
-            if ok:
-                for k, rb in enumerate(raw_branches):
-                    bpath = f"{path}.branches[{k}]"
-                    r.check_keys(rb, _BRANCH_KEYS, bpath)
-                    bc = r.string(rb, "component_id", bpath)
-                    bm = r.matrix(rb.get("monodromy"), f"{bpath}.monodromy")
-                    if bc is None or bm is None:
-                        ok = False
-                        continue
-                    branches.append(Branch(bc, bm))
-            iota = r.matrix(raw.get("iota"), f"{path}.iota")
-            if not ok or None in (qid, low, high) or iota is None:
-                continue
-            points.append(SpecialPoint(qid, tuple(branches), low, high, iota, costalk))
-
-    isolated: list[IsolatedPoint] = []
-    raw_isolated = r.obj_list(doc, "isolated_points", "")
-    if raw_isolated is not None:
-        for idx, raw in enumerate(raw_isolated):
-            path = f"isolated_points[{idx}]"
-            r.check_keys(raw, _ISOLATED_KEYS, path)
-            rid = r.string(raw, "id", path)
-            mu = r.integer(raw, "milnor_number", path)
-            if None in (rid, mu):
-                continue
-            isolated.append(IsolatedPoint(rid, mu))
-
-    polar = None
-    if "polar_data" in doc:
-        raw_polar = doc["polar_data"]
-        if (not isinstance(raw_polar, list)
-                or any(not isinstance(p, list) or len(p) != 2
-                       or any(not isinstance(x, int) or isinstance(x, bool) for x in p)
-                       for p in raw_polar)):
-            r.bad("polar_data", "expected a list of [lambda_k, clk_betti_k] integer pairs")
-        else:
-            polar = tuple((p[0], p[1]) for p in raw_polar)
-
-    monodromy = None
-    if "monodromy_data" in doc:
-        raw_md = doc["monodromy_data"]
-        if not isinstance(raw_md, dict):
-            r.bad("monodromy_data", "expected an object")
-        else:
-            r.check_keys(raw_md, _MONODROMY_KEYS, "monodromy_data")
-            char = r.polynomial(raw_md.get("char_poly"), "monodromy_data.char_poly")
-            comps_raw = raw_md.get("component_char_polys")
-            comp_polys: list[IntPolynomial] = []
-            ok = isinstance(comps_raw, list)
-            if not ok:
-                r.bad("monodromy_data.component_char_polys", "expected a list of polynomials")
-            else:
-                for i, p in enumerate(comps_raw):
-                    parsed = r.polynomial(p, f"monodromy_data.component_char_polys[{i}]")
-                    if parsed is None:
-                        ok = False
-                    else:
-                        comp_polys.append(parsed)
-            eigen = _parse_eigen_list(r, raw_md, "eigen_dims")
-            jordan = _parse_eigen_list(r, raw_md, "jordan_sizes")
-            if char is not None and ok and eigen is not None and jordan is not None:
-                monodromy = MonodromyData(char, tuple(comp_polys), eigen, jordan)
-
-    if r.violations or None in (n, original_n, original_s):
-        return ParseResult(None, r.violations, r.unknown)
-
-    cfg = SliceConfiguration(
-        n=n, original_n=original_n, original_s=original_s,
-        components=tuple(components),
-        special_points=tuple(points),
-        isolated_points=tuple(isolated),
-        polar_data=polar,
-        monodromy_data=monodromy,
-    )
-    return ParseResult(cfg, [], r.unknown)
-
-
-def _parse_eigen_list(r: _Reader, raw_md: dict, key: str) -> tuple[EigenvalueData, ...] | None:
-    if key not in raw_md:
-        return ()
-    raw = raw_md[key]
-    if not isinstance(raw, list) or any(not isinstance(e, dict) for e in raw):
-        r.bad(f"monodromy_data.{key}", "expected a list of objects")
-        return None
-    out = []
-    for i, e in enumerate(raw):
-        path = f"monodromy_data.{key}[{i}]"
-        r.check_keys(e, _EIGEN_KEYS, path)
-        label = r.string(e, "eigenvalue", path)
-        total = r.integer(e, "total", path)
-        comps = e.get("components")
-        if (not isinstance(comps, list)
-                or any(not isinstance(x, int) or isinstance(x, bool) for x in comps)):
-            r.bad(f"{path}.components", "expected a list of integers")
-            return None
-        if label is None or total is None:
-            return None
-        out.append(EigenvalueData(label, total, tuple(comps)))
-    return tuple(out)
+        _bad(result, "", "top-level document must be an object")
+        return result
+    cfg = _CONFIGURATION.read(result, doc, "")
+    if not result.violations:
+        result.configuration = cfg
+    return result
 
 
 def serialize_configuration(cfg: SliceConfiguration) -> dict:
-    """Plain-dict form of a configuration; inverse of parse_configuration."""
-    doc: dict = {
-        "n": cfg.n,
-        "original_n": cfg.original_n,
-        "original_s": cfg.original_s,
-        "components": [
-            {"id": c.id, "genus": c.genus, "transversal_rank": c.transversal_rank,
-             "loop_monodromies": [m.tolist() for m in c.loop_monodromies]}
-            for c in cfg.components
-        ],
-        "special_points": [
-            _point_dict(q) for q in cfg.special_points
-        ],
-        "isolated_points": [
-            {"id": p.id, "milnor_number": p.milnor_number} for p in cfg.isolated_points
-        ],
-    }
-    if cfg.polar_data is not None:
-        doc["polar_data"] = [[lam, clk] for lam, clk in cfg.polar_data]
-    if cfg.monodromy_data is not None:
-        md = cfg.monodromy_data
-        entry: dict = {
-            "char_poly": list(md.char_poly.coeffs),
-            "component_char_polys": [list(p.coeffs) for p in md.component_char_polys],
-        }
-        if md.eigen_dims:
-            entry["eigen_dims"] = [_eigen_dict(e) for e in md.eigen_dims]
-        if md.jordan_sizes:
-            entry["jordan_sizes"] = [_eigen_dict(e) for e in md.jordan_sizes]
-        doc["monodromy_data"] = entry
-    return doc
-
-
-def _point_dict(q: SpecialPoint) -> dict:
-    out = {
-        "id": q.id,
-        "branches": [{"component_id": b.component_id, "monodromy": b.monodromy.tolist()}
-                     for b in q.branches],
-        "fq_rank_low": q.fq_rank_low,
-        "fq_rank_high": q.fq_rank_high,
-        "iota": q.iota.tolist(),
-    }
-    if q.costalk_rank is not None:
-        out["costalk_rank"] = q.costalk_rank
-    return out
-
-
-def _eigen_dict(e: EigenvalueData) -> dict:
-    return {"eigenvalue": e.eigenvalue, "total": e.total, "components": list(e.components)}
+    """Plain-dict form of a configuration; inverse of parse_configuration.
+    Optional keys at their default are left out."""
+    return _CONFIGURATION.write(cfg)
 
 
 def load_path(path) -> tuple[ParseResult | None, str | None]:

@@ -3,6 +3,7 @@ basis-change and reordering transformations used by the invariance tests."""
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 from dataclasses import replace
@@ -20,6 +21,67 @@ def load_corpus(name: str) -> SliceConfiguration:
     result = parse_configuration(json.loads(dict(bundled())[name].read_text()))
     assert result.configuration is not None and not result.violations
     return result.configuration
+
+
+def document_slots(doc):
+    """Every (container, key) position of a decoded document."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield doc, key
+        yield from document_slots(value)
+
+
+def corpus_documents() -> list[dict]:
+    """The decoded corpus documents, then a copy of each with `polar_data`,
+    a `costalk_rank` at every special point and `monodromy_data` holding
+    two `eigen_dims` and two `jordan_sizes` entries."""
+    docs = [json.loads(path.read_text()) for _, path in bundled()]
+    filled = copy.deepcopy(docs)
+    for doc in filled:
+        ncomp = len(doc["components"])
+        doc["polar_data"] = [[1, 0], [0, 1]]
+        for q in doc["special_points"]:
+            q["costalk_rank"] = q.get("costalk_rank", 0)
+        entries = [{"eigenvalue": "1", "total": 1, "components": [1] * ncomp},
+                   {"eigenvalue": "-1", "total": 0, "components": [0] * ncomp}]
+        doc["monodromy_data"] = {"char_poly": [-1, 1], "component_char_polys": [[-1, 1]] * ncomp,
+                                 "eigen_dims": entries, "jordan_sizes": copy.deepcopy(entries)}
+    return docs + filled
+
+
+ODD_VALUES = (None, True, -1, 0, 7, 2.5, "", "S1", [], [[]], [1, True], [[1], [1, 2]],
+              [[1, 0], [0, 1.5]], {}, [{}], {"id": "S1"})
+
+
+def mutated_document(rng: random.Random, docs: list[dict]) -> dict:
+    """A copy of one of `docs` after 0-5 edits, each one of: delete a key,
+    add an unknown key, append to a list (a copy of one of its items or an
+    odd value), or replace a value with an odd one from `ODD_VALUES`."""
+    doc = copy.deepcopy(rng.choice(docs))
+    for _ in range(rng.randrange(6)):
+        slots = list(document_slots(doc))
+        op = rng.randrange(4)
+        odd = copy.deepcopy(rng.choice(ODD_VALUES))
+        if op == 0:
+            keyed = [(c, k) for c, k in slots if isinstance(c, dict)]
+            if keyed:
+                container, key = rng.choice(keyed)
+                del container[key]
+        elif op == 1:
+            dicts = [doc] + [c[k] for c, k in slots if isinstance(c[k], dict)]
+            rng.choice(dicts)[f"extra{rng.randrange(3)}"] = odd
+        elif op == 2:
+            lists = [c[k] for c, k in slots if isinstance(c[k], list)]
+            if lists:
+                target = rng.choice(lists)
+                if target and rng.getrandbits(1):
+                    odd = copy.deepcopy(rng.choice(target))
+                target.append(odd)
+        elif slots:
+            container, key = rng.choice(slots)
+            container[key] = odd
+    return doc
 
 
 def diagonal_of(d: IntegerMatrix) -> list[int]:

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import vancoh
-from vancoh import FinAbGroup, format_group
+from vancoh import (FinAbGroup, format_group, load_bytes, parse_configuration,
+                    serialize_configuration)
 from vancoh.cli import main, run
 from vancoh.corpus import bundled
 from vancoh.report import render_json, render_text
 
-from helpers import count_calls
+from helpers import count_calls, document_slots
 
 
 CORPUS = {name: path for name, path in bundled()}
@@ -147,15 +148,6 @@ class TestRun:
         assert status == 0
 
 
-def _slots(doc):
-    """Every (container, key) position of a decoded document."""
-    items = (doc.items() if isinstance(doc, dict)
-             else enumerate(doc) if isinstance(doc, list) else ())
-    for key, value in items:
-        yield doc, key
-        yield from _slots(value)
-
-
 def _is_matrix(value):
     return isinstance(value, list) and all(
         isinstance(row, list) and all(type(x) is int for x in row) for row in value)
@@ -185,7 +177,7 @@ def corpus_mutants(draw):
               "swap-type": lambda c, k: True,
               "set-integer": lambda c, k: type(c[k]) is int,
               "resize-matrix": lambda c, k: _is_matrix(c[k])}[kind]
-    container, key = draw(st.sampled_from([s for s in _slots(doc) if wanted(*s)]))
+    container, key = draw(st.sampled_from([s for s in document_slots(doc) if wanted(*s)]))
     if kind == "delete-key":
         del container[key]
     elif kind == "swap-type":
@@ -213,7 +205,7 @@ def arbitrary_values(draw):
     value; integers and container sizes stay at most 16."""
     doc = json.loads(CORPUS[draw(st.sampled_from(("xyz", "x2z_y2u", "quadric_power_2_2")))]
                      .read_bytes())
-    container, key = draw(st.sampled_from(list(_slots(doc))))
+    container, key = draw(st.sampled_from(list(document_slots(doc))))
     container[key] = draw(JSON_TREES)
     return json.dumps(doc).encode()
 
@@ -246,6 +238,18 @@ def test_mutated_document_gets_one_report(tmp_path, mutant):
 @given(st.one_of(st.binary(max_size=256), arbitrary_values()))
 def test_raw_bytes_and_arbitrary_values_get_one_report(tmp_path, data):
     assert_one_report_each(tmp_path, data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(corpus_mutants())
+def test_parsed_mutants_round_trip(mutant):
+    """Every configuration a mutant parses to, valid or not, survives
+    serialize -> JSON -> parse unchanged."""
+    result, error = load_bytes(mutant)
+    cfg = None if error else result.configuration
+    if cfg is not None:
+        again = parse_configuration(json.loads(json.dumps(serialize_configuration(cfg))))
+        assert (again.configuration, again.violations, again.unknown_keys) == (cfg, [], [])
 
 
 class TestDeterminism:

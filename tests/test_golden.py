@@ -1,14 +1,21 @@
 """Byte-identity of the command line and demo outputs: each command runs in
 a fresh interpreter, must exit 0, and its stdout must hash to the recorded
-digest.  A change to any report, ledger or demo line fails here."""
+digest.  A change to any report, ledger or demo line fails here.  The
+loader digest pins what the parser makes of seeded malformed documents."""
 
 import hashlib
+import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from vancoh import parse_configuration, serialize_configuration
+
+from helpers import corpus_documents, mutated_document
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,3 +42,21 @@ def test_stdout_digest(command):
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN[command]
+
+
+LOADER_DIGEST = "44010eb5910492cb73c5c7c6380d307a14809e5fe97e0829babeb1d77c2bc74b"
+
+
+def test_loader_digest():
+    """Violations, unknown keys and re-serialized configuration of 2,000
+    seeded mutated corpus documents."""
+    rng = random.Random(2000)
+    docs = corpus_documents()
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        result = parse_configuration(mutated_document(rng, docs))
+        cfg = result.configuration
+        digest.update(json.dumps([[v.as_dict() for v in result.violations], result.unknown_keys,
+                                  None if cfg is None else serialize_configuration(cfg)],
+                                 sort_keys=True).encode())
+    assert digest.hexdigest() == LOADER_DIGEST

@@ -115,10 +115,9 @@ class TestValidate:
     @pytest.mark.parametrize("mutate,expected", [
         (lambda cfg: replace(cfg, original_n=2, original_s=1),
          [("dimension-range", "original_s")]),
-        # a negative genus also makes 2*genus + branches miss the loop count
         (lambda cfg: replace(cfg, components=(replace(cfg.components[0], genus=-1),)
                              + cfg.components[1:]),
-         [("negative-genus", "S1"), ("loop-count", "S1")]),
+         [("negative-genus", "S1")]),
         (lambda cfg: replace(cfg, special_points=(
             replace(cfg.special_points[0], costalk_rank=-1),)),
          [("negative-rank", "q1")]),
@@ -194,6 +193,79 @@ class TestRoundTrip:
             assert result.configuration is None
             assert [(v.code, v.subject) for v in result.violations] \
                 == [("malformed-document", path)]
+
+    def test_every_malformed_position_reported(self):
+        doc = {
+            "n": 3, "original_n": "4", "original_s": 2, "surprise": 0,
+            "components": [
+                {"id": 5, "genus": 0, "transversal_rank": 1,
+                 "loop_monodromies": [[[1], [1, 2]], [[True]], 7], "colour": "red"},
+                {"genus": "0", "transversal_rank": None, "loop_monodromies": {}},
+            ],
+            "special_points": [
+                {"id": "q1", "fq_rank_low": 0, "fq_rank_high": 1.0, "costalk_rank": "1",
+                 "branches": [{"component_id": "S1", "monodromy": [[1.5]], "twist": 1},
+                              {"component_id": "S1"}],
+                 "iota": "x"},
+                {"id": "q2", "fq_rank_low": 0, "fq_rank_high": 0, "branches": [1], "iota": []},
+            ],
+            "isolated_points": [{"id": "r1", "milnor_number": None, "depth": 2},
+                                {"milnor_number": 1}],
+            "polar_data": [[1]],
+            "monodromy_data": {
+                "char_poly": [1, "x"], "component_char_polys": 3, "note": "",
+                "eigen_dims": [{"eigenvalue": 1, "total": 0, "components": [1]},
+                               {"eigenvalue": "-1", "total": 0, "components": [1, None],
+                                "extra": 1},
+                               {"eigenvalue": "i", "weight": 2}],
+                "jordan_sizes": [{"eigenvalue": "1", "total": 0, "components": [0],
+                                  "weight": 2}],
+            },
+        }
+        result = parse_configuration(doc)
+        assert result.configuration is None
+        expected = [
+            ("original_n", "expected an integer"),
+            ("components[0].id", "expected a string"),
+            ("components[0].loop_monodromies[0]", "ragged rows in matrix literal"),
+            ("components[0].loop_monodromies[1]", "matrix entries must be integers"),
+            ("components[0].loop_monodromies[2]", "expected a matrix as nested row lists"),
+            ("components[1].id", "missing required key"),
+            ("components[1].genus", "expected an integer"),
+            ("components[1].transversal_rank", "expected an integer"),
+            ("components[1].loop_monodromies", "expected a list of matrices"),
+            ("special_points[0].fq_rank_high", "expected an integer"),
+            ("special_points[0].costalk_rank", "expected an integer"),
+            ("special_points[0].branches[0].monodromy", "matrix entries must be integers"),
+            ("special_points[0].branches[1].monodromy", "missing required key"),
+            ("special_points[0].iota", "expected a matrix as nested row lists"),
+            ("special_points[1].branches", "expected a list of objects"),
+            ("isolated_points[0].milnor_number", "expected an integer"),
+            ("isolated_points[1].id", "missing required key"),
+            ("polar_data", "expected a list of [lambda_k, clk_betti_k] integer pairs"),
+            ("monodromy_data.char_poly",
+             "expected a polynomial as an ascending coefficient list"),
+            ("monodromy_data.component_char_polys", "expected a list of polynomials"),
+            ("monodromy_data.eigen_dims[0].eigenvalue", "expected a string"),
+            ("monodromy_data.eigen_dims[1].components", "expected a list of integers"),
+            ("monodromy_data.eigen_dims[2].total", "missing required key"),
+            ("monodromy_data.eigen_dims[2].components", "missing required key"),
+        ]
+        assert [(v.code, v.subject, v.detail) for v in result.violations] \
+            == [("malformed-document", path, detail) for path, detail in expected]
+        assert result.unknown_keys == [
+            "surprise", "components[0].colour", "special_points[0].branches[0].twist",
+            "isolated_points[0].depth", "monodromy_data.note",
+            "monodromy_data.eigen_dims[1].extra", "monodromy_data.eigen_dims[2].weight",
+            "monodromy_data.jordan_sizes[0].weight"]
+        result = parse_configuration(dict(doc, monodromy_data=[]))
+        assert [(v.subject, v.detail) for v in result.violations] \
+            == [(path, detail) for path, detail in expected
+                if not path.startswith("monodromy_data")] \
+            + [("monodromy_data", "expected an object")]
+        assert result.unknown_keys == [
+            "surprise", "components[0].colour", "special_points[0].branches[0].twist",
+            "isolated_points[0].depth"]
 
     def test_null_costalk_treated_as_absent(self):
         doc = serialize_configuration(load_corpus("xyz"))
