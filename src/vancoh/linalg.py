@@ -5,14 +5,16 @@ forms, kernels, images, cokernels and lattice intersections.  One column
 echelon elimination is the core: ranks and unimodularity read its pivots,
 and one back-normalisation turns it into the column Hermite normal form,
 which gives images.  Kernels and intersections back-normalise only the
-columns they return, those whose pivots lie below the stacked top block;
-back-normalising a column reads only later pivots, so these equal the
-columns of the full Hermite form.  A `Submodule` is nothing but its
-Hermite basis, so `image`, `kernel` and `intersect` are the only ways to
-get one.  The Smith normal form serves only the cokernel invariants,
-without transforms.  Everything is pure and exact: no floats, no modular
-shortcuts, and every normal form is canonical, so equal inputs always
-produce identical outputs.
+columns they return, those whose pivots lie below the stacked top block,
+[m; I] for a kernel and [A B; I 0] for an intersection; back-normalising a
+column reads only later pivots, so these equal the columns of the full
+Hermite form.  An intersection maps its columns by A, which keeps them in
+echelon form, and back-normalises once more.  A `Submodule` is nothing
+but its Hermite basis, so `image`, `kernel` and `intersect` are the only
+ways to get one.  The Smith normal form serves only the cokernel
+invariants, without transforms.  Everything is pure and exact: no floats,
+no modular shortcuts, and every normal form is canonical, so equal inputs
+always produce identical outputs.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class IntegerMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(tuple(map(int, row)) for row in rows)
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -46,7 +48,7 @@ class IntegerMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntegerMatrix":
-        return IntegerMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return IntegerMatrix(n, n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntegerMatrix":
@@ -116,7 +118,7 @@ def hstack(matrices: Iterable[IntegerMatrix]) -> IntegerMatrix:
     rows = ms[0].rows
     if any(m.rows != rows for m in ms):
         raise ValueError("hstack row mismatch")
-    data = tuple(tuple(x for m in ms for x in m.data[i]) for i in range(rows))
+    data = tuple(sum(parts, ()) for parts in zip(*(m.data for m in ms)))
     return IntegerMatrix(rows, sum(m.cols for m in ms), data)
 
 
@@ -445,12 +447,33 @@ def cokernel(m: IntegerMatrix) -> FinAbGroup:
 
 
 def intersect(a: Submodule, b: Submodule) -> Submodule:
-    """Lattice intersection: the points A x that equal some -B y, read off
-    the column HNF of [A B; A 0]."""
+    """Lattice intersection A Z^p cap B Z^q, as the image under A of the
+    coefficient lattice {x : A x in B Z^q}.
+
+    A is the basis of smaller rank (the arguments swap if needed), so the
+    stack [A B; I 0] has n + p rows; its restricted image is the Hermite
+    basis X of the coefficient lattice.  A and X are column-Hermite and A
+    has full column rank, so column k of A X starts, with a positive
+    entry, at A's pivot row for X's pivot row of column k.  These rows
+    increase with k, so one back-normalisation gives the Hermite basis.
+    """
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient rank mismatch in intersection")
-    return _restricted_image(hstack([a.basis, b.basis]),
-                             hstack([a.basis, IntegerMatrix.zeros(a.ambient_rank, b.rank)]))
+    if a.rank > b.rank:
+        a, b = b, a
+    x = _restricted_image(hstack([a.basis, b.basis]),
+                          hstack([IntegerMatrix.identity(a.rank),
+                                  IntegerMatrix.zeros(a.rank, b.rank)])).basis
+    # A X column by column, skipping the zero entries of X
+    a_columns = list(zip(*a.basis.data))
+    pivots = []
+    for xc in zip(*x.data):
+        c = [0] * a.ambient_rank
+        for ac, t in zip(a_columns, xc):
+            if t:
+                c = [u + t * v for u, v in zip(c, ac)]
+        pivots.append((next(i for i, v in enumerate(c) if v), c))
+    return Submodule(_from_columns(a.ambient_rank, _back_normalise(pivots)))
 
 
 def solve_in_basis(basis: IntegerMatrix, targets: IntegerMatrix) -> IntegerMatrix | None:

@@ -411,6 +411,28 @@ class TestSinglePass:
         assert (len(validations), len(builds)) == (1, 1)
         assert [c.id for c, _ in comps] == [c.id for c in cfg.components]
 
+    def test_cross_check_eliminates_kernel_stack(self, monkeypatch):
+        # the interaction cross-check eliminates [A B; I 0], A the image of
+        # smaller rank: n + min(ra, rb) rows
+        echelons = count_calls(monkeypatch, vancoh.linalg, "_echelon")
+        stacks = []
+        original = vancoh.linalg.intersect
+
+        def recording(a, b):
+            start = len(echelons)
+            result = original(a, b)
+            stacks.append((a, b, echelons[start:]))
+            return result
+
+        monkeypatch.setattr(vancoh.linalg, "intersect", recording)
+        analyze(load_corpus("xyzu"))
+        [(a, b, [(m,)])] = stacks
+        n, low = a.ambient_rank, min(a.rank, b.rank)
+        assert low < n
+        assert (m.rows, m.cols) == (n + low, a.rank + b.rank)
+        assert m.data[n:] == hstack([IntegerMatrix.identity(low),
+                                     IntegerMatrix.zeros(low, a.rank + b.rank - low)]).data
+
     def test_validation_runs_no_smith_form(self, monkeypatch):
         cfgs = [load_corpus(name) for name in ("xyz", "xyzu", "x2z_y2u")]
         snf = count_calls(monkeypatch, vancoh.linalg, "smith_normal_form")

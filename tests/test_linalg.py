@@ -3,12 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vancoh.linalg
 from vancoh.linalg import (FinAbGroup, IntegerMatrix, Submodule, char_poly, cokernel,
                            hnf_columns, hstack, image, intersect, is_unimodular, kernel,
                            matrix, rank, smith_normal_form, solve_in_basis, vstack)
 
 import oracles
-from helpers import diagonal_of, exact_inverse, rand_matrix, rand_unimodular
+from helpers import count_calls, diagonal_of, exact_inverse, rand_matrix, rand_unimodular
 
 
 def small_matrices(max_dim=5, bound=9):
@@ -179,6 +180,19 @@ class TestIntersect:
         got = intersect(a, b)
         assert got == image(matrix([[2], [2]]))
 
+    def test_eliminates_kernel_stack(self, monkeypatch):
+        # one elimination of [A B; I 0] with A the side of smaller rank, in
+        # either argument order: n + min(ra, rb) rows
+        rng = random.Random(53)
+        a, b = image(rand_matrix(rng, 6, 2, 9)), image(rand_matrix(rng, 6, 4, 9))
+        assert (a.rank, b.rank) == (2, 4)
+        stacks = count_calls(monkeypatch, vancoh.linalg, "_echelon")
+        assert intersect(a, b) == intersect(b, a)
+        assert [(m.rows, m.cols) for m, in stacks] == [(6 + 2, 2 + 4)] * 2
+        for m, in stacks:
+            assert m.data[:6] == hstack([a.basis, b.basis]).data
+            assert m.data[6:] == ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
+
     def test_rank_against_rational_oracle(self):
         # rank(A cap B) = rk A + rk B - rk [A B]: any rational point of the
         # span intersection has an integer multiple in the lattice one
@@ -348,9 +362,9 @@ def rank_deficient(m):
 
 def differential_cases():
     """Seeded random matrices, their unimodular conjugates, unimodular
-    matrices, the empty shapes, an all-zero matrix, and the stacks that
-    kernel and intersect eliminate, [m; I] and [A B; A 0], with entries up
-    to 2^64."""
+    matrices, the empty shapes, an all-zero matrix, and stacks with entries
+    up to 2^64: the [m; I] that kernel eliminates, the [A B; I 0] that
+    intersect eliminates, and [A B; A 0]."""
     rng = random.Random(43)
     cases = [IntegerMatrix.zeros(r, c) for r, c in [(0, 0), (0, 1), (0, 5), (1, 0), (6, 0)]]
     while len(cases) < 240:
@@ -376,6 +390,13 @@ def differential_cases():
         if r > 1 and rng.random() < 0.5:
             a = rank_deficient(a)
         cases.append(vstack([hstack([a, b]), hstack([a, IntegerMatrix.zeros(r, c)])]))
+    for _ in range(15):
+        r, ca, cb = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a, b = rand_matrix(rng, r, ca, big), rand_matrix(rng, r, cb, big)
+        if r > 1 and rng.random() < 0.5:
+            a = rank_deficient(a)
+        cases.append(vstack([hstack([a, b]), hstack([IntegerMatrix.identity(ca),
+                                                     IntegerMatrix.zeros(ca, cb)])]))
     return cases
 
 
@@ -420,9 +441,27 @@ class TestDifferential:
             split = rng.randint(0, m.cols)
             a = image(IntegerMatrix(m.rows, split, tuple(r[:split] for r in m.data)))
             b = image(IntegerMatrix(m.rows, m.cols - split, tuple(r[split:] for r in m.data)))
-            assert intersect(a, b) == snf_intersect(a, b), m
+            assert intersect(a, b) == intersect(b, a) == snf_intersect(a, b), m
             zero = image(IntegerMatrix.zeros(m.rows, 0))
             assert intersect(a, zero) == intersect(zero, a) == zero
+
+    def test_intersect_huge_entries(self):
+        # entries up to 2^200; b contains a multiple of a combination of
+        # a's columns, so most intersections are nonzero
+        rng = random.Random(49)
+        big = 2 ** 200
+        seen = set()
+        for _ in range(12):
+            n = rng.randint(2, 6)
+            ma = rand_matrix(rng, n, rng.randint(1, n), big)
+            shared = ma * rand_matrix(rng, ma.cols, 1, 3)
+            mb = hstack([rand_matrix(rng, n, rng.randint(0, n - 1), big), shared + shared])
+            a, b = image(ma), image(mb)
+            got = intersect(a, b)
+            assert got == intersect(b, a) == snf_intersect(a, b), (ma, mb)
+            if got.rank:
+                seen.add((a.rank > b.rank) - (a.rank < b.rank))
+        assert seen == {-1, 0, 1}
 
 
 class TestCharPoly:
