@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import linalg, model
 from .linalg import FinAbGroup, IntegerMatrix, Submodule
-from .model import CurveComponent, SliceConfiguration
+from .model import CurveComponent, SliceConfiguration, SpecialPoint
 from .polynomial import poly_divides, poly_product
 
 
@@ -115,7 +115,7 @@ def component_cohomology(c: CurveComponent, n: int) -> ComponentCohomology:
 
 
 def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
-             kernels: list[list[Submodule]]) -> IntegerMatrix:
+             owned: dict[str, list[tuple[SpecialPoint, int, Submodule, int]]]) -> IntegerMatrix:
     """Matrix of the comparison map j into the branch kernels.
 
     Domain basis: canonical invariant bases of the components (declaration
@@ -124,9 +124,10 @@ def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
     declaration order.  The invariant block is the diagonal inclusion of
     each component's invariants into every kernel of its branches, with
     coordinates obtained by exact solve; the point block is -iota, so that
-    ker j consists of the matched pairs.
+    ker j consists of the matched pairs.  ``owned`` lists each component's
+    branches as (point, branch index, kernel, first row in j).
     """
-    codomain = sum(kern.rank for point_kernels in kernels for kern in point_kernels)
+    codomain = sum(q.iota.rows for q in cfg.special_points)
     domain = (sum(cc.invariants.rank for cc in comps)
               + sum(q.fq_rank_low for q in cfg.special_points))
     data = [[0] * domain for _ in range(codomain)]
@@ -134,19 +135,15 @@ def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
     col0 = 0
     for cc in comps:
         inv = cc.invariants
-        row0 = 0
-        for q, point_kernels in zip(cfg.special_points, kernels):
-            for k, (b, kern) in enumerate(zip(q.branches, point_kernels)):
-                if b.component_id == cc.component_id:
-                    coords = linalg.solve_in_basis(kern.basis, inv.basis)
-                    if coords is None:
-                        raise InternalDefectError(
-                            f"invariant submodule of component {cc.component_id!r} does not "
-                            f"lie in the kernel of branch {k} at point {q.id!r}; the supplied "
-                            f"loop and branch monodromies are mutually inconsistent")
-                    for i, row in enumerate(coords.data):
-                        data[row0 + i][col0:col0 + inv.rank] = row
-                row0 += kern.rank
+        for q, k, kern, row0 in owned[cc.component_id]:
+            coords = linalg.solve_in_basis(kern.basis, inv.basis)
+            if coords is None:
+                raise InternalDefectError(
+                    f"invariant submodule of component {cc.component_id!r} does not "
+                    f"lie in the kernel of branch {k} at point {q.id!r}; the supplied "
+                    f"loop and branch monodromies are mutually inconsistent")
+            for i, row in enumerate(coords.data):
+                data[row0 + i][col0:col0 + inv.rank] = row
         col0 += inv.rank
 
     row0 = 0
@@ -171,8 +168,17 @@ def analyze(cfg: SliceConfiguration) -> VanishingReport:
     if violations:
         raise InvalidConfigurationError(violations)
 
+    # Each component's branches, in declaration order, with their kernels
+    # and the first row of their block in j.
+    owned = {c.id: [] for c in cfg.components}
+    row0 = 0
+    for q, point_kernels in zip(cfg.special_points, kernels):
+        for k, (b, kern) in enumerate(zip(q.branches, point_kernels)):
+            owned[b.component_id].append((q, k, kern, row0))
+            row0 += kern.rank
+
     comps = tuple(component_cohomology(c, cfg.n) for c in cfg.components)
-    j = _build_j(cfg, comps, kernels)
+    j = _build_j(cfg, comps, owned)
     # The integer kernel is saturated, so its rank is the rational nullity.
     lowest = FinAbGroup(j.cols - linalg.rank(j), ())
     upper = sum(cc.invariants.rank for cc in comps)
@@ -187,24 +193,14 @@ def analyze(cfg: SliceConfiguration) -> VanishingReport:
 
     # Decomposition: the branch-free components' invariants plus the
     # interaction part, whose rank is cross-checked against the direct
-    # computation of the intersection of the two images.
-    i0: list[tuple[str, int]] = []
-    j1_cols: list[int] = []
-    col0 = 0
-    for cc in comps:
-        r = cc.invariants.rank
-        if cfg.branch_count(cc.component_id) == 0:
-            i0.append((cc.component_id, r))
-        else:
-            j1_cols.extend(range(col0, col0 + r))
-        col0 += r
+    # computation of the intersection of the two images.  Branch-free
+    # components have zero columns in j, so the invariant columns span the
+    # same image as those of the components with branches.
+    i0 = [(cc.component_id, cc.invariants.rank) for cc in comps if not owned[cc.component_id]]
     g_rank = lowest.free_rank - sum(r for _, r in i0)
-
-    def image_of(cols):
-        return linalg.image(IntegerMatrix.from_rows([[row[c] for c in cols] for row in j.data],
-                                                    len(cols)))
-
-    g_direct = linalg.intersect(image_of(j1_cols), image_of(range(col0, j.cols))).rank
+    g_direct = linalg.intersect(
+        linalg.image(IntegerMatrix(j.rows, upper, tuple(r[:upper] for r in j.data))),
+        linalg.image(IntegerMatrix(j.rows, j.cols - upper, tuple(r[upper:] for r in j.data)))).rank
     if g_direct != g_rank:
         raise InternalDefectError(
             f"interaction rank mismatch: kernel route gives {g_rank}, "
@@ -245,7 +241,7 @@ def analyze(cfg: SliceConfiguration) -> VanishingReport:
     costalks = [q.costalk_rank for q in cfg.special_points]
     concentration = 0
     for c in cfg.components:
-        lows = [q.fq_rank_low for q in cfg.points_of_component(c.id)]
+        lows = [q.fq_rank_low for q, *_ in owned[c.id]]
         if 0 not in lows:
             concentration += min([c.transversal_rank] + lows)
     bounds = Bounds(
@@ -256,9 +252,9 @@ def analyze(cfg: SliceConfiguration) -> VanishingReport:
         polar=tuple((k, lam + clk) for k, (lam, clk) in enumerate(cfg.polar_data or ())),
     )
 
-    # Monodromy predicates: divisibility of the supplied characteristic
-    # polynomial by the product of the per-component ones, and the
-    # eigenvalue and Jordan inequalities.
+    # Monodromy predicates: whether the supplied characteristic polynomial
+    # divides the product of the per-component ones, and the eigenvalue and
+    # Jordan inequalities.
     monodromy = None
     md = cfg.monodromy_data
     if md is not None:

@@ -11,10 +11,12 @@ column reads only later pivots, so these equal the columns of the full
 Hermite form.  An intersection maps its columns by A, which keeps them in
 echelon form, and back-normalises once more.  A `Submodule` is nothing
 but its Hermite basis, so `image`, `kernel` and `intersect` are the only
-ways to get one.  The Smith normal form serves only the cokernel
-invariants, without transforms.  Everything is pure and exact: no floats,
-no modular shortcuts, and every normal form is canonical, so equal inputs
-always produce identical outputs.
+ways to get one.  One Smith elimination diagonalises the leading block of
+its list matrix and applies each operation to whole rows or columns:
+`cokernel` passes m alone and keeps the diagonal, and `smith_normal_form`
+passes [m I; I], whose right block ends as u and bottom block as v.
+Everything is pure and exact: no floats, no modular shortcuts, and every
+normal form is canonical, so equal inputs always produce identical outputs.
 """
 
 from __future__ import annotations
@@ -143,36 +145,6 @@ class SNFResult(NamedTuple):
     v: IntegerMatrix
 
 
-# Each row or column operation is applied to every matrix in ``mats``.
-
-def _swap_rows(mats, i, j):
-    for a in mats:
-        a[i], a[j] = a[j], a[i]
-
-
-def _negate_row(mats, i):
-    for a in mats:
-        a[i] = [-x for x in a[i]]
-
-
-def _addmul_row(mats, dst, src, q):
-    # row[dst] += q * row[src]
-    for a in mats:
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-
-
-def _swap_cols(mats, i, j):
-    for a in mats:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-
-def _addmul_col(mats, dst, src, q):
-    for a in mats:
-        for row in a:
-            row[dst] += q * row[src]
-
-
 def _select_pivot(a, t, rows, cols):
     # Smallest absolute nonzero entry in the trailing block, ties broken by
     # lowest row then lowest column: the rule that makes runs reproducible.
@@ -188,18 +160,15 @@ def _select_pivot(a, t, rows, cols):
     return best
 
 
-def _smith(a: list[list[int]], u: list[list[int]] | None = None,
-           v: list[list[int]] | None = None) -> None:
-    """Diagonalize the list matrix ``a`` in place into Smith normal form.
+def _smith(a: list[list[int]], rows: int, cols: int) -> None:
+    """Diagonalize the leading ``rows`` x ``cols`` block of the list matrix
+    ``a`` in place into Smith normal form.
 
-    Every row operation is repeated on ``u`` and every column operation on
-    ``v`` when they are given; the diagonal does not depend on them.
+    Pivots come from that block only, but row operations act on whole rows
+    and column operations on whole columns.  For ``a = [m I; I]`` the block
+    right of m therefore ends as the row transform and the block below m
+    as the column transform; the diagonal does not depend on them.
     """
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-    left = [a] if u is None else [a, u]
-    right = [a] if v is None else [a, v]
-
     t = 0
     while t < rows and t < cols:
         sel = _select_pivot(a, t, rows, cols)
@@ -207,29 +176,32 @@ def _smith(a: list[list[int]], u: list[list[int]] | None = None,
             break
         _, pi, pj = sel
         if pi != t:
-            _swap_rows(left, t, pi)
+            a[t], a[pi] = a[pi], a[t]
         if pj != t:
-            _swap_cols(right, t, pj)
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
         if a[t][t] < 0:
-            _negate_row(left, t)
+            a[t] = [-x for x in a[t]]
 
-        pivot = a[t][t]
+        pt = a[t]
+        pivot = pt[t]
         dirty = False
         for i in range(t + 1, rows):
             x = a[i][t]
             if x:
                 q = x // pivot
                 if q:
-                    _addmul_row(left, i, t, -q)
+                    a[i] = [y - q * z for y, z in zip(a[i], pt)]
                 if a[i][t]:
                     dirty = True
         for j in range(t + 1, cols):
-            x = a[t][j]
+            x = pt[j]
             if x:
                 q = x // pivot
                 if q:
-                    _addmul_col(right, j, t, -q)
-                if a[t][j]:
+                    for row in a:
+                        row[j] -= q * row[t]
+                if pt[j]:
                     dirty = True
         if dirty:
             continue
@@ -245,7 +217,7 @@ def _smith(a: list[list[int]], u: list[list[int]] | None = None,
             if offender is not None:
                 break
         if offender is not None:
-            _addmul_row(left, t, offender, 1)
+            a[t] = [x + y for x, y in zip(pt, a[offender])]
             continue
         t += 1
 
@@ -256,17 +228,16 @@ def smith_normal_form(m: IntegerMatrix) -> SNFResult:
     ``d`` is diagonal with nonnegative entries satisfying the divisibility
     chain d1 | d2 | ... .  Total on all integer matrices, including empty
     ones.  Exact arithmetic throughout; intermediate growth is handled by
-    Python's big integers.
+    Python's big integers.  One elimination of ``[m I; I]`` gives all three.
     """
     rows, cols = m.rows, m.cols
-    a = [list(r) for r in m.data]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    _smith(a, u, v)
+    a = ([list(r + e) for r, e in zip(m.data, IntegerMatrix.identity(rows).data)]
+         + [list(e) for e in IntegerMatrix.identity(cols).data])
+    _smith(a, rows, cols)
     return SNFResult(
-        IntegerMatrix(rows, rows, tuple(tuple(r) for r in u)),
-        IntegerMatrix(rows, cols, tuple(tuple(r) for r in a)),
-        IntegerMatrix(cols, cols, tuple(tuple(r) for r in v)),
+        IntegerMatrix(rows, rows, tuple(tuple(r[cols:]) for r in a[:rows])),
+        IntegerMatrix(rows, cols, tuple(tuple(r[:cols]) for r in a[:rows])),
+        IntegerMatrix(cols, cols, tuple(map(tuple, a[rows:]))),
     )
 
 
@@ -441,7 +412,7 @@ class FinAbGroup:
 def cokernel(m: IntegerMatrix) -> FinAbGroup:
     """Z^rows / (column span of m), from the Smith diagonal alone."""
     a = [list(r) for r in m.data]
-    _smith(a)
+    _smith(a, m.rows, m.cols)
     diag = [a[i][i] for i in range(min(m.rows, m.cols)) if a[i][i]]
     return FinAbGroup(m.rows - len(diag), tuple(x for x in diag if x > 1))
 

@@ -12,6 +12,7 @@ Configurations are immutable; `validate` returns violations as data.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import linalg
@@ -97,14 +98,6 @@ class SliceConfiguration:
     polar_data: tuple[tuple[int, int], ...] | None = None
     monodromy_data: MonodromyData | None = None
 
-    def branch_count(self, component_id: str) -> int:
-        return sum(1 for q in self.special_points for b in q.branches
-                   if b.component_id == component_id)
-
-    def points_of_component(self, component_id: str) -> list[SpecialPoint]:
-        return [q for q in self.special_points
-                if any(b.component_id == component_id for b in q.branches)]
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -187,6 +180,7 @@ def _validate(cfg: SliceConfiguration) -> tuple[list[Violation], list[list[Submo
         seen.add(ident)
 
     by_id = {c.id: c for c in cfg.components}
+    branches = Counter(b.component_id for q in cfg.special_points for b in q.branches)
 
     for c in cfg.components:
         if c.genus < 0:
@@ -196,7 +190,7 @@ def _validate(cfg: SliceConfiguration) -> tuple[list[Violation], list[list[Submo
             continue
         for w, nu in enumerate(c.loop_monodromies):
             _check_monodromy(nu, c.transversal_rank, f"{c.id}[loop {w}]", "loop", out)
-        expected = 2 * c.genus + cfg.branch_count(c.id)
+        expected = 2 * c.genus + branches[c.id]
         # a negative genus gives no meaningful loop count to compare against
         if c.genus >= 0 and len(c.loop_monodromies) != expected:
             out.append(Violation("loop-count", c.id,

@@ -1,5 +1,7 @@
 import json
+import re
 import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -42,6 +44,15 @@ class TestRun:
         reports, status = run([str(copy_corpus(tmp_path, "xyz"))])
         assert status == 0
         assert format_group(reports[0].vanishing.lowest_group) == "Z^2"
+
+    def test_readme_example(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        [block] = re.findall(r"```json\n(.*?)```", readme, re.S)
+        path = tmp_path / "readme.json"
+        path.write_text(block)
+        reports, status = run([str(path)])
+        assert status == 0
+        assert reports[0].validation == () and reports[0].vanishing is not None
 
     def test_validation_failure_exit_1(self, tmp_path):
         doc = json.loads(CORPUS["xyz"].read_text())

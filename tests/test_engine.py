@@ -48,7 +48,8 @@ class TestComponentCohomology:
             cfg = random_valid_config(rng)
             for c in cfg.components:
                 cc = component_cohomology(c, cfg.n)
-                tau = cfg.branch_count(c.id)
+                tau = sum(b.component_id == c.id for q in cfg.special_points
+                          for b in q.branches)
                 assert cc.euler == (-1) ** cfg.n * (2 * c.genus + tau - 1) * c.transversal_rank
 
 
@@ -378,6 +379,60 @@ class TestInvariance:
             comp = rng.choice(cfg.components)
             u = rand_unimodular(rng, comp.transversal_rank)
             assert report_signature(analyze(conjugate_component(cfg, comp.id, u))) == base
+
+
+def prefixed(cfg, tag):
+    """`cfg` with every component, point and isolated id prefixed by `tag`."""
+    return replace(
+        cfg,
+        components=tuple(replace(c, id=tag + c.id) for c in cfg.components),
+        special_points=tuple(replace(q, id=tag + q.id, branches=tuple(
+            replace(b, component_id=tag + b.component_id) for b in q.branches))
+            for q in cfg.special_points),
+        isolated_points=tuple(replace(r, id=tag + r.id) for r in cfg.isolated_points))
+
+
+class TestBlockSum:
+    def test_disjoint_union_adds(self):
+        """The report of a disjoint union is the sum of its parts' reports:
+        ranks add, per-component lists concatenate, and j is the parts'
+        blocks with invariant columns first, then point columns, and rows
+        in point order."""
+        def ranks(rep):
+            six, bnd = rep.six_term, rep.bounds
+            return (rep.lowest_group.free_rank, rep.g_rank, rep.euler_total,
+                    six.lowest_pair, six.domain, six.codomain, six.top_pair, six.middle,
+                    six.branch_coker, bnd.upper_lowest, bnd.min_bound, bnd.betti_high)
+
+        rng = random.Random(41)
+        mixed = 0
+        for _ in range(40):
+            a = random_valid_config(rng, with_costalk=bool(rng.getrandbits(1)))
+            b = random_valid_config(rng, with_costalk=bool(rng.getrandbits(1)))
+            a, b = (replace(prefixed(cfg, tag), n=a.n, original_n=a.original_n,
+                            original_s=a.original_s, polar_data=None, monodromy_data=None)
+                    for cfg, tag in ((a, "a"), (b, "b")))
+            union = replace(a, components=a.components + b.components,
+                            special_points=a.special_points + b.special_points,
+                            isolated_points=a.isolated_points + b.isolated_points)
+            ra, rb, ru = analyze(a), analyze(b), analyze(union)
+
+            assert ranks(ru) == tuple(x + y for x, y in zip(ranks(ra), ranks(rb)))
+            assert ru.lowest_group.torsion == ()
+            if ra.bounds.lower_lowest is not None and rb.bounds.lower_lowest is not None:
+                assert ru.bounds.lower_lowest == ra.bounds.lower_lowest + rb.bounds.lower_lowest
+            assert ru.i0_contribution == ra.i0_contribution + rb.i0_contribution
+            assert ru.components == ra.components + rb.components
+
+            ja, jb = ra.j_matrix, rb.j_matrix
+            ua, ub = (sum(c.invariants.rank for c in rep.components) for rep in (ra, rb))
+            expected = ([r[:ua] + (0,) * ub + r[ua:] + (0,) * (jb.cols - ub) for r in ja.data]
+                        + [(0,) * ua + r[:ub] + (0,) * (ja.cols - ua) + r[ub:] for r in jb.data])
+            assert (ru.j_matrix.rows, ru.j_matrix.cols) == (ja.rows + jb.rows, ja.cols + jb.cols)
+            assert list(ru.j_matrix.data) == expected
+            mixed += bool(ru.i0_contribution) and len(ru.i0_contribution) < len(ru.components)
+        # branch-free and branched components side by side in one union
+        assert mixed >= 20
 
 
 class TestSinglePass:

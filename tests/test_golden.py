@@ -1,7 +1,8 @@
 """Byte-identity of the command line and demo outputs: each command runs in
 a fresh interpreter, must exit 0, and its stdout must hash to the recorded
 digest.  A change to any report, ledger or demo line fails here.  The
-loader digest pins what the parser makes of seeded malformed documents."""
+loader digest pins what the parser makes of seeded malformed documents, and
+the Smith digest pins the Smith transforms u and v, not only the diagonal."""
 
 import hashlib
 import json
@@ -14,8 +15,9 @@ from pathlib import Path
 import pytest
 
 from vancoh import parse_configuration, serialize_configuration
+from vancoh.linalg import IntegerMatrix, cokernel, smith_normal_form
 
-from helpers import corpus_documents, mutated_document
+from helpers import corpus_documents, mutated_document, rand_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,3 +62,28 @@ def test_loader_digest():
                                   None if cfg is None else serialize_configuration(cfg)],
                                  sort_keys=True).encode())
     assert digest.hexdigest() == LOADER_DIGEST
+
+
+SMITH_DIGEST = "0c86e718b909a4b86312a979b7422875788fcb55c42f78bacd9914a42252fa4c"
+
+
+def test_smith_digest():
+    """`smith_normal_form`'s (u, d, v) and `cokernel` of the empty shapes, a
+    zero matrix and 2,400 seeded matrices: shapes up to 9x11, entries up to
+    1,000, every third one a product through a narrower middle, so
+    rank-deficient."""
+    rng = random.Random(2400)
+    matrices = [IntegerMatrix.zeros(rows, cols) for rows in (0, 3) for cols in (0, 4)]
+    for k in range(2400):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 11)
+        if k % 3:
+            matrices.append(rand_matrix(rng, rows, cols, rng.choice((1, 9, 1000))))
+        else:
+            middle = rng.randrange(min(rows, cols))
+            matrices.append(rand_matrix(rng, rows, middle, rng.choice((1, 3, 10)))
+                            * rand_matrix(rng, middle, cols, rng.choice((1, 3, 10))))
+    digest = hashlib.sha256()
+    for m in matrices:
+        u, d, v = smith_normal_form(m)
+        digest.update(repr((u.data, d.data, v.data, cokernel(m))).encode())
+    assert digest.hexdigest() == SMITH_DIGEST
