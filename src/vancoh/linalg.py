@@ -37,7 +37,12 @@ class IntegerMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
-        data = tuple(tuple(map(int, row)) for row in rows)
+        """Entries must be exactly `int`; any other raises, never converts."""
+        data = tuple(map(tuple, rows))
+        for row in data:
+            for x in row:
+                if type(x) is not int:
+                    raise ValueError("matrix entries must be integers")
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):

@@ -5,8 +5,9 @@ single statement of its format: each lists one record's keys, which are the
 field names of its `model` dataclass, in the order they are checked, with
 the kind of value each holds and, for an optional key, the default it takes
 when absent.  `parse_configuration` and `serialize_configuration` both walk
-them.  Matrices are nested row lists of integers; polynomials are
-coefficient lists in ascending order (index = power of t).
+them.  The three kinds of value are leaves, lists and records; a matrix or
+polynomial leaf is built by its constructor, which alone checks the entries,
+and the constructor's ValueError text becomes the violation detail.
 
 Parsing never throws on bad content: structural problems come back as
 violations, one per malformed position, so a batch run can keep going on
@@ -60,44 +61,29 @@ class _Leaf:
         self.detail, self.ok, self.build, self.write = detail, ok, build, write
 
     def read(self, r: ParseResult, value, path: str):
-        if self.ok(value):
-            return self.build(value)
-        _bad(r, path, self.detail)
+        try:
+            if self.ok(value):
+                return self.build(value)
+            detail = self.detail
+        except ValueError as exc:
+            detail = str(exc)
+        _bad(r, path, detail)
         return None
 
 
 _INT = _Leaf("expected an integer", _is_int)
 _OPTIONAL_INT = _Leaf("expected an integer", lambda v: v is None or _is_int(v))  # null = absent
 _STR = _Leaf("expected a string", lambda v: isinstance(v, str))
-_POLYNOMIAL = _Leaf("expected a polynomial as an ascending coefficient list", _is_int_list,
-                    IntPolynomial.from_coeffs, lambda p: list(p.coeffs))
+_POLYNOMIAL = _Leaf("expected a polynomial as an ascending coefficient list",
+                    lambda v: isinstance(v, list), IntPolynomial.from_coeffs,
+                    lambda p: list(p.coeffs))
 _INTS = _Leaf("expected a list of integers", _is_int_list, tuple, list)
 _PAIRS = _Leaf("expected a list of [lambda_k, clk_betti_k] integer pairs",
                lambda v: isinstance(v, list) and all(_is_int_list(p) and len(p) == 2 for p in v),
                lambda v: tuple(map(tuple, v)), lambda pairs: [list(p) for p in pairs])
-
-
-class _Matrix:
-    """Nested row lists of integers."""
-
-    write = staticmethod(IntegerMatrix.tolist)
-
-    def read(self, r: ParseResult, value, path: str):
-        if not isinstance(value, list) or any(not isinstance(row, list) for row in value):
-            _bad(r, path, "expected a matrix as nested row lists")
-            return None
-        for row in value:
-            if any(not isinstance(x, int) or isinstance(x, bool) for x in row):  # hot: inline
-                _bad(r, path, "matrix entries must be integers")
-                return None
-        try:
-            return IntegerMatrix.from_rows(value)
-        except ValueError as exc:  # ragged rows
-            _bad(r, path, str(exc))
-            return None
-
-
-_MATRIX = _Matrix()
+_MATRIX = _Leaf("expected a matrix as nested row lists",
+                lambda v: isinstance(v, list) and all(isinstance(row, list) for row in v),
+                IntegerMatrix.from_rows, IntegerMatrix.tolist)
 
 
 class _ListOf:

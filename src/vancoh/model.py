@@ -132,14 +132,17 @@ def branch_kernel(b: Branch) -> Submodule:
 
 
 def _check_monodromy(m: IntegerMatrix, size: int, subject: str, kind: str,
-                     out: list[Violation]) -> None:
+                     out: list[Violation]) -> bool:
+    """Append the monodromy's violations to `out`; True when it has none."""
     if m.rows != size or m.cols != size:
         out.append(Violation(f"{kind}-shape", subject,
                              f"expected {size}x{size}, got {m.rows}x{m.cols}"))
-        return
+        return False
     if not linalg.is_unimodular(m):
         out.append(Violation(f"{kind}-not-unimodular", subject,
                              "monodromy must be an automorphism (determinant +-1)"))
+        return False
+    return True
 
 
 def validate(cfg: SliceConfiguration) -> list[Violation]:
@@ -211,9 +214,9 @@ def _validate(cfg: SliceConfiguration) -> tuple[list[Violation], list[list[Submo
                 out.append(Violation("unknown-component", f"{q.id}[branch {k}]",
                                      f"branch references unknown component {b.component_id!r}"))
                 continue
-            before = len(out)
-            _check_monodromy(b.monodromy, owner.transversal_rank, f"{q.id}[branch {k}]", "branch", out)
-            if len(out) == before:
+            # a component without a valid rank was reported once, above
+            if owner.transversal_rank >= 1 and _check_monodromy(
+                    b.monodromy, owner.transversal_rank, f"{q.id}[branch {k}]", "branch", out):
                 point_kernels.append(branch_kernel(b))
         if len(point_kernels) != len(q.branches):
             continue

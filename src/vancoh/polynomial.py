@@ -16,7 +16,10 @@ class IntPolynomial:
 
     @staticmethod
     def from_coeffs(coeffs: Sequence[int]) -> "IntPolynomial":
-        cs = [int(c) for c in coeffs]
+        """Coefficients must be exactly `int`; any other raises, never converts."""
+        cs = list(coeffs)
+        if any(type(c) is not int for c in cs):
+            raise ValueError("expected a polynomial as an ascending coefficient list")
         while cs and cs[-1] == 0:
             cs.pop()
         return IntPolynomial(tuple(cs))

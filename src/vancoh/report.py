@@ -2,6 +2,7 @@
 
 Reports are pure data derived from the input bytes alone, so equal inputs
 produce byte-identical serialized reports regardless of file path.
+`six_term`, `bounds` and each group dict carry their dataclass's fields.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class Report:
 
 
 def _group_dict(g: FinAbGroup) -> dict:
-    return {"free_rank": g.free_rank, "torsion": list(g.torsion), "text": format_group(g)}
+    return {**vars(g), "text": format_group(g)}
 
 
 def _matrix_entry(m: IntegerMatrix, verbose: bool):
@@ -64,13 +65,13 @@ def _matrix_entry(m: IntegerMatrix, verbose: bool):
 
 
 def _vanishing_dict(v: VanishingReport, verbose: bool) -> dict:
-    six = v.six_term
+    # each section is a fresh dict: a dataclass's own __dict__ must not leak
     out = {
         "lowest_group": _group_dict(v.lowest_group),
         "lowest_degree": v.lowest_degree,
         "original_degree": v.original_degree,
         "g_rank": v.g_rank,
-        "i0_contribution": [[cid, r] for cid, r in v.i0_contribution],
+        "i0_contribution": v.i0_contribution,
         "components": [
             {
                 "id": c.component_id,
@@ -82,32 +83,15 @@ def _vanishing_dict(v: VanishingReport, verbose: bool) -> dict:
             for c in v.components
         ],
         "euler_total": v.euler_total,
-        "six_term": {
-            "lowest_pair": six.lowest_pair,
-            "domain": six.domain,
-            "codomain": six.codomain,
-            "top_pair": six.top_pair,
-            "middle": six.middle,
-            "branch_coker": six.branch_coker,
-            "consistent": six.consistent,
-            "top_pair_torsion": "undetermined extension",
-        },
-        "bounds": {
-            "upper_lowest": v.bounds.upper_lowest,
-            "lower_lowest": v.bounds.lower_lowest,
-            "min_bound": v.bounds.min_bound,
-            "betti_high": v.bounds.betti_high,
-            "polar": [[k, b] for k, b in v.bounds.polar],
-        },
+        "six_term": {**vars(v.six_term), "top_pair_torsion": "undetermined extension"},
+        "bounds": {**vars(v.bounds)},
         "j_matrix": _matrix_entry(v.j_matrix, verbose),
         "shortcut_agrees": v.shortcut_agrees,
     }
     if v.monodromy is not None:
-        out["monodromy_checks"] = {
-            "char_poly_divides": v.monodromy.char_poly_divides,
-            "eigen_dims": {label: ok for label, ok in v.monodromy.eigen_dims_ok},
-            "jordan_sizes": {label: ok for label, ok in v.monodromy.jordan_sizes_ok},
-        }
+        out["monodromy_checks"] = {"char_poly_divides": v.monodromy.char_poly_divides,
+                                   "eigen_dims": dict(v.monodromy.eigen_dims_ok),
+                                   "jordan_sizes": dict(v.monodromy.jordan_sizes_ok)}
     return out
 
 

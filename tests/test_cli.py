@@ -1,17 +1,19 @@
+import copy
 import json
 import re
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import vancoh
-from vancoh import (FinAbGroup, format_group, load_bytes, parse_configuration,
-                    serialize_configuration)
+from vancoh import (Bounds, FinAbGroup, Report, SixTermCheck, analyze, format_group,
+                    load_bytes, parse_configuration, serialize_configuration)
 from vancoh.cli import main, run
 from vancoh.corpus import bundled
-from vancoh.report import render_json, render_text
+from vancoh.report import render_json, render_text, report_to_dict
 
 from helpers import count_calls, document_slots
 
@@ -261,6 +263,45 @@ def test_parsed_mutants_round_trip(mutant):
     if cfg is not None:
         again = parse_configuration(json.loads(json.dumps(serialize_configuration(cfg))))
         assert (again.configuration, again.violations, again.unknown_keys) == (cfg, [], [])
+
+
+def _containers(value):
+    """Every dict and list nested in `value`, through tuples too."""
+    if isinstance(value, (dict, list)):
+        yield value
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _containers(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _containers(item)
+
+
+class TestReportToDict:
+    def test_sections_are_fresh_containers(self):
+        doc = json.loads(CORPUS["xyz"].read_text())
+        doc["polar_data"] = [[1, 0], [0, 1]]
+        cfg = parse_configuration(doc).configuration
+        report = Report("xyz", (), analyze(cfg))
+        first = report_to_dict(report, verbose=True)
+        expected = copy.deepcopy(first)
+        containers = list(_containers(first["vanishing"]))
+        assert len(containers) >= 20
+        for c in containers:
+            if isinstance(c, dict):
+                for key in c:
+                    c[key] = "mutated"
+                c["added"] = 1
+            else:
+                c[:] = ["mutated"]
+        assert report_to_dict(report, verbose=True) == expected
+        assert report.vanishing == analyze(cfg)
+
+    def test_sections_carry_dataclass_fields(self):
+        reports, _ = run([str(CORPUS["xyzu"])])
+        v = report_to_dict(reports[0])["vanishing"]
+        assert set(v["six_term"]) == {f.name for f in fields(SixTermCheck)} | {"top_pair_torsion"}
+        assert set(v["bounds"]) == {f.name for f in fields(Bounds)}
 
 
 class TestDeterminism:

@@ -24,6 +24,25 @@ def as_matrix(rows):
     return IntegerMatrix.from_rows(rows)
 
 
+class TestLiteral:
+    @pytest.mark.parametrize("entry", [1.5, 2.0, "4", True, None], ids=repr)
+    @pytest.mark.parametrize("build", [matrix, IntegerMatrix.from_rows])
+    def test_rejects_non_integer_entries(self, build, entry):
+        for rows, cols in (([[1, 2], [3, entry]], None), ([[entry]], 1),
+                           ([[1, 2], [entry]], None)):  # entries are checked before raggedness
+            with pytest.raises(ValueError, match="^matrix entries must be integers$"):
+                build(rows, cols)
+
+    @pytest.mark.parametrize("build", [matrix, IntegerMatrix.from_rows])
+    def test_builds_exact_integers(self, build):
+        big = 2 ** 200
+        assert build([[big, -big], [0, 1]]).data == ((big, -big), (0, 1))
+        assert build([]) == IntegerMatrix.zeros(0, 0)
+        assert build([[]]) == IntegerMatrix.zeros(1, 0)
+        assert build([], 3) == IntegerMatrix.zeros(0, 3)
+        assert build([[1, -2]], 2).data == ((1, -2),)
+
+
 class TestSmithNormalForm:
     def test_identity(self):
         m = IntegerMatrix.identity(3)

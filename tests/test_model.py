@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import random
 from dataclasses import replace
@@ -7,6 +9,7 @@ import pytest
 from vancoh import (Branch, CurveComponent, EigenvalueData, IntPolynomial, IsolatedPoint,
                     SpecialPoint, branch_kernel, image, matrix, parse_configuration,
                     serialize_configuration, slice_degree_map, validate)
+from vancoh import model
 from vancoh.corpus import bundled
 from vancoh.linalg import IntegerMatrix
 
@@ -42,6 +45,104 @@ class TestBranchKernel:
 
 def _with_monodromy(**changes):
     return lambda cfg: replace(cfg, monodromy_data=replace(cfg.monodromy_data, **changes))
+
+
+def _with_s1(**changes):
+    return lambda cfg: replace(cfg, components=(replace(cfg.components[0], **changes),)
+                               + cfg.components[1:])
+
+
+def _with_q1(**changes):
+    return lambda cfg: replace(cfg, special_points=(replace(cfg.special_points[0], **changes),))
+
+
+def _with_branch0(**changes):
+    def mutate(cfg):
+        q = cfg.special_points[0]
+        branches = (replace(q.branches[0], **changes),) + q.branches[1:]
+        return _with_q1(branches=branches)(cfg)
+    return mutate
+
+
+def _emitted_codes() -> set[str]:
+    """Every code `model._validate` can emit, read off the module source: the
+    literal first argument of each `Violation(...)` call, and each
+    `f"{kind}-..."` template filled with every `kind` passed to
+    `_check_monodromy`."""
+    calls = [node for node in ast.walk(ast.parse(inspect.getsource(model)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    kinds = [call.args[3].value for call in calls if call.func.id == "_check_monodromy"]
+    codes = set()
+    for call in calls:
+        if call.func.id == "Violation":
+            code = call.args[0]
+            if isinstance(code, ast.JoinedStr):
+                codes.update(kind + code.values[1].value for kind in kinds)
+            else:
+                codes.add(code.value)
+    return codes
+
+
+# One mutation of xyz per row, each giving exactly the one violation listed;
+# together the rows reach every code `validate` can emit.
+SINGLE_FAULTS = {
+    "original_s-range": (lambda cfg: replace(cfg, original_n=2, original_s=1),
+                         [("dimension-range", "original_s")]),
+    "dimension-reduction": (lambda cfg: replace(cfg, n=4), [("dimension-reduction", "n")]),
+    "duplicate-id": (lambda cfg: replace(cfg, isolated_points=(IsolatedPoint("S1", 0),)),
+                     [("duplicate-id", "S1")]),
+    "negative-genus": (_with_s1(genus=-1), [("negative-genus", "S1")]),
+    "transversal-rank-0": (_with_s1(transversal_rank=0), [("transversal-rank", "S1")]),
+    "transversal-rank-negative": (_with_s1(transversal_rank=-1), [("transversal-rank", "S1")]),
+    "loop-shape": (_with_s1(loop_monodromies=(matrix([[1, 0]]),)),
+                   [("loop-shape", "S1[loop 0]")]),
+    "loop-not-unimodular": (_with_s1(loop_monodromies=(matrix([[2]]),)),
+                            [("loop-not-unimodular", "S1[loop 0]")]),
+    "loop-count": (_with_s1(loop_monodromies=()), [("loop-count", "S1")]),
+    "branch-shape": (_with_branch0(monodromy=matrix([[1, 0]])),
+                     [("branch-shape", "q1[branch 0]")]),
+    "branch-not-unimodular": (_with_branch0(monodromy=matrix([[2]])),
+                              [("branch-not-unimodular", "q1[branch 0]")]),
+    "unknown-component": (lambda cfg: _with_branch0(component_id="S9")(
+                              _with_s1(loop_monodromies=())(cfg)),
+                          [("unknown-component", "q1[branch 0]")]),
+    "negative-fq-low": (_with_q1(fq_rank_low=-1), [("negative-rank", "q1")]),
+    "negative-fq-high": (_with_q1(fq_rank_high=-1), [("negative-rank", "q1")]),
+    "negative-costalk": (_with_q1(costalk_rank=-1), [("negative-rank", "q1")]),
+    "iota-shape": (_with_q1(iota=matrix([[1, 0], [-1, 1]])), [("iota-shape", "q1")]),
+    "iota-not-injective": (_with_q1(iota=matrix([[1, 1], [-1, -1], [0, 0]])),
+                           [("iota-not-injective", "q1")]),
+    "negative-milnor": (lambda cfg: replace(cfg, isolated_points=(IsolatedPoint("r1", -1),)),
+                        [("negative-rank", "r1")]),
+    "polar-length": (lambda cfg: replace(cfg, polar_data=((1, 0),) * 3),
+                     [("polar-length", "polar_data")]),
+    "polar-negative": (lambda cfg: replace(cfg, polar_data=((3, -1),)),
+                       [("polar-negative", "polar_data[0]")]),
+    "zero-char-poly": (_with_monodromy(char_poly=IntPolynomial.zero()),
+                       [("zero-polynomial", "monodromy_data.char_poly")]),
+    "zero-component-char-poly": (
+        _with_monodromy(component_char_polys=(
+            IntPolynomial((-1, 1)), IntPolynomial.zero(), IntPolynomial((-1, 1)))),
+        [("zero-polynomial", "monodromy_data.component_char_polys[1]")]),
+    "char-poly-count": (_with_monodromy(component_char_polys=(IntPolynomial((-1, 1)),) * 2),
+                        [("char-poly-count", "monodromy_data")]),
+    "negative-eigen-total": (_with_monodromy(eigen_dims=(EigenvalueData("1", -1, (1, 1, 1)),)),
+                             [("negative-rank", "monodromy_data.eigen_dims[1]")]),
+    "negative-jordan-component": (
+        _with_monodromy(jordan_sizes=(EigenvalueData("1", 1, (1, -1, 1)),)),
+        [("negative-rank", "monodromy_data.jordan_sizes[1]")]),
+    "eigenvalue-count": (_with_monodromy(jordan_sizes=(EigenvalueData("1", 1, (1, 1)),)),
+                         [("eigenvalue-count", "monodromy_data.jordan_sizes[1]")]),
+    "duplicate-eigen-label": (
+        _with_monodromy(eigen_dims=(EigenvalueData("1", 9, (1, 1, 1)),
+                                    EigenvalueData("1", 0, (1, 1, 1)))),
+        [("duplicate-eigenvalue", "monodromy_data.eigen_dims[1]")]),
+    "duplicate-jordan-label": (
+        _with_monodromy(jordan_sizes=(EigenvalueData("1", 1, (1, 1, 1)),
+                                      EigenvalueData("-1", 0, (0, 0, 0)),
+                                      EigenvalueData("1", 1, (1, 1, 1)))),
+        [("duplicate-eigenvalue", "monodromy_data.jordan_sizes[1]")]),
+}
 
 
 class TestValidate:
@@ -112,42 +213,17 @@ class TestValidate:
         cfg = load_corpus("xyzu")
         assert validate(cfg) == validate(cfg)
 
-    @pytest.mark.parametrize("mutate,expected", [
-        (lambda cfg: replace(cfg, original_n=2, original_s=1),
-         [("dimension-range", "original_s")]),
-        (lambda cfg: replace(cfg, components=(replace(cfg.components[0], genus=-1),)
-                             + cfg.components[1:]),
-         [("negative-genus", "S1")]),
-        (lambda cfg: replace(cfg, special_points=(
-            replace(cfg.special_points[0], costalk_rank=-1),)),
-         [("negative-rank", "q1")]),
-        (lambda cfg: replace(cfg, isolated_points=(IsolatedPoint("r1", -1),)),
-         [("negative-rank", "r1")]),
-        (_with_monodromy(char_poly=IntPolynomial.zero()),
-         [("zero-polynomial", "monodromy_data.char_poly")]),
-        (_with_monodromy(component_char_polys=(
-            IntPolynomial((-1, 1)), IntPolynomial.zero(), IntPolynomial((-1, 1)))),
-         [("zero-polynomial", "monodromy_data.component_char_polys[1]")]),
-        (_with_monodromy(eigen_dims=(EigenvalueData("1", -1, (1, 1, 1)),)),
-         [("negative-rank", "monodromy_data.eigen_dims[1]")]),
-        (_with_monodromy(jordan_sizes=(EigenvalueData("1", 1, (1, -1, 1)),)),
-         [("negative-rank", "monodromy_data.jordan_sizes[1]")]),
-        (_with_monodromy(jordan_sizes=(EigenvalueData("1", 1, (1, 1)),)),
-         [("eigenvalue-count", "monodromy_data.jordan_sizes[1]")]),
-        (_with_monodromy(eigen_dims=(EigenvalueData("1", 9, (1, 1, 1)),
-                                     EigenvalueData("1", 0, (1, 1, 1)))),
-         [("duplicate-eigenvalue", "monodromy_data.eigen_dims[1]")]),
-        (_with_monodromy(jordan_sizes=(EigenvalueData("1", 1, (1, 1, 1)),
-                                       EigenvalueData("-1", 0, (0, 0, 0)),
-                                       EigenvalueData("1", 1, (1, 1, 1)))),
-         [("duplicate-eigenvalue", "monodromy_data.jordan_sizes[1]")]),
-    ], ids=["original_s-range", "negative-genus", "negative-costalk", "negative-milnor",
-            "zero-char-poly", "zero-component-char-poly", "negative-eigen-total",
-            "negative-jordan-component", "eigenvalue-count", "duplicate-eigen-label",
-            "duplicate-jordan-label"])
+    @pytest.mark.parametrize("mutate,expected", list(SINGLE_FAULTS.values()),
+                             ids=list(SINGLE_FAULTS))
     def test_single_fault(self, mutate, expected):
         violations = validate(mutate(load_corpus("xyz")))
         assert [(v.code, v.subject) for v in violations] == expected
+
+    def test_single_faults_cover_every_code(self):
+        codes = _emitted_codes()
+        assert len(codes) == 20
+        assert all(len(expected) == 1 for _, expected in SINGLE_FAULTS.values())
+        assert {expected[0][0] for _, expected in SINGLE_FAULTS.values()} == codes
 
 
 class TestRoundTrip:

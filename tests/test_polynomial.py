@@ -16,6 +16,19 @@ def test_normalization():
     assert P(0, 1).degree == 1
 
 
+@pytest.mark.parametrize("coeff", [1.5, 2.0, "4", True, None], ids=repr)
+def test_from_coeffs_rejects_non_integers(coeff):
+    with pytest.raises(ValueError,
+                       match="^expected a polynomial as an ascending coefficient list$"):
+        IntPolynomial.from_coeffs([1, coeff])
+
+
+def test_from_coeffs_builds_exact_integers():
+    big = 2 ** 200
+    assert IntPolynomial.from_coeffs([-big, 0, big]).coeffs == (-big, 0, big)
+    assert IntPolynomial.from_coeffs([]).is_zero
+
+
 def test_str():
     assert str(P(-1, 1)) == "t - 1"
     assert str(P(1, -2, 1)) == "t^2 - 2*t + 1"
