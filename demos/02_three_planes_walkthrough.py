@@ -12,7 +12,7 @@ We build that configuration in code and walk through the computation.
 """
 
 from vancoh import (Branch, CurveComponent, SliceConfiguration, SpecialPoint, analyze,
-                    format_group, matrix, slice_degree_map, validate)
+                    format_group, matrix, validate)
 
 identity1 = matrix([[1]])
 
@@ -38,7 +38,10 @@ cfg = SliceConfiguration(
 )
 
 print("violations:", validate(cfg))
-print("degree bookkeeping (m, lowest degree):", slice_degree_map(3, 2))
+# Slicing leaves the ambient dimension m = original_n - original_s + 2, and
+# the lowest group sits in degree original_n - original_s of the unsliced germ.
+print("degree bookkeeping (m, lowest degree):",
+      (cfg.original_n - cfg.original_s + 2, cfg.original_n - cfg.original_s))
 print()
 
 # One pass computes everything.  Per-component pieces: invariants of the

@@ -10,7 +10,7 @@ from .linalg import (FinAbGroup, IntegerMatrix, Submodule, char_poly, cokernel,
 from .polynomial import IntPolynomial, poly_divides, poly_product
 from .model import (Branch, CurveComponent, EigenvalueData, IsolatedPoint,
                     MonodromyData, SliceConfiguration, SpecialPoint, Violation,
-                    branch_kernel, slice_degree_map, validate)
+                    branch_kernel, validate)
 from .engine import (Bounds, ComponentCohomology, InternalDefectError,
                      InvalidConfigurationError, MonodromyChecks, SixTermCheck,
                      VanishingReport, analyze, component_cohomology)
@@ -24,7 +24,7 @@ __all__ = [
     "IntPolynomial", "poly_divides", "poly_product",
     "Branch", "CurveComponent", "EigenvalueData", "IsolatedPoint",
     "MonodromyData", "SliceConfiguration", "SpecialPoint", "Violation",
-    "branch_kernel", "slice_degree_map", "validate",
+    "branch_kernel", "validate",
     "Bounds", "ComponentCohomology", "InternalDefectError",
     "InvalidConfigurationError", "MonodromyChecks", "SixTermCheck",
     "VanishingReport", "analyze", "component_cohomology",

@@ -6,9 +6,12 @@ map j from component invariants and special-point cohomology into the
 branch kernels.  The lowest group is ker j, a free group, so only its rank
 is computed, by rank-nullity from the rank of j; no kernel basis is built.
 From it follow the Euler-characteristic bookkeeping, the six-term exactness
-ranks, the Betti bounds, and the monodromy divisibility predicates.
-`analyze` does all of this in one pass and returns the immutable
-`VanishingReport`.
+ranks, the Betti bounds, and the monodromy divisibility predicates.  The
+interaction rank is cross-checked by intersecting the images of j's
+invariant and point blocks; the point block's Hermite basis is not
+eliminated again but finished from the iota echelons that validation
+computed.  `analyze` does all of this in one pass and returns the
+immutable `VanishingReport`.
 """
 
 from __future__ import annotations
@@ -156,15 +159,38 @@ def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
     return IntegerMatrix(codomain, domain, tuple(tuple(r) for r in data))
 
 
+def _point_image(cfg: SliceConfiguration, echelons: list[list[tuple[int, list[int]]]],
+                 rows: int) -> Submodule:
+    """Hermite basis of the column span of j's point block, from the iota
+    echelons that validation computed.
+
+    The point block is the block diagonal of the -iotas, each in its own
+    consecutive rows and columns, and -iota spans the lattice of iota.  So
+    the Hermite basis is the block diagonal of the back-normalised iota
+    echelons, points in declaration order at their row offsets in j:
+    pivot rows still increase, and no pivot row holds an entry of an
+    earlier point's column.
+    """
+    columns = []
+    row0 = 0
+    for q, pivots in zip(cfg.special_points, echelons):
+        below = [0] * (rows - row0 - q.iota.rows)
+        columns += ([0] * row0 + c + below for c in linalg._back_normalise(pivots))
+        row0 += q.iota.rows
+    return Submodule(linalg._from_columns(rows, columns))
+
+
 def analyze(cfg: SliceConfiguration) -> VanishingReport:
     """Run the whole computation on a configuration in a single pass.
 
-    Validation hands on the branch kernels; the component invariants, j and
-    the rank of ker j are each computed once, and every ledger and
-    cross-check reads them.  Raises InvalidConfigurationError on validation
-    failure and InternalDefectError when an internal invariant breaks.
+    Validation hands on the branch kernels and each iota's echelon, which
+    the cross-check finishes into the Hermite basis of j's point block; the
+    component invariants, j and the rank of ker j are each computed once,
+    and every ledger and cross-check reads them.  Raises
+    InvalidConfigurationError on validation failure and InternalDefectError
+    when an internal invariant breaks.
     """
-    violations, kernels = model._validate(cfg)
+    violations, kernels, echelons = model._validate(cfg)
     if violations:
         raise InvalidConfigurationError(violations)
 
@@ -200,7 +226,7 @@ def analyze(cfg: SliceConfiguration) -> VanishingReport:
     g_rank = lowest.free_rank - sum(r for _, r in i0)
     g_direct = linalg.intersect(
         linalg.image(IntegerMatrix(j.rows, upper, tuple(r[:upper] for r in j.data))),
-        linalg.image(IntegerMatrix(j.rows, j.cols - upper, tuple(r[upper:] for r in j.data)))).rank
+        _point_image(cfg, echelons, j.rows)).rank
     if g_direct != g_rank:
         raise InternalDefectError(
             f"interaction rank mismatch: kernel route gives {g_rank}, "

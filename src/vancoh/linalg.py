@@ -10,8 +10,9 @@ columns they return, those whose pivots lie below the stacked top block,
 column reads only later pivots, so these equal the columns of the full
 Hermite form.  An intersection maps its columns by A, which keeps them in
 echelon form, and back-normalises once more.  A `Submodule` is nothing
-but its Hermite basis, so `image`, `kernel` and `intersect` are the only
-ways to get one.  One Smith elimination diagonalises the leading block of
+but its Hermite basis, so `image`, `kernel` and `intersect` are the
+public ways to get one; the engine also finishes the image of a block
+diagonal from its blocks' echelons.  One Smith elimination diagonalises the leading block of
 its list matrix and applies each operation to whole rows or columns:
 `cokernel` passes m alone and keeps the diagonal, and `smith_normal_form`
 passes [m I; I], whose right block ends as u and bottom block as v.
@@ -345,8 +346,9 @@ class Submodule:
     """Sublattice of Z^ambient_rank, held as its canonical column-HNF basis.
 
     Canonicality turns submodule equality into plain matrix equality.  In
-    the library the basis comes only from `image` or from the kernel and
-    intersection routines, so it is always in Hermite form.
+    the library the basis comes from `image`, from the kernel and
+    intersection routines, or from back-normalised echelons, so it is
+    always in Hermite form.
     """
 
     basis: IntegerMatrix

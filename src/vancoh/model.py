@@ -111,17 +111,6 @@ class Violation:
         return {"code": self.code, "subject": self.subject, "detail": self.detail}
 
 
-def slice_degree_map(original_n: int, original_s: int) -> tuple[int, int]:
-    """Ambient dimension after slicing to a surface locus, and the degree of
-    the cohomology group being computed in the unsliced germ.
-
-    Requires original_n > original_s >= 2.
-    """
-    if original_s < 2 or original_n <= original_s:
-        raise ValueError(f"need original_n > original_s >= 2, got ({original_n}, {original_s})")
-    return original_n - original_s + 2, original_n - original_s
-
-
 def branch_kernel(b: Branch) -> Submodule:
     """Kernel of (monodromy - id), in canonical Hermite basis.
 
@@ -154,14 +143,20 @@ def validate(cfg: SliceConfiguration) -> list[Violation]:
     return _validate(cfg)[0]
 
 
-def _validate(cfg: SliceConfiguration) -> tuple[list[Violation], list[list[Submodule]]]:
-    """Violations plus the branch kernels computed while checking iota.
+def _validate(cfg: SliceConfiguration) -> tuple[
+        list[Violation], list[list[Submodule]], list[list[tuple[int, list[int]]]]]:
+    """Violations plus the branch kernels and iota echelons computed while
+    checking iota.
 
     The kernels are listed per special point, branches in declaration
-    order; they are complete only when there are no violations.
+    order.  Injectivity of iota is read off its column echelon pivots,
+    which are handed on per point without back-normalising them: the
+    engine finishes them into the Hermite basis of j's point block.  Both
+    lists are complete only when there are no violations.
     """
     out: list[Violation] = []
     kernels: list[list[Submodule]] = []
+    echelons: list[list[tuple[int, list[int]]]] = []
 
     if cfg.original_s < 2:
         out.append(Violation("dimension-range", "original_s", "original_s must be >= 2"))
@@ -182,7 +177,10 @@ def _validate(cfg: SliceConfiguration) -> tuple[list[Violation], list[list[Submo
             out.append(Violation("duplicate-id", ident, "identifiers must be unique"))
         seen.add(ident)
 
-    by_id = {c.id: c for c in cfg.components}
+    # a repeated component id has no rank to check its branches against
+    rank_of: dict[str, int] = {}
+    for c in cfg.components:
+        rank_of[c.id] = 0 if c.id in rank_of else c.transversal_rank
     branches = Counter(b.component_id for q in cfg.special_points for b in q.branches)
 
     for c in cfg.components:
@@ -209,14 +207,14 @@ def _validate(cfg: SliceConfiguration) -> tuple[list[Violation], list[list[Submo
         point_kernels: list[Submodule] = []
         kernels.append(point_kernels)
         for k, b in enumerate(q.branches):
-            owner = by_id.get(b.component_id)
-            if owner is None:
+            rank = rank_of.get(b.component_id)
+            if rank is None:
                 out.append(Violation("unknown-component", f"{q.id}[branch {k}]",
                                      f"branch references unknown component {b.component_id!r}"))
                 continue
-            # a component without a valid rank was reported once, above
-            if owner.transversal_rank >= 1 and _check_monodromy(
-                    b.monodromy, owner.transversal_rank, f"{q.id}[branch {k}]", "branch", out):
+            # a component without a valid or unique rank was reported once, above
+            if rank >= 1 and _check_monodromy(
+                    b.monodromy, rank, f"{q.id}[branch {k}]", "branch", out):
                 point_kernels.append(branch_kernel(b))
         if len(point_kernels) != len(q.branches):
             continue
@@ -227,9 +225,11 @@ def _validate(cfg: SliceConfiguration) -> tuple[list[Violation], list[list[Submo
                                  f"(sum of branch-kernel ranks by fq_rank_low), "
                                  f"got {q.iota.rows}x{q.iota.cols}"))
             continue
-        if linalg.rank(q.iota) != q.fq_rank_low:
+        pivots = linalg._echelon(q.iota)
+        if len(pivots) != q.fq_rank_low:
             out.append(Violation("iota-not-injective", q.id,
                                  "iota must have full column rank"))
+        echelons.append(pivots)
 
     for r in cfg.isolated_points:
         if r.milnor_number < 0:
@@ -275,4 +275,4 @@ def _validate(cfg: SliceConfiguration) -> tuple[list[Violation], list[list[Submo
                                          f"need one integer per component ({len(cfg.components)}), "
                                          f"got {len(e.components)}"))
 
-    return out, kernels
+    return out, kernels, echelons

@@ -12,7 +12,7 @@ from vancoh import (Branch, CurveComponent, IntegerMatrix, IsolatedPoint,
                     SliceConfiguration, SpecialPoint, branch_kernel, parse_configuration,
                     validate)
 from vancoh.corpus import bundled
-from vancoh.linalg import rank as matrix_rank, solve_in_basis, vstack
+from vancoh.linalg import hstack, rank as matrix_rank, solve_in_basis, vstack
 
 import oracles
 
@@ -180,6 +180,27 @@ def random_valid_config(rng: random.Random, max_components: int = 3,
     violations = validate(cfg)
     assert not violations, f"generator produced an invalid configuration: {violations}"
     return cfg
+
+
+def dense_iota_config(rng: random.Random, mu: int, f1: int, f2: int, shared: int,
+                      bound: int = 9) -> SliceConfiguration:
+    """One rank-`mu` component with identity monodromies through two special
+    points, one branch each, whose iotas are dense random `mu` x `f1` and
+    `mu` x `f2` blocks with entries up to `bound`; the second repeats the
+    first's leading `shared` columns.  Identity monodromies make every
+    kernel the whole Z^mu, so the canonical bases are standard; the caller
+    checks that the iotas drawn are injective."""
+    iota1 = rand_matrix(rng, mu, f1, bound)
+    iota2 = hstack([IntegerMatrix(mu, shared, tuple(r[:shared] for r in iota1.data)),
+                    rand_matrix(rng, mu, f2 - shared, bound)])
+    ident = IntegerMatrix.identity(mu)
+    return SliceConfiguration(
+        n=3, original_n=3, original_s=2,
+        components=(CurveComponent("S", 0, mu, (ident, ident)),),
+        special_points=tuple(
+            SpecialPoint(f"q{k}", (Branch("S", ident),), iota.cols, 0, iota)
+            for k, iota in enumerate((iota1, iota2))),
+        isolated_points=())
 
 
 def _iota_blocks(q: SpecialPoint) -> list[tuple[Branch, IntegerMatrix]]:

@@ -1,12 +1,13 @@
 import copy
 import json
+import random
 import re
 import shutil
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import vancoh
 from vancoh import (Bounds, FinAbGroup, Report, SixTermCheck, analyze, format_group,
@@ -15,7 +16,7 @@ from vancoh.cli import main, run
 from vancoh.corpus import bundled
 from vancoh.report import render_json, render_text, report_to_dict
 
-from helpers import count_calls, document_slots
+from helpers import corpus_documents, count_calls, document_slots, mutated_document
 
 
 CORPUS = {name: path for name, path in bundled()}
@@ -263,6 +264,47 @@ def test_parsed_mutants_round_trip(mutant):
     if cfg is not None:
         again = parse_configuration(json.loads(json.dumps(serialize_configuration(cfg))))
         assert (again.configuration, again.violations, again.unknown_keys) == (cfg, [], [])
+
+
+RANK_DOCUMENTS = corpus_documents()
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.integers(0, 7), st.sampled_from((0, -1, -2)))
+def test_nonpositive_rank_gives_one_violation(tmp_path, seed, mutate, pick, rank):
+    """A corpus document or a `mutated_document` mutant with one component's
+    transversal rank set to 0, -1 or -2: one report each, and when the
+    document parses, one `transversal-rank` violation for that component
+    and no `branch-shape` violation at its branches."""
+    rng = random.Random(seed)
+    doc = mutated_document(rng, RANK_DOCUMENTS) if mutate else copy.deepcopy(
+        rng.choice(RANK_DOCUMENTS))
+    components = doc.get("components") if isinstance(doc, dict) else None
+    assume(isinstance(components, list))
+    candidates = [c for c in components if isinstance(c, dict) and isinstance(c.get("id"), str)]
+    assume(candidates)
+    target = candidates[pick % len(candidates)]
+    target["transversal_rank"] = rank
+    cid = target["id"]
+    # another component of this id with a rank below 1 is reported under it too
+    assume(all(type(c.get("transversal_rank")) is int and c["transversal_rank"] >= 1
+               for c in candidates if c is not target and c["id"] == cid))
+    path = tmp_path / "rank.json"
+    raw = json.dumps(doc).encode()
+    path.write_bytes(raw)
+    result, error = load_bytes(raw)
+    cfg = None if error else result.configuration
+    for compute in (True, False):
+        reports, status = run([str(path)], compute=compute)
+        assert len(reports) == 1 and status in (0, 1, 2)
+        if cfg is None:
+            continue
+        codes = [(v.code, v.subject) for v in reports[0].validation]
+        assert codes.count(("transversal-rank", cid)) == 1
+        own = {f"{q.id}[branch {k}]" for q in cfg.special_points
+               for k, b in enumerate(q.branches) if b.component_id == cid}
+        assert not [s for code, s in codes if code == "branch-shape" and s in own]
 
 
 def _containers(value):

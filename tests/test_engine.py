@@ -7,13 +7,14 @@ import vancoh
 from vancoh import (Branch, CurveComponent, FinAbGroup, IntegerMatrix, IsolatedPoint,
                     MonodromyData, SliceConfiguration, SpecialPoint, analyze,
                     component_cohomology, matrix)
+from vancoh.corpus import bundled
 from vancoh.engine import InternalDefectError, InvalidConfigurationError
 from vancoh.linalg import hstack, image
 from vancoh.polynomial import IntPolynomial
 
 import oracles
-from helpers import (conjugate_component, count_calls, load_corpus, permute_config,
-                     rand_matrix, rand_unimodular, random_valid_config, report_signature)
+from helpers import (conjugate_component, count_calls, dense_iota_config, load_corpus,
+                     permute_config, rand_unimodular, random_valid_config, report_signature)
 
 
 def empty_config(n=3):
@@ -121,22 +122,11 @@ class TestLowestVanishing:
         # identity monodromies: the invariants and both branch kernels are the
         # whole Z^mu, so ker j pairs a, b with iota1 a = iota2 b.  The blocks
         # share four columns, so j has neither full row nor full column rank.
-        rng = random.Random(34)
-        mu, f1, f2 = 16, 10, 9
-        iota1 = rand_matrix(rng, mu, f1, 9)
-        iota2 = hstack([IntegerMatrix(mu, 4, tuple(r[:4] for r in iota1.data)),
-                        rand_matrix(rng, mu, f2 - 4, 9)])
-        iotas = [iota1, iota2]
+        cfg = dense_iota_config(random.Random(34), 16, 10, 9, 4)
+        f1, f2 = (q.fq_rank_low for q in cfg.special_points)
+        iotas = [q.iota for q in cfg.special_points]
         for iota in iotas:
             assert oracles.rational_rank(iota.tolist()) == iota.cols
-        ident = IntegerMatrix.identity(mu)
-        cfg = SliceConfiguration(
-            n=3, original_n=3, original_s=2,
-            components=(CurveComponent("S", 0, mu, (ident, ident)),),
-            special_points=tuple(
-                SpecialPoint(f"q{k}", (Branch("S", ident),), iota.cols, 0, iota)
-                for k, iota in enumerate(iotas)),
-            isolated_points=())
         rep = analyze(cfg)
         j = rep.j_matrix
         stacked = [r1 + r2 for r1, r2 in zip(iotas[0].tolist(), iotas[1].tolist())]
@@ -435,6 +425,63 @@ class TestBlockSum:
         assert mixed >= 20
 
 
+def _empty_points_config():
+    """Special points whose iota blocks are empty: two with fq_rank_low 0
+    on rank-2 S, and one on T whose branch fixes nothing, so its iota has
+    no rows.  They sit before and between points with columns."""
+    ident = IntegerMatrix.identity(2)
+    flip = matrix([[-1]])
+    return SliceConfiguration(
+        n=3, original_n=3, original_s=2,
+        components=(CurveComponent("S", 0, 2, (ident,) * 4),
+                    CurveComponent("T", 0, 1, (flip,))),
+        special_points=(
+            SpecialPoint("q0", (Branch("S", ident),), 0, 0, IntegerMatrix.zeros(2, 0)),
+            SpecialPoint("q1", (Branch("S", ident),), 1, 0, matrix([[2], [3]])),
+            SpecialPoint("q2", (Branch("T", flip),), 0, 1, IntegerMatrix.zeros(0, 0)),
+            SpecialPoint("q3", (Branch("S", ident),), 0, 0, IntegerMatrix.zeros(2, 0)),
+            SpecialPoint("q4", (Branch("S", ident),), 2, 0, matrix([[4, 1], [6, -5]]))),
+        isolated_points=())
+
+
+class TestPointImage:
+    """The cross-check's basis of j's point block, finished from the iota
+    echelons of validation, is the Hermite basis `image` takes of that
+    block of the report's j."""
+
+    @pytest.fixture
+    def intersections(self, monkeypatch):
+        return count_calls(monkeypatch, vancoh.linalg, "intersect")
+
+    @staticmethod
+    def check(cfg, intersections):
+        intersections.clear()
+        rep = analyze(cfg)
+        j = rep.j_matrix
+        upper = sum(cc.invariants.rank for cc in rep.components)
+        [(_, points)] = intersections
+        assert points == image(IntegerMatrix(j.rows, j.cols - upper,
+                                             tuple(r[upper:] for r in j.data)))
+
+    def test_corpus(self, intersections):
+        for name, _ in bundled():
+            self.check(load_corpus(name), intersections)
+
+    def test_random(self, intersections):
+        rng = random.Random(42)
+        for _ in range(200):
+            self.check(random_valid_config(rng), intersections)
+
+    def test_dense_iota(self, intersections):
+        self.check(dense_iota_config(random.Random(34), 16, 10, 9, 4), intersections)
+
+    def test_empty_blocks(self, intersections):
+        cfg = _empty_points_config()
+        assert [(q.fq_rank_low, q.iota.rows) for q in cfg.special_points] == [
+            (0, 2), (1, 2), (0, 0), (0, 2), (2, 2)]
+        self.check(cfg, intersections)
+
+
 class TestSinglePass:
     def test_each_intermediate_once(self, monkeypatch):
         cfg = load_corpus("xyzu")
@@ -457,12 +504,14 @@ class TestSinglePass:
         branches = sum(len(q.branches) for q in cfg.special_points)
         assert len(kernels) == 6 + branches == 18
         # kernels and the intersection back-normalise inside their own
-        # echelon pass: the only full Hermite forms are the cross-check's two
-        # images, and each kernel, rank, unimodularity, image and intersect
-        # call runs exactly one elimination
-        assert len(hnfs) == len(images) == 2
+        # echelon pass, and the point block's basis is finished from
+        # validation's iota echelons: the only full Hermite form is the
+        # cross-check's image of the invariant block, and each kernel, iota,
+        # rank, unimodularity, image and intersect call runs exactly one
+        # elimination
+        assert len(hnfs) == len(images) == 1
         assert hnfs == images
-        assert len(echelons) == 50
+        assert len(echelons) == 49
         assert (len(validations), len(builds)) == (1, 1)
         assert [c.id for c, _ in comps] == [c.id for c in cfg.components]
 
@@ -487,6 +536,14 @@ class TestSinglePass:
         assert (m.rows, m.cols) == (n + low, a.rank + b.rank)
         assert m.data[n:] == hstack([IntegerMatrix.identity(low),
                                      IntegerMatrix.zeros(low, a.rank + b.rank - low)]).data
+
+    def test_validation_back_normalises_only_kernels(self, monkeypatch):
+        # validation keeps each iota's echelon as it is; only the engine
+        # finishes it into a Hermite basis
+        kernels = count_calls(monkeypatch, vancoh.linalg, "kernel")
+        finishes = count_calls(monkeypatch, vancoh.linalg, "_back_normalise")
+        assert vancoh.model.validate(load_corpus("xyzu")) == []
+        assert len(finishes) == len(kernels) == 12
 
     def test_validation_runs_no_smith_form(self, monkeypatch):
         cfgs = [load_corpus(name) for name in ("xyz", "xyzu", "x2z_y2u")]

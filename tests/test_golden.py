@@ -1,8 +1,10 @@
 """Byte-identity of the command line and demo outputs: each command runs in
 a fresh interpreter, must exit 0, and its stdout must hash to the recorded
 digest.  A change to any report, ledger or demo line fails here.  The
-loader digest pins what the parser makes of seeded malformed documents, and
-the Smith digest pins the Smith transforms u and v, not only the diagonal."""
+loader digest pins what the parser makes of seeded malformed documents, the
+Smith digest pins the Smith transforms u and v, not only the diagonal, and
+the cross-check digest pins the canonical bases the interaction cross-check
+intersects."""
 
 import hashlib
 import json
@@ -14,10 +16,12 @@ from pathlib import Path
 
 import pytest
 
-from vancoh import parse_configuration, serialize_configuration
+from vancoh import analyze, linalg, parse_configuration, serialize_configuration
+from vancoh.corpus import bundled
 from vancoh.linalg import IntegerMatrix, cokernel, smith_normal_form
 
-from helpers import corpus_documents, mutated_document, rand_matrix
+from helpers import (corpus_documents, dense_iota_config, load_corpus, mutated_document,
+                     rand_matrix, random_valid_config)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -87,3 +91,30 @@ def test_smith_digest():
         u, d, v = smith_normal_form(m)
         digest.update(repr((u.data, d.data, v.data, cokernel(m))).encode())
     assert digest.hexdigest() == SMITH_DIGEST
+
+
+CROSS_CHECK_DIGEST = "04ad415e047454bca589be79d3d712ee994be1373786f1162a98c6e348644383"
+
+
+def test_cross_check_digest(monkeypatch):
+    """Both argument bases and the result basis of every `linalg.intersect`
+    call `analyze` makes, the interaction cross-check, on the corpus, 400
+    seeded random configurations of rank up to 6 and 6 seeded dense-iota
+    configurations of rank 6 to 16."""
+    digest = hashlib.sha256()
+    original = linalg.intersect
+
+    def recording(a, b):
+        result = original(a, b)
+        digest.update(repr((a, b, result)).encode())
+        return result
+
+    monkeypatch.setattr(linalg, "intersect", recording)
+    rng = random.Random(400)
+    configs = ([load_corpus(name) for name, _ in bundled()]
+               + [random_valid_config(rng, max_rank=6, with_costalk=bool(k % 2))
+                  for k in range(400)]
+               + [dense_iota_config(rng, mu, mu - 2, mu - 3, 2) for mu in range(6, 17, 2)])
+    for cfg in configs:
+        analyze(cfg)
+    assert digest.hexdigest() == CROSS_CHECK_DIGEST

@@ -8,23 +8,12 @@ import pytest
 
 from vancoh import (Branch, CurveComponent, EigenvalueData, IntPolynomial, IsolatedPoint,
                     SpecialPoint, branch_kernel, image, matrix, parse_configuration,
-                    serialize_configuration, slice_degree_map, validate)
+                    serialize_configuration, validate)
 from vancoh import model
 from vancoh.corpus import bundled
 from vancoh.linalg import IntegerMatrix
 
 from helpers import load_corpus, random_valid_config
-
-
-class TestSliceDegreeMap:
-    @pytest.mark.parametrize("args,expected", [((3, 2), (3, 1)), ((7, 4), (5, 3)), ((5, 2), (5, 3))])
-    def test_values(self, args, expected):
-        assert slice_degree_map(*args) == expected
-
-    @pytest.mark.parametrize("args", [(3, 1), (2, 2), (4, 4), (3, 5)])
-    def test_preconditions(self, args):
-        with pytest.raises(ValueError):
-            slice_degree_map(*args)
 
 
 class TestBranchKernel:
@@ -91,6 +80,11 @@ SINGLE_FAULTS = {
     "dimension-reduction": (lambda cfg: replace(cfg, n=4), [("dimension-reduction", "n")]),
     "duplicate-id": (lambda cfg: replace(cfg, isolated_points=(IsolatedPoint("S1", 0),)),
                      [("duplicate-id", "S1")]),
+    # the branch of S1 is checked against neither rank of a repeated S1
+    "duplicate-component-id": (lambda cfg: replace(cfg, monodromy_data=None, components=(
+                                   *cfg.components,
+                                   CurveComponent("S1", 0, 2, (IntegerMatrix.identity(2),)))),
+                               [("duplicate-id", "S1")]),
     "negative-genus": (_with_s1(genus=-1), [("negative-genus", "S1")]),
     "transversal-rank-0": (_with_s1(transversal_rank=0), [("transversal-rank", "S1")]),
     "transversal-rank-negative": (_with_s1(transversal_rank=-1), [("transversal-rank", "S1")]),
