@@ -94,6 +94,8 @@ def _emit(reports: list[Report], fmt: str, verbose: bool) -> None:
 def _run_corpus(fmt: str, verbose: bool) -> int:
     entries = corpus.bundled()
     reports, status = run([str(p) for _, p in entries], compute=True)
+    # under json, stdout carries the reports alone
+    log = sys.stderr if fmt == "json" else sys.stdout
     failures = []
     for (name, path), report in zip(entries, reports):
         expected = corpus.EXPECTED[name]
@@ -108,9 +110,9 @@ def _run_corpus(fmt: str, verbose: bool) -> int:
         if bad:
             failures.append(f"{name}: mismatch {bad}")
         else:
-            print(f"corpus {name}: ok ({got_group})")
+            print(f"corpus {name}: ok ({got_group})", file=log)
     for f in failures:
-        print(f"corpus FAILURE {f}")
+        print(f"corpus FAILURE {f}", file=log)
     if fmt == "json" or verbose:
         _emit(reports, fmt, verbose)
     if failures:

@@ -10,8 +10,9 @@ ranks, the Betti bounds, and the monodromy divisibility predicates.  The
 interaction rank is cross-checked by intersecting the images of j's
 invariant and point blocks; the point block's Hermite basis is not
 eliminated again but finished from the iota echelons that validation
-computed.  `analyze` does all of this in one pass and returns the
-immutable `VanishingReport`.
+computed, in the one walk over the special points that lays out j.
+`analyze` does all of this in one pass and returns the immutable
+`VanishingReport`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 from . import linalg, model
 from .linalg import FinAbGroup, IntegerMatrix, Submodule
-from .model import CurveComponent, SliceConfiguration, SpecialPoint
+from .model import CurveComponent, PointRecord, SliceConfiguration
 from .polynomial import poly_divides, poly_product
 
 
@@ -118,8 +119,9 @@ def component_cohomology(c: CurveComponent, n: int) -> ComponentCohomology:
 
 
 def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
-             owned: dict[str, list[tuple[SpecialPoint, int, Submodule, int]]]) -> IntegerMatrix:
-    """Matrix of the comparison map j into the branch kernels.
+             points: list[PointRecord]) -> tuple[IntegerMatrix, Submodule]:
+    """Matrix of the comparison map j into the branch kernels, and the
+    Hermite basis of the column span of its point block.
 
     Domain basis: canonical invariant bases of the components (declaration
     order), then the standard basis of Z^fq_rank_low for each special point.
@@ -127,84 +129,69 @@ def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
     declaration order.  The invariant block is the diagonal inclusion of
     each component's invariants into every kernel of its branches, with
     coordinates obtained by exact solve; the point block is -iota, so that
-    ker j consists of the matched pairs.  ``owned`` lists each component's
-    branches as (point, branch index, kernel, first row in j).
+    ker j consists of the matched pairs.  One walk over the special points
+    and their validated (branch kernels, iota echelon) records lays out
+    both blocks.  The point block is the block diagonal of the -iotas, and
+    -iota spans the lattice of iota, so its Hermite basis is the block
+    diagonal of the back-normalised iota echelons at the points' row
+    offsets: pivot rows still increase, and no pivot row holds an entry of
+    an earlier point's column.  An inconsistent branch is reported in
+    component order.
     """
+    first_col = {}
+    upper = 0
+    for ci, cc in enumerate(comps):
+        first_col[cc.component_id] = ci, upper
+        upper += cc.invariants.rank
     codomain = sum(q.iota.rows for q in cfg.special_points)
-    domain = (sum(cc.invariants.rank for cc in comps)
-              + sum(q.fq_rank_low for q in cfg.special_points))
+    domain = upper + sum(q.fq_rank_low for q in cfg.special_points)
     data = [[0] * domain for _ in range(codomain)]
-
-    col0 = 0
-    for cc in comps:
-        inv = cc.invariants
-        for q, k, kern, row0 in owned[cc.component_id]:
-            coords = linalg.solve_in_basis(kern.basis, inv.basis)
-            if coords is None:
-                raise InternalDefectError(
-                    f"invariant submodule of component {cc.component_id!r} does not "
-                    f"lie in the kernel of branch {k} at point {q.id!r}; the supplied "
-                    f"loop and branch monodromies are mutually inconsistent")
-            for i, row in enumerate(coords.data):
-                data[row0 + i][col0:col0 + inv.rank] = row
-        col0 += inv.rank
-
-    row0 = 0
-    for q in cfg.special_points:
+    columns = []
+    inconsistent = []
+    row0, col0 = 0, upper
+    for p, (q, (kernels, pivots)) in enumerate(zip(cfg.special_points, points)):
         for i, row in enumerate(q.iota.data):
             data[row0 + i][col0:col0 + q.fq_rank_low] = [-x for x in row]
-        row0 += q.iota.rows
-        col0 += q.fq_rank_low
-
-    return IntegerMatrix(codomain, domain, tuple(tuple(r) for r in data))
-
-
-def _point_image(cfg: SliceConfiguration, echelons: list[list[tuple[int, list[int]]]],
-                 rows: int) -> Submodule:
-    """Hermite basis of the column span of j's point block, from the iota
-    echelons that validation computed.
-
-    The point block is the block diagonal of the -iotas, each in its own
-    consecutive rows and columns, and -iota spans the lattice of iota.  So
-    the Hermite basis is the block diagonal of the back-normalised iota
-    echelons, points in declaration order at their row offsets in j:
-    pivot rows still increase, and no pivot row holds an entry of an
-    earlier point's column.
-    """
-    columns = []
-    row0 = 0
-    for q, pivots in zip(cfg.special_points, echelons):
-        below = [0] * (rows - row0 - q.iota.rows)
+        below = [0] * (codomain - row0 - q.iota.rows)
         columns += ([0] * row0 + c + below for c in linalg._back_normalise(pivots))
-        row0 += q.iota.rows
-    return Submodule(linalg._from_columns(rows, columns))
+        col0 += q.fq_rank_low
+        for k, (b, kern) in enumerate(zip(q.branches, kernels)):
+            ci, c0 = first_col[b.component_id]
+            inv = comps[ci].invariants
+            coords = linalg.solve_in_basis(kern.basis, inv.basis)
+            if coords is None:
+                inconsistent.append((ci, p, k))
+            else:
+                for i, row in enumerate(coords.data):
+                    data[row0 + i][c0:c0 + inv.rank] = row
+            row0 += kern.rank
+
+    if inconsistent:
+        ci, p, k = min(inconsistent)
+        raise InternalDefectError(
+            f"invariant submodule of component {comps[ci].component_id!r} does not "
+            f"lie in the kernel of branch {k} at point {cfg.special_points[p].id!r}; the "
+            f"supplied loop and branch monodromies are mutually inconsistent")
+    j = IntegerMatrix(codomain, domain, tuple(tuple(r) for r in data))
+    return j, Submodule(linalg._from_columns(codomain, columns))
 
 
 def analyze(cfg: SliceConfiguration) -> VanishingReport:
     """Run the whole computation on a configuration in a single pass.
 
-    Validation hands on the branch kernels and each iota's echelon, which
-    the cross-check finishes into the Hermite basis of j's point block; the
-    component invariants, j and the rank of ker j are each computed once,
-    and every ledger and cross-check reads them.  Raises
-    InvalidConfigurationError on validation failure and InternalDefectError
-    when an internal invariant breaks.
+    Validation hands on each special point's branch kernels and iota
+    echelon; `_build_j` lays out j and the Hermite basis of its point block
+    from them in one walk.  The component invariants, j and the rank of
+    ker j are each computed once, and every ledger and cross-check reads
+    them.  Raises InvalidConfigurationError on validation failure and
+    InternalDefectError when an internal invariant breaks.
     """
-    violations, kernels, echelons = model._validate(cfg)
+    violations, points = model._validate(cfg)
     if violations:
         raise InvalidConfigurationError(violations)
 
-    # Each component's branches, in declaration order, with their kernels
-    # and the first row of their block in j.
-    owned = {c.id: [] for c in cfg.components}
-    row0 = 0
-    for q, point_kernels in zip(cfg.special_points, kernels):
-        for k, (b, kern) in enumerate(zip(q.branches, point_kernels)):
-            owned[b.component_id].append((q, k, kern, row0))
-            row0 += kern.rank
-
     comps = tuple(component_cohomology(c, cfg.n) for c in cfg.components)
-    j = _build_j(cfg, comps, owned)
+    j, point_image = _build_j(cfg, comps, points)
     # The integer kernel is saturated, so its rank is the rational nullity.
     lowest = FinAbGroup(j.cols - linalg.rank(j), ())
     upper = sum(cc.invariants.rank for cc in comps)
@@ -222,11 +209,15 @@ def analyze(cfg: SliceConfiguration) -> VanishingReport:
     # computation of the intersection of the two images.  Branch-free
     # components have zero columns in j, so the invariant columns span the
     # same image as those of the components with branches.
-    i0 = [(cc.component_id, cc.invariants.rank) for cc in comps if not owned[cc.component_id]]
+    lows = {c.id: [] for c in cfg.components}  # fq_rank_low at each branch
+    for q in cfg.special_points:
+        for b in q.branches:
+            lows[b.component_id].append(q.fq_rank_low)
+    i0 = [(cc.component_id, cc.invariants.rank) for cc in comps if not lows[cc.component_id]]
     g_rank = lowest.free_rank - sum(r for _, r in i0)
     g_direct = linalg.intersect(
         linalg.image(IntegerMatrix(j.rows, upper, tuple(r[:upper] for r in j.data))),
-        _point_image(cfg, echelons, j.rows)).rank
+        point_image).rank
     if g_direct != g_rank:
         raise InternalDefectError(
             f"interaction rank mismatch: kernel route gives {g_rank}, "
@@ -267,9 +258,8 @@ def analyze(cfg: SliceConfiguration) -> VanishingReport:
     costalks = [q.costalk_rank for q in cfg.special_points]
     concentration = 0
     for c in cfg.components:
-        lows = [q.fq_rank_low for q, *_ in owned[c.id]]
-        if 0 not in lows:
-            concentration += min([c.transversal_rank] + lows)
+        if 0 not in lows[c.id]:
+            concentration += min([c.transversal_rank] + lows[c.id])
     bounds = Bounds(
         upper_lowest=upper,
         lower_lowest=None if None in costalks else upper - sum(costalks),

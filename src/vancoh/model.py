@@ -111,6 +111,10 @@ class Violation:
         return {"code": self.code, "subject": self.subject, "detail": self.detail}
 
 
+# A special point's branch kernels and iota echelon, as validation hands them on.
+PointRecord = tuple[list[Submodule], list[tuple[int, list[int]]]]
+
+
 def branch_kernel(b: Branch) -> Submodule:
     """Kernel of (monodromy - id), in canonical Hermite basis.
 
@@ -143,20 +147,17 @@ def validate(cfg: SliceConfiguration) -> list[Violation]:
     return _validate(cfg)[0]
 
 
-def _validate(cfg: SliceConfiguration) -> tuple[
-        list[Violation], list[list[Submodule]], list[list[tuple[int, list[int]]]]]:
-    """Violations plus the branch kernels and iota echelons computed while
-    checking iota.
+def _validate(cfg: SliceConfiguration) -> tuple[list[Violation], list[PointRecord]]:
+    """Violations plus one (branch kernels, iota echelon) record for each
+    special point that passes every check, computed while checking iota.
 
-    The kernels are listed per special point, branches in declaration
-    order.  Injectivity of iota is read off its column echelon pivots,
-    which are handed on per point without back-normalising them: the
-    engine finishes them into the Hermite basis of j's point block.  Both
-    lists are complete only when there are no violations.
+    The kernels are listed in branch declaration order.  Injectivity of
+    iota is read off its column echelon pivots, which are handed on without
+    back-normalising them: the engine finishes them into the Hermite basis
+    of j's point block.  Without violations there is one record per point.
     """
     out: list[Violation] = []
-    kernels: list[list[Submodule]] = []
-    echelons: list[list[tuple[int, list[int]]]] = []
+    points: list[PointRecord] = []
 
     if cfg.original_s < 2:
         out.append(Violation("dimension-range", "original_s", "original_s must be >= 2"))
@@ -192,8 +193,8 @@ def _validate(cfg: SliceConfiguration) -> tuple[
         for w, nu in enumerate(c.loop_monodromies):
             _check_monodromy(nu, c.transversal_rank, f"{c.id}[loop {w}]", "loop", out)
         expected = 2 * c.genus + branches[c.id]
-        # a negative genus gives no meaningful loop count to compare against
-        if c.genus >= 0 and len(c.loop_monodromies) != expected:
+        # a negative genus or a repeated id gives no loop count to compare against
+        if c.genus >= 0 and rank_of[c.id] and len(c.loop_monodromies) != expected:
             out.append(Violation("loop-count", c.id,
                                  f"expected 2*genus + branches = {expected} loop monodromies, "
                                  f"got {len(c.loop_monodromies)}"))
@@ -205,7 +206,6 @@ def _validate(cfg: SliceConfiguration) -> tuple[
         if q.costalk_rank is not None and q.costalk_rank < 0:
             out.append(Violation("negative-rank", q.id, "costalk rank must be nonnegative"))
         point_kernels: list[Submodule] = []
-        kernels.append(point_kernels)
         for k, b in enumerate(q.branches):
             rank = rank_of.get(b.component_id)
             if rank is None:
@@ -226,10 +226,11 @@ def _validate(cfg: SliceConfiguration) -> tuple[
                                  f"got {q.iota.rows}x{q.iota.cols}"))
             continue
         pivots = linalg._echelon(q.iota)
-        if len(pivots) != q.fq_rank_low:
+        if len(pivots) == q.fq_rank_low:
+            points.append((point_kernels, pivots))
+        else:
             out.append(Violation("iota-not-injective", q.id,
                                  "iota must have full column rank"))
-        echelons.append(pivots)
 
     for r in cfg.isolated_points:
         if r.milnor_number < 0:
@@ -275,4 +276,4 @@ def _validate(cfg: SliceConfiguration) -> tuple[
                                          f"need one integer per component ({len(cfg.components)}), "
                                          f"got {len(e.components)}"))
 
-    return out, kernels, echelons
+    return out, points

@@ -3,14 +3,16 @@ basis-change and reordering transformations used by the invariance tests."""
 
 from __future__ import annotations
 
+import ast
 import copy
+import inspect
 import json
 import random
 from dataclasses import replace
 
 from vancoh import (Branch, CurveComponent, IntegerMatrix, IsolatedPoint,
-                    SliceConfiguration, SpecialPoint, branch_kernel, parse_configuration,
-                    validate)
+                    SliceConfiguration, SpecialPoint, branch_kernel, model,
+                    parse_configuration, serialize_configuration, validate)
 from vancoh.corpus import bundled
 from vancoh.linalg import hstack, rank as matrix_rank, solve_in_basis, vstack
 
@@ -82,6 +84,25 @@ def mutated_document(rng: random.Random, docs: list[dict]) -> dict:
             container, key = rng.choice(slots)
             container[key] = odd
     return doc
+
+
+def emitted_codes() -> set[str]:
+    """Every code `model._validate` can emit, read off the module source: the
+    literal first argument of each `Violation(...)` call, and each
+    `f"{kind}-..."` template filled with every `kind` passed to
+    `_check_monodromy`."""
+    calls = [node for node in ast.walk(ast.parse(inspect.getsource(model)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    kinds = [call.args[3].value for call in calls if call.func.id == "_check_monodromy"]
+    codes = set()
+    for call in calls:
+        if call.func.id == "Violation":
+            code = call.args[0]
+            if isinstance(code, ast.JoinedStr):
+                codes.update(kind + code.values[1].value for kind in kinds)
+            else:
+                codes.add(code.value)
+    return codes
 
 
 def diagonal_of(d: IntegerMatrix) -> list[int]:
@@ -301,3 +322,70 @@ def count_calls(monkeypatch, module, name) -> list:
     original = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
     return calls
+
+
+def _edit_one(rng: random.Random, doc) -> None:
+    """Set one integer to -1, 0 or 2, one string to another string of the
+    document, or empty one list."""
+    slots = [(c, k) for c, k in document_slots(doc) if type(c[k]) in (int, str, list)]
+    if not slots:
+        return
+    container, key = rng.choice(slots)
+    value = container[key]
+    if type(value) is int:
+        container[key] = rng.choice((-1, 0, 2))
+    elif isinstance(value, str):
+        container[key] = rng.choice([c[k] for c, k in slots if isinstance(c[k], str)])
+    else:
+        value.clear()
+
+
+def _edit_component(rng: random.Random, doc, repeat: bool) -> None:
+    """Set one component's rank to 0, -1 or -2, or repeat it under its id,
+    keeping a prefix of its loops."""
+    components = doc.get("components") if isinstance(doc, dict) else None
+    named = ([c for c in components if isinstance(c, dict) and isinstance(c.get("id"), str)]
+             if isinstance(components, list) else [])
+    if not named:
+        return
+    if not repeat:
+        rng.choice(named)["transversal_rank"] = rng.choice((0, -1, -2))
+        return
+    twin = copy.deepcopy(rng.choice(named))
+    loops = twin.get("loop_monodromies")
+    if isinstance(loops, list):
+        del loops[rng.randrange(len(loops) + 1):]
+    components.insert(rng.randrange(len(components) + 1), twin)
+
+
+def pipeline_documents(seed: int = 1200) -> list[bytes]:
+    """The seeded document set of the whole-pipeline digest, as file bytes:
+    `mutated_document` draws; corpus documents and mutants with one
+    integer, string or list edited, with one component's rank set to 0, -1
+    or -2, or with one component repeated under its id; and serialized
+    `random_valid_config` and `dense_iota_config` draws, the last of them
+    with more iota columns than rows, so not injective; and one document
+    whose loop and branch monodromies are inconsistent."""
+    rng = random.Random(seed)
+    docs = corpus_documents()
+    out = [mutated_document(rng, docs) for _ in range(400)]
+    for k in range(600):
+        doc = mutated_document(rng, docs) if k % 5 == 4 else copy.deepcopy(rng.choice(docs))
+        if k % 3:
+            _edit_component(rng, doc, repeat=k % 3 == 2)
+        else:
+            _edit_one(rng, doc)
+        out.append(doc)
+    out += [serialize_configuration(random_valid_config(rng, max_rank=5, with_costalk=bool(k % 2)))
+            for k in range(150)]
+    out += [serialize_configuration(dense_iota_config(rng, mu, mu - 2, mu - 3, 2))
+            for mu in (6, 8, 10)]
+    out.append(serialize_configuration(dense_iota_config(rng, 4, 5, 3, 2)))
+    # T fails at q1 and S at q2: an internal defect, named in component order
+    out.append({"n": 3, "original_n": 3, "original_s": 2, "isolated_points": [],
+                "components": [{"id": c, "genus": 0, "transversal_rank": 1,
+                                "loop_monodromies": [[[1]]]} for c in "ST"],
+                "special_points": [{"id": q, "fq_rank_low": 0, "fq_rank_high": 0, "iota": [],
+                                    "branches": [{"component_id": c, "monodromy": [[-1]]}]}
+                                   for q, c in (("q1", "T"), ("q2", "S"))]})
+    return [json.dumps(doc).encode() for doc in out]

@@ -395,6 +395,12 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert out.count(": ok") == 6
 
+    def test_corpus_json_stdout_is_json(self, capsys):
+        assert main(["corpus", "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert len(json.loads(captured.out)) == 6
+        assert captured.err.count(": ok") == 6
+
     @pytest.mark.parametrize("flag", ["--strict", "--costalk-required"])
     def test_corpus_rejects_document_flags(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:

@@ -85,6 +85,42 @@ class TestBuildJ:
         assert rep.lowest_group == FinAbGroup(1, ())
         assert rep.g_rank == 1 and rep.i0_contribution == ()
 
+    def test_branches_interleave_across_points(self):
+        # S and T meet at both points in opposite branch orders and the
+        # branch-free R sits between them: each branch's rows take its
+        # component's columns, and each point's rows follow the earlier ones
+        ident = matrix([[1]])
+        cfg = SliceConfiguration(
+            n=3, original_n=3, original_s=2,
+            components=(CurveComponent("S", 0, 1, (ident, ident)),
+                        CurveComponent("R", 0, 1, ()),
+                        CurveComponent("T", 0, 1, (ident, ident))),
+            special_points=(
+                SpecialPoint("q1", (Branch("S", ident), Branch("T", ident)),
+                             1, 0, matrix([[1], [1]])),
+                SpecialPoint("q2", (Branch("T", ident), Branch("S", ident)),
+                             0, 0, IntegerMatrix.zeros(2, 0))),
+            isolated_points=())
+        rep = analyze(cfg)
+        assert rep.j_matrix.tolist() == [[1, 0, 0, -1], [0, 0, 1, -1], [0, 0, 1, 0],
+                                         [1, 0, 0, 0]]
+        assert rep.lowest_group == FinAbGroup(1, ())
+        assert rep.i0_contribution == (("R", 1),)
+        assert rep.g_rank == 0 and rep.bounds.min_bound == 1
+
+    def test_inconsistent_branches_reported_in_component_order(self):
+        # T fails at q1 before S fails at q2; S comes first among components
+        ident, flip = matrix([[1]]), matrix([[-1]])
+        cfg = SliceConfiguration(
+            n=3, original_n=3, original_s=2,
+            components=(CurveComponent("S", 0, 1, (ident,)), CurveComponent("T", 0, 1, (ident,))),
+            special_points=tuple(
+                SpecialPoint(q, (Branch(c, flip),), 0, 0, IntegerMatrix.zeros(0, 0))
+                for q, c in (("q1", "T"), ("q2", "S"))),
+            isolated_points=())
+        with pytest.raises(InternalDefectError, match="component 'S' .* branch 0 at point 'q2'"):
+            analyze(cfg)
+
     def test_inconsistent_branch_monodromy_is_defect(self):
         # loop fixes everything, branch fixes nothing: the invariant module
         # cannot embed into the branch kernel
@@ -567,6 +603,7 @@ class TestSinglePass:
 
     def test_shortcut_fires(self, monkeypatch):
         # a j with a nonzero row loses one kernel dimension
-        monkeypatch.setattr(vancoh.engine, "_build_j", lambda *args: matrix([[1, 0]]))
+        monkeypatch.setattr(vancoh.engine, "_build_j", lambda *args: (
+            matrix([[1, 0]]), image(IntegerMatrix.zeros(1, 0))))
         with pytest.raises(InternalDefectError, match="shortcut"):
             analyze(load_corpus("quadric_power_3_2"))

@@ -4,7 +4,8 @@ digest.  A change to any report, ledger or demo line fails here.  The
 loader digest pins what the parser makes of seeded malformed documents, the
 Smith digest pins the Smith transforms u and v, not only the diagonal, and
 the cross-check digest pins the canonical bases the interaction cross-check
-intersects."""
+intersects, and the pipeline digest pins every report the command line
+makes of a seeded document set."""
 
 import hashlib
 import json
@@ -17,18 +18,21 @@ from pathlib import Path
 import pytest
 
 from vancoh import analyze, linalg, parse_configuration, serialize_configuration
+from vancoh.cli import run
 from vancoh.corpus import bundled
 from vancoh.linalg import IntegerMatrix, cokernel, smith_normal_form
+from vancoh.report import render_json, render_text
 
-from helpers import (corpus_documents, dense_iota_config, load_corpus, mutated_document,
-                     rand_matrix, random_valid_config)
+from helpers import (corpus_documents, dense_iota_config, emitted_codes, load_corpus,
+                     mutated_document, pipeline_documents, rand_matrix, random_valid_config)
 
 ROOT = Path(__file__).resolve().parent.parent
 
 GOLDEN = {
-    "corpus --format json": "acf39f2e2832dc069a70a915c3e41f98fcb0648ed12d1c345ae3f5a35baabd17",
+    # equal to `compute --format json` over the corpus files in `bundled()` order
+    "corpus --format json": "9dbdd6c103fc2a538696f718f1fefe7716744b32ec242bd59515683392151edf",
     "corpus --format json --verbose":
-        "605becfbca38255df67570fa44eede928ae8163dc361b407eee9598d111f1526",
+        "b31f697e5d04ac94eb58f87ef9c2ef0e53b3b029a93f1669d9619d9bf0398412",
     "corpus --verbose": "28f4bda582a33252a526d1e06c1a348cd868c2fe41e071a69240dd2a9c61629c",
     "01_exact_integer_linear_algebra":
         "f208b2b630629e6ea34aa4e28ae03492ff94874c25d055f55cbdcc039fdc8191",
@@ -118,3 +122,28 @@ def test_cross_check_digest(monkeypatch):
     for cfg in configs:
         analyze(cfg)
     assert digest.hexdigest() == CROSS_CHECK_DIGEST
+
+
+PIPELINE_DIGEST = "bd7ac90c741ff610e31fef0c136306055e7c654dfd66a34211022b5e38b4b355"
+
+
+def test_pipeline_digest(tmp_path):
+    """Status, verbose JSON and verbose text of `cli.run` on each document of
+    `pipeline_documents`, under compute and validate, each with the default,
+    `strict` and `costalk_required` settings; the set reaches every code
+    validation can emit and every exit status."""
+    settings = [dict(compute=compute, **flags) for compute in (True, False)
+                for flags in ({}, {"strict": True}, {"costalk_required": True})]
+    digest = hashlib.sha256()
+    codes, statuses = set(), set()
+    for k, raw in enumerate(pipeline_documents()):
+        path = tmp_path / f"{k}.json"
+        path.write_bytes(raw)
+        for flags in settings:
+            reports, status = run([str(path)], **flags)
+            digest.update(f"{status}\n{render_json(reports, True)}"
+                          f"{render_text(reports[0], True)}".encode())
+            codes.update(v.code for v in reports[0].validation)
+            statuses.add(status)
+    assert emitted_codes() <= codes and statuses == {0, 1, 2}
+    assert digest.hexdigest() == PIPELINE_DIGEST

@@ -1,5 +1,3 @@
-import ast
-import inspect
 import json
 import random
 from dataclasses import replace
@@ -9,11 +7,10 @@ import pytest
 from vancoh import (Branch, CurveComponent, EigenvalueData, IntPolynomial, IsolatedPoint,
                     SpecialPoint, branch_kernel, image, matrix, parse_configuration,
                     serialize_configuration, validate)
-from vancoh import model
 from vancoh.corpus import bundled
 from vancoh.linalg import IntegerMatrix
 
-from helpers import load_corpus, random_valid_config
+from helpers import emitted_codes, load_corpus, random_valid_config
 
 
 class TestBranchKernel:
@@ -53,25 +50,6 @@ def _with_branch0(**changes):
     return mutate
 
 
-def _emitted_codes() -> set[str]:
-    """Every code `model._validate` can emit, read off the module source: the
-    literal first argument of each `Violation(...)` call, and each
-    `f"{kind}-..."` template filled with every `kind` passed to
-    `_check_monodromy`."""
-    calls = [node for node in ast.walk(ast.parse(inspect.getsource(model)))
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
-    kinds = [call.args[3].value for call in calls if call.func.id == "_check_monodromy"]
-    codes = set()
-    for call in calls:
-        if call.func.id == "Violation":
-            code = call.args[0]
-            if isinstance(code, ast.JoinedStr):
-                codes.update(kind + code.values[1].value for kind in kinds)
-            else:
-                codes.add(code.value)
-    return codes
-
-
 # One mutation of xyz per row, each giving exactly the one violation listed;
 # together the rows reach every code `validate` can emit.
 SINGLE_FAULTS = {
@@ -85,6 +63,10 @@ SINGLE_FAULTS = {
                                    *cfg.components,
                                    CurveComponent("S1", 0, 2, (IntegerMatrix.identity(2),)))),
                                [("duplicate-id", "S1")]),
+    # nor are the loops of either copy counted against the branches of S1
+    "duplicate-component-id-no-loops": (lambda cfg: replace(cfg, monodromy_data=None, components=(
+                                            *cfg.components, CurveComponent("S1", 0, 2, ()))),
+                                        [("duplicate-id", "S1")]),
     "negative-genus": (_with_s1(genus=-1), [("negative-genus", "S1")]),
     "transversal-rank-0": (_with_s1(transversal_rank=0), [("transversal-rank", "S1")]),
     "transversal-rank-negative": (_with_s1(transversal_rank=-1), [("transversal-rank", "S1")]),
@@ -214,7 +196,7 @@ class TestValidate:
         assert [(v.code, v.subject) for v in violations] == expected
 
     def test_single_faults_cover_every_code(self):
-        codes = _emitted_codes()
+        codes = emitted_codes()
         assert len(codes) == 20
         assert all(len(expected) == 1 for _, expected in SINGLE_FAULTS.values())
         assert {expected[0][0] for _, expected in SINGLE_FAULTS.values()} == codes
