@@ -5,6 +5,12 @@ locus, this module assembles the matrix of the Mayer-Vietoris comparison
 map j from component invariants and special-point cohomology into the
 branch kernels.  The lowest group is ker j, a free group, so only its rank
 is computed, by rank-nullity from the rank of j; no kernel basis is built.
+`linalg.rank` reads that rank from the column echelon of j's transpose,
+eliminating j's rows as columns, so the echelon walks j's columns in
+layout order: the invariant columns, which hold small coordinates in the
+rows of their component's branches only, pivot before the dense -iota
+columns, whereas the echelon of j meets a dense -iota row in every row of
+j and needs more column operations.
 From it follow the Euler-characteristic bookkeeping, the six-term exactness
 ranks, the Betti bounds, and the monodromy divisibility predicates.  The
 interaction rank is cross-checked by intersecting the images of j's
@@ -193,6 +199,9 @@ def analyze(cfg: SliceConfiguration) -> VanishingReport:
     comps = tuple(component_cohomology(c, cfg.n) for c in cfg.components)
     j, point_image = _build_j(cfg, comps, points)
     # The integer kernel is saturated, so its rank is the rational nullity.
+    # rank walks the rows of the raw j (see the module docstring); the
+    # cross-check below eliminates other matrices, so the two routes stay
+    # independent.
     lowest = FinAbGroup(j.cols - linalg.rank(j), ())
     upper = sum(cc.invariants.rank for cc in comps)
 

@@ -77,8 +77,7 @@ class IntegerMatrix:
 
     def transpose(self) -> "IntegerMatrix":
         return IntegerMatrix(self.cols, self.rows,
-                             tuple(tuple(self.data[i][j] for i in range(self.rows))
-                                   for j in range(self.cols)))
+                             tuple(zip(*self.data)) if self.rows else ((),) * self.cols)
 
     def trace(self) -> int:
         if not self.is_square:
@@ -251,18 +250,24 @@ def smith_normal_form(m: IntegerMatrix) -> SNFResult:
 # Column-style Hermite normal form and submodules
 # ---------------------------------------------------------------------------
 
-def _echelon(m: IntegerMatrix) -> list[tuple[int, list[int]]]:
+def _echelon(m: IntegerMatrix, transposed: bool = False) -> list[tuple[int, list[int]]]:
     """Column echelon form of ``m`` as (pivot row, column) pairs.
 
     Pivot rows strictly increase, pivots are positive, every column is zero
     above its pivot row, and zero columns are dropped.  The columns are
     obtained from those of ``m`` by unimodular column operations, so they
-    span the same lattice.
+    span the same lattice.  With ``transposed`` this is the echelon form of
+    the transpose: the columns eliminated are the rows of ``m``, in order,
+    and the transpose itself is never built.
     """
-    n = m.rows
-    live = [list(c) for c in zip(*m.data)]
+    if transposed:
+        n, live = m.cols, [list(r) for r in m.data]
+    else:
+        n, live = m.rows, [list(c) for c in zip(*m.data)]
     pivots: list[tuple[int, list[int]]] = []
     for row in range(n):
+        if not live:
+            break  # every column holds a pivot: no later row can add one
         # Euclid on the entries of this row until one active column is left;
         # ties go to the lowest original column.  Live columns are zero
         # above this row, so each column operation touches the suffix only.
@@ -324,8 +329,9 @@ def hnf_columns(m: IntegerMatrix) -> IntegerMatrix:
 
 
 def rank(m: IntegerMatrix) -> int:
-    """Rank over the rationals: the number of column-echelon pivots."""
-    return len(_echelon(m))
+    """Rank over the rationals: the number of column-echelon pivots of the
+    transpose, so the elimination walks the rows of ``m`` in order."""
+    return len(_echelon(m, transposed=True))
 
 
 def is_unimodular(m: IntegerMatrix) -> bool:

@@ -317,10 +317,11 @@ def report_signature(rep) -> tuple:
 
 def count_calls(monkeypatch, module, name) -> list:
     """Wrap module.name for the test; the returned list collects each
-    call's positional arguments."""
+    call's positional arguments; keyword arguments are passed on unrecorded."""
     calls = []
     original = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    monkeypatch.setattr(module, name,
+                        lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
     return calls
 
 

@@ -573,6 +573,31 @@ class TestSinglePass:
         assert m.data[n:] == hstack([IntegerMatrix.identity(low),
                                      IntegerMatrix.zeros(low, a.rank + b.rank - low)]).data
 
+    def test_kernel_route_eliminates_j_rows(self, monkeypatch):
+        # rank(j) is one echelon of the raw j's transpose: the columns it
+        # eliminates are j's rows, neither the point block's basis nor the
+        # cross-check stack
+        echelons = []
+        original_echelon = vancoh.linalg._echelon
+        monkeypatch.setattr(vancoh.linalg, "_echelon", lambda m, transposed=False: (
+            echelons.append((m, transposed)) or original_echelon(m, transposed)))
+        ranks = []
+        original_rank = vancoh.linalg.rank
+
+        def recording(m):
+            start = len(echelons)
+            result = original_rank(m)
+            ranks.append(echelons[start:])
+            return result
+
+        monkeypatch.setattr(vancoh.linalg, "rank", recording)
+        for name in ("xyz", "xyzu"):
+            ranks.clear()
+            report = analyze(load_corpus(name))
+            [[(m, transposed)]] = ranks
+            assert m == report.j_matrix and transposed
+            assert report.lowest_group.free_rank == m.cols - oracles.rational_rank(m.tolist())
+
     def test_validation_back_normalises_only_kernels(self, monkeypatch):
         # validation keeps each iota's echelon as it is; only the engine
         # finishes it into a Hermite basis

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import vancoh.linalg
 from vancoh.linalg import (FinAbGroup, IntegerMatrix, Submodule, char_poly, cokernel,
@@ -41,6 +41,31 @@ class TestLiteral:
         assert build([[]]) == IntegerMatrix.zeros(1, 0)
         assert build([], 3) == IntegerMatrix.zeros(0, 3)
         assert build([[1, -2]], 2).data == ((1, -2),)
+
+
+def shaped_matrices(max_dim=5, bound=9):
+    """Matrices of every shape up to max_dim, 0 x n and n x 0 included."""
+    return st.tuples(st.integers(0, max_dim), st.integers(0, max_dim)).flatmap(
+        lambda shape: st.lists(
+            st.lists(st.integers(-bound, bound), min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0], max_size=shape[0]).map(
+                lambda rows: IntegerMatrix.from_rows(rows, shape[1])))
+
+
+class TestTranspose:
+    @settings(max_examples=200, deadline=None)
+    @given(shaped_matrices())
+    @example(IntegerMatrix.zeros(0, 0))
+    @example(IntegerMatrix.zeros(0, 3))
+    @example(IntegerMatrix.zeros(3, 0))
+    def test_involution_and_rank(self, m):
+        t = m.transpose()
+        assert (t.rows, t.cols) == (m.cols, m.rows)
+        assert all(t.data[j][i] == x for i, row in enumerate(m.data) for j, x in enumerate(row))
+        assert t.transpose() == m
+        # eliminating m's rows is the echelon of the transpose, pivot for pivot
+        assert vancoh.linalg._echelon(m, transposed=True) == vancoh.linalg._echelon(t)
+        assert rank(m) == rank(t) == oracles.rational_rank(m.tolist())
 
 
 class TestSmithNormalForm:
