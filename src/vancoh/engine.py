@@ -5,12 +5,12 @@ locus, this module assembles the matrix of the Mayer-Vietoris comparison
 map j from component invariants and special-point cohomology into the
 branch kernels.  The lowest group is ker j, a free group, so only its rank
 is computed, by rank-nullity from the rank of j; no kernel basis is built.
-`linalg.rank` reads that rank from the column echelon of j's transpose,
-eliminating j's rows as columns, so the echelon walks j's columns in
-layout order: the invariant columns, which hold small coordinates in the
-rows of their component's branches only, pivot before the dense -iota
-columns, whereas the echelon of j meets a dense -iota row in every row of
-j and needs more column operations.
+`linalg.rank` reads that rank from the column echelon of j's transpose:
+it hands j's rows to the elimination as its columns, so the echelon
+walks j's columns in layout order: the invariant columns, which hold
+small coordinates in the rows of their component's branches only, pivot
+before the dense -iota columns, whereas the echelon of j meets a dense
+-iota row in every row of j and needs more column operations.
 From it follow the Euler-characteristic bookkeeping, the six-term exactness
 ranks, the Betti bounds, and the monodromy divisibility predicates.  The
 interaction rank is cross-checked by intersecting the images of j's
@@ -117,8 +117,8 @@ def component_cohomology(c: CurveComponent, n: int) -> ComponentCohomology:
     """
     mu = c.transversal_rank
     ident = IntegerMatrix.identity(mu)
-    stacked = IntegerMatrix.from_rows(
-        [row for nu in c.loop_monodromies for row in (nu - ident).data], mu)
+    rows = tuple(row for nu in c.loop_monodromies for row in (nu - ident).data)
+    stacked = IntegerMatrix(len(rows), mu, rows)
     # 2 * genus + tau - 1 for the punctured curve: one less than the loops
     euler = (-1) ** n * (len(c.loop_monodromies) - 1) * mu
     return ComponentCohomology(c.id, linalg.kernel(stacked), linalg.cokernel(stacked), euler)

@@ -2,27 +2,30 @@
 
 Dense matrices of arbitrary-precision integers, Smith and Hermite normal
 forms, kernels, images, cokernels and lattice intersections.  One column
-echelon elimination is the core: ranks and unimodularity read its pivots,
-and one back-normalisation turns it into the column Hermite normal form,
-which gives images.  Kernels and intersections back-normalise only the
-columns they return, those whose pivots lie below the stacked top block,
-[m; I] for a kernel and [A B; I 0] for an intersection; back-normalising a
-column reads only later pivots, so these equal the columns of the full
-Hermite form.  An intersection maps its columns by A, which keeps them in
-echelon form, and back-normalises once more.  A `Submodule` is nothing
-but its Hermite basis, so `image`, `kernel` and `intersect` are the
-public ways to get one; the engine also finishes the image of a block
-diagonal from its blocks' echelons.  One Smith elimination diagonalises the leading block of
-its list matrix and applies each operation to whole rows or columns:
-`cokernel` passes m alone and keeps the diagonal, and `smith_normal_form`
-passes [m I; I], whose right block ends as u and bottom block as v.
-Everything is pure and exact: no floats, no modular shortcuts, and every
-normal form is canonical, so equal inputs always produce identical outputs.
+echelon elimination is the core, and it takes columns only: `rank` passes
+the rows of m, the columns of its transpose, and every other caller the
+columns of its matrix.  Ranks and unimodularity read its pivots, and one
+back-normalisation turns it into the column Hermite normal form, which
+gives images.  Kernels and intersections eliminate the stack [A B; I 0],
+laid out in one function (a kernel has no B), and back-normalise only the
+columns with pivots below the top block; that reads only later pivots, so
+these equal the columns of the full Hermite form.  An intersection maps
+its columns by A, which keeps them in echelon form, and back-normalises
+once more.  A `Submodule` is nothing but its Hermite basis, so `image`,
+`kernel` and `intersect` are the public ways to get one; the engine also
+finishes the image of a block diagonal from its blocks' echelons.  One
+Smith elimination diagonalises the leading block of its list matrix and
+applies each operation to whole rows or columns: `cokernel` passes m alone
+and keeps the diagonal, and `smith_normal_form` passes [m I; I], whose
+right block ends as u and bottom block as v.  Everything is pure and
+exact: no floats, no modular shortcuts, and every normal form is
+canonical, so equal inputs always produce identical outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from .polynomial import IntPolynomial
@@ -116,28 +119,6 @@ class IntegerMatrix:
 def matrix(rows: Sequence[Sequence[int]], cols: int | None = None) -> IntegerMatrix:
     """Shorthand constructor from nested row lists."""
     return IntegerMatrix.from_rows(rows, cols)
-
-
-def hstack(matrices: Iterable[IntegerMatrix]) -> IntegerMatrix:
-    ms = list(matrices)
-    if not ms:
-        raise ValueError("hstack of nothing")
-    rows = ms[0].rows
-    if any(m.rows != rows for m in ms):
-        raise ValueError("hstack row mismatch")
-    data = tuple(sum(parts, ()) for parts in zip(*(m.data for m in ms)))
-    return IntegerMatrix(rows, sum(m.cols for m in ms), data)
-
-
-def vstack(matrices: Iterable[IntegerMatrix]) -> IntegerMatrix:
-    ms = list(matrices)
-    if not ms:
-        raise ValueError("vstack of nothing")
-    cols = ms[0].cols
-    if any(m.cols != cols for m in ms):
-        raise ValueError("vstack column mismatch")
-    data = tuple(row for m in ms for row in m.data)
-    return IntegerMatrix(sum(m.rows for m in ms), cols, data)
 
 
 # ---------------------------------------------------------------------------
@@ -250,22 +231,19 @@ def smith_normal_form(m: IntegerMatrix) -> SNFResult:
 # Column-style Hermite normal form and submodules
 # ---------------------------------------------------------------------------
 
-def _echelon(m: IntegerMatrix, transposed: bool = False) -> list[tuple[int, list[int]]]:
-    """Column echelon form of ``m`` as (pivot row, column) pairs.
+def _echelon(columns: Iterable[Sequence[int]]) -> list[tuple[int, list[int]]]:
+    """Column echelon form of the given columns as (pivot row, column) pairs.
 
-    Pivot rows strictly increase, pivots are positive, every column is zero
-    above its pivot row, and zero columns are dropped.  The columns are
-    obtained from those of ``m`` by unimodular column operations, so they
-    span the same lattice.  With ``transposed`` this is the echelon form of
-    the transpose: the columns eliminated are the rows of ``m``, in order,
-    and the transpose itself is never built.
+    ``columns`` is any iterable of equal-length integer sequences; they are
+    copied into fresh lists, which the elimination then owns.  Pivot rows
+    strictly increase, pivots are positive, every column is zero above its
+    pivot row, and zero columns are dropped.  The columns are obtained from
+    the given ones by unimodular column operations, so they span the same
+    lattice.
     """
-    if transposed:
-        n, live = m.cols, [list(r) for r in m.data]
-    else:
-        n, live = m.rows, [list(c) for c in zip(*m.data)]
+    live = [list(c) for c in columns]
     pivots: list[tuple[int, list[int]]] = []
-    for row in range(n):
+    for row in range(len(live[0]) if live else 0):
         if not live:
             break  # every column holds a pivot: no later row can add one
         # Euclid on the entries of this row until one active column is left;
@@ -295,21 +273,21 @@ def _echelon(m: IntegerMatrix, transposed: bool = False) -> list[tuple[int, list
     return pivots
 
 
-def _back_normalise(pivots: list[tuple[int, list[int]]], first: int = 0) -> list[list[int]]:
-    """Finish the Hermite form of the pivot columns from ``first`` on.
+def _back_normalise(pivots: list[tuple[int, list[int]]]) -> list[list[int]]:
+    """Finish the Hermite form of the echelon ``pivots``, in place.
 
-    Brings each such column's entries in the later pivot rows into
-    [0, pivot), last column first: reducing by columns that are already
-    final keeps the entries small.  Column k reads only columns k+1..., so
-    the returned columns equal those of the full Hermite form.
+    Brings each column's entries in the later pivot rows into [0, pivot),
+    last column first: reducing by columns that are already final keeps
+    the entries small.  Column k reads only columns k+1..., so a suffix of
+    an echelon comes out as the same columns as in the full Hermite form.
     """
-    for k in range(len(pivots) - 2, first - 1, -1):
+    for k in range(len(pivots) - 2, -1, -1):
         c = pivots[k][1]
         for row, pc in pivots[k + 1:]:
             q = c[row] // pc[row]
             if q:
                 c[row:] = [x - q * y for x, y in zip(c[row:], pc[row:])]
-    return [c for _, c in pivots[first:]]
+    return [c for _, c in pivots]
 
 
 def _from_columns(rows: int, columns: list[list[int]]) -> IntegerMatrix:
@@ -325,13 +303,14 @@ def hnf_columns(m: IntegerMatrix) -> IntegerMatrix:
     result has exactly rank-many columns and is the unique canonical basis
     of the lattice spanned by the columns of ``m``.
     """
-    return _from_columns(m.rows, _back_normalise(_echelon(m)))
+    return _from_columns(m.rows, _back_normalise(_echelon(zip(*m.data))))
 
 
 def rank(m: IntegerMatrix) -> int:
     """Rank over the rationals: the number of column-echelon pivots of the
-    transpose, so the elimination walks the rows of ``m`` in order."""
-    return len(_echelon(m, transposed=True))
+    transpose, whose columns are the rows of ``m``, eliminated in order;
+    the transpose itself is never built."""
+    return len(_echelon(m.data))
 
 
 def is_unimodular(m: IntegerMatrix) -> bool:
@@ -343,7 +322,7 @@ def is_unimodular(m: IntegerMatrix) -> bool:
     """
     if not m.is_square:
         return False
-    pivots = _echelon(m)
+    pivots = _echelon(zip(*m.data))
     return len(pivots) == m.rows and all(c[row] == 1 for row, c in pivots)
 
 
@@ -368,29 +347,35 @@ class Submodule:
         return self.basis.cols
 
 
-def _restricted_image(top: IntegerMatrix, bottom: IntegerMatrix) -> Submodule:
-    """The lattice {bottom x : top x = 0}, in canonical column-HNF basis.
+def _restricted_image(n: int, a_columns: Sequence[Sequence[int]],
+                      b_columns: Iterable[Sequence[int]]) -> Submodule:
+    """The lattice {x : A x in B Z^q}, in canonical column-HNF basis.
 
-    Column echelon form of the stacked [top; bottom]: pivot rows increase,
-    so the columns whose top block vanishes are the last ones, those with
-    pivot rows in the bottom block, and their bottom blocks span the wanted
-    lattice (Kannan-Bachem).  Only these columns are back-normalised; that
-    reads only later pivots, so they equal the trailing columns of the full
-    column HNF and their bottom blocks are the Hermite basis.
+    The one place that lays out the stack [A B; I 0]: its columns, built
+    from those of A and B (of height ``n``, explicit as A may have none),
+    go to the elimination one at a time.  Pivot rows increase, so the
+    columns whose top block vanishes are the last ones, those with pivot
+    rows in the bottom block, and their bottom blocks span the wanted
+    lattice (Kannan-Bachem).  Only these are back-normalised; that reads
+    only later pivots, so their bottom blocks are the trailing columns of
+    the full column HNF, the Hermite basis.
     """
-    pivots = _echelon(vstack([top, bottom]))
-    first = next((k for k, (row, _) in enumerate(pivots) if row >= top.rows), len(pivots))
-    return Submodule(_from_columns(
-        bottom.rows, [c[top.rows:] for c in _back_normalise(pivots, first)]))
+    p = len(a_columns)
+    zero = (0,) * p
+    pivots = _echelon(chain(((*c, *zero[:i], 1, *zero[i + 1:]) for i, c in enumerate(a_columns)),
+                            ((*c, *zero) for c in b_columns)))
+    first = next((k for k, (row, _) in enumerate(pivots) if row >= n), len(pivots))
+    return Submodule(_from_columns(p, [c[n:] for c in _back_normalise(pivots[first:])]))
 
 
 def kernel(m: IntegerMatrix) -> Submodule:
     """Integer kernel {x : m x = 0} of Z^cols, automatically saturated.
 
-    Read off the column HNF of [m; I] as the columns whose m block
-    vanishes.  Saturated: k x in the kernel with k != 0 puts x in it.
+    The restricted image with no B, read off [m; I].  m's columns come
+    from its transpose, which keeps them, empty, when m has no rows.
+    Saturated: k x in the kernel with k != 0 puts x in it.
     """
-    return _restricted_image(m, IntegerMatrix.identity(m.cols))
+    return _restricted_image(m.rows, m.transpose().data, ())
 
 
 def image(m: IntegerMatrix) -> Submodule:
@@ -435,8 +420,9 @@ def intersect(a: Submodule, b: Submodule) -> Submodule:
     coefficient lattice {x : A x in B Z^q}.
 
     A is the basis of smaller rank (the arguments swap if needed), so the
-    stack [A B; I 0] has n + p rows; its restricted image is the Hermite
-    basis X of the coefficient lattice.  A and X are column-Hermite and A
+    stack [A B; I 0] has n + p rows; its restricted image, from the columns
+    of A and B, is the Hermite basis X of the coefficient lattice, and A's
+    columns are reused to form A X.  A and X are column-Hermite and A
     has full column rank, so column k of A X starts, with a positive
     entry, at A's pivot row for X's pivot row of column k.  These rows
     increase with k, so one back-normalisation gives the Hermite basis.
@@ -445,11 +431,9 @@ def intersect(a: Submodule, b: Submodule) -> Submodule:
         raise ValueError("ambient rank mismatch in intersection")
     if a.rank > b.rank:
         a, b = b, a
-    x = _restricted_image(hstack([a.basis, b.basis]),
-                          hstack([IntegerMatrix.identity(a.rank),
-                                  IntegerMatrix.zeros(a.rank, b.rank)])).basis
+    a_columns = tuple(zip(*a.basis.data))
+    x = _restricted_image(a.ambient_rank, a_columns, zip(*b.basis.data)).basis
     # A X column by column, skipping the zero entries of X
-    a_columns = list(zip(*a.basis.data))
     pivots = []
     for xc in zip(*x.data):
         c = [0] * a.ambient_rank

@@ -225,7 +225,7 @@ def _validate(cfg: SliceConfiguration) -> tuple[list[Violation], list[PointRecor
                                  f"(sum of branch-kernel ranks by fq_rank_low), "
                                  f"got {q.iota.rows}x{q.iota.cols}"))
             continue
-        pivots = linalg._echelon(q.iota)
+        pivots = linalg._echelon(zip(*q.iota.data))
         if len(pivots) == q.fq_rank_low:
             points.append((point_kernels, pivots))
         else:

@@ -11,10 +11,10 @@ import random
 from dataclasses import replace
 
 from vancoh import (Branch, CurveComponent, IntegerMatrix, IsolatedPoint,
-                    SliceConfiguration, SpecialPoint, branch_kernel, model,
+                    SliceConfiguration, SpecialPoint, branch_kernel, linalg, model,
                     parse_configuration, serialize_configuration, validate)
 from vancoh.corpus import bundled
-from vancoh.linalg import hstack, rank as matrix_rank, solve_in_basis, vstack
+from vancoh.linalg import rank as matrix_rank, solve_in_basis
 
 import oracles
 
@@ -107,6 +107,22 @@ def emitted_codes() -> set[str]:
 
 def diagonal_of(d: IntegerMatrix) -> list[int]:
     return [d.data[i][i] for i in range(min(d.rows, d.cols))]
+
+
+def hstack(matrices: list[IntegerMatrix]) -> IntegerMatrix:
+    """Matrices of equal height side by side."""
+    rows = matrices[0].rows
+    assert all(m.rows == rows for m in matrices), "hstack row mismatch"
+    data = tuple(sum(parts, ()) for parts in zip(*(m.data for m in matrices)))
+    return IntegerMatrix(rows, sum(m.cols for m in matrices), data)
+
+
+def vstack(matrices: list[IntegerMatrix]) -> IntegerMatrix:
+    """Matrices of equal width one above the other."""
+    cols = matrices[0].cols
+    assert all(m.cols == cols for m in matrices), "vstack column mismatch"
+    return IntegerMatrix(sum(m.rows for m in matrices), cols,
+                         tuple(row for m in matrices for row in m.data))
 
 
 def rand_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> IntegerMatrix:
@@ -322,6 +338,21 @@ def count_calls(monkeypatch, module, name) -> list:
     original = getattr(module, name)
     monkeypatch.setattr(module, name,
                         lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+    return calls
+
+
+def record_echelons(monkeypatch) -> list:
+    """Wrap linalg._echelon for the test; the returned list collects each
+    call's columns as a list of tuples, copied before the elimination runs,
+    since a generator argument is used up by the call."""
+    calls = []
+    original = linalg._echelon
+
+    def recording(columns):
+        calls.append([tuple(c) for c in columns])
+        return original(calls[-1])
+
+    monkeypatch.setattr(linalg, "_echelon", recording)
     return calls
 
 

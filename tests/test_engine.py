@@ -9,12 +9,13 @@ from vancoh import (Branch, CurveComponent, FinAbGroup, IntegerMatrix, IsolatedP
                     component_cohomology, matrix)
 from vancoh.corpus import bundled
 from vancoh.engine import InternalDefectError, InvalidConfigurationError
-from vancoh.linalg import hstack, image
+from vancoh.linalg import image
 from vancoh.polynomial import IntPolynomial
 
 import oracles
 from helpers import (conjugate_component, count_calls, dense_iota_config, load_corpus,
-                     permute_config, rand_unimodular, random_valid_config, report_signature)
+                     permute_config, rand_unimodular, random_valid_config, record_echelons,
+                     report_signature)
 
 
 def empty_config(n=3):
@@ -554,7 +555,7 @@ class TestSinglePass:
     def test_cross_check_eliminates_kernel_stack(self, monkeypatch):
         # the interaction cross-check eliminates [A B; I 0], A the image of
         # smaller rank: n + min(ra, rb) rows
-        echelons = count_calls(monkeypatch, vancoh.linalg, "_echelon")
+        echelons = record_echelons(monkeypatch)
         stacks = []
         original = vancoh.linalg.intersect
 
@@ -566,21 +567,19 @@ class TestSinglePass:
 
         monkeypatch.setattr(vancoh.linalg, "intersect", recording)
         analyze(load_corpus("xyzu"))
-        [(a, b, [(m,)])] = stacks
+        [(a, b, [columns])] = stacks
         n, low = a.ambient_rank, min(a.rank, b.rank)
         assert low < n
-        assert (m.rows, m.cols) == (n + low, a.rank + b.rank)
-        assert m.data[n:] == hstack([IntegerMatrix.identity(low),
-                                     IntegerMatrix.zeros(low, a.rank + b.rank - low)]).data
+        assert len(columns) == a.rank + b.rank
+        assert all(len(c) == n + low for c in columns)
+        assert [c[n:] for c in columns] == [tuple(int(i == k) for i in range(low))
+                                            for k in range(a.rank + b.rank)]
 
     def test_kernel_route_eliminates_j_rows(self, monkeypatch):
         # rank(j) is one echelon of the raw j's transpose: the columns it
         # eliminates are j's rows, neither the point block's basis nor the
         # cross-check stack
-        echelons = []
-        original_echelon = vancoh.linalg._echelon
-        monkeypatch.setattr(vancoh.linalg, "_echelon", lambda m, transposed=False: (
-            echelons.append((m, transposed)) or original_echelon(m, transposed)))
+        echelons = record_echelons(monkeypatch)
         ranks = []
         original_rank = vancoh.linalg.rank
 
@@ -594,9 +593,10 @@ class TestSinglePass:
         for name in ("xyz", "xyzu"):
             ranks.clear()
             report = analyze(load_corpus(name))
-            [[(m, transposed)]] = ranks
-            assert m == report.j_matrix and transposed
-            assert report.lowest_group.free_rank == m.cols - oracles.rational_rank(m.tolist())
+            j = report.j_matrix
+            [[columns]] = ranks
+            assert columns == list(j.data)
+            assert report.lowest_group.free_rank == j.cols - oracles.rational_rank(j.tolist())
 
     def test_validation_back_normalises_only_kernels(self, monkeypatch):
         # validation keeps each iota's echelon as it is; only the engine
