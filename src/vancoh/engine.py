@@ -14,9 +14,8 @@ before the dense -iota columns, whereas the echelon of j meets a dense
 From it follow the Euler-characteristic bookkeeping, the six-term exactness
 ranks, the Betti bounds, and the monodromy divisibility predicates.  The
 interaction rank is cross-checked by intersecting the images of j's
-invariant and point blocks; the point block's Hermite basis is not
-eliminated again but finished from the iota echelons that validation
-computed, in the one walk over the special points that lays out j.
+invariant and point blocks; `_build_j` finishes the point block's Hermite
+basis from validation's iota echelons instead of eliminating it again.
 `analyze` does all of this in one pass and returns the immutable
 `VanishingReport`.
 """
@@ -116,8 +115,7 @@ def component_cohomology(c: CurveComponent, n: int) -> ComponentCohomology:
     the map into the direct sum over generators.
     """
     mu = c.transversal_rank
-    ident = IntegerMatrix.identity(mu)
-    rows = tuple(row for nu in c.loop_monodromies for row in (nu - ident).data)
+    rows = tuple(row for nu in c.loop_monodromies for row in nu.shifted(-1).data)
     stacked = IntegerMatrix(len(rows), mu, rows)
     # 2 * genus + tau - 1 for the punctured curve: one less than the loops
     euler = (-1) ** n * (len(c.loop_monodromies) - 1) * mu

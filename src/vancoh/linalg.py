@@ -12,14 +12,14 @@ columns with pivots below the top block; that reads only later pivots, so
 these equal the columns of the full Hermite form.  An intersection maps
 its columns by A, which keeps them in echelon form, and back-normalises
 once more.  A `Submodule` is nothing but its Hermite basis, so `image`,
-`kernel` and `intersect` are the public ways to get one; the engine also
-finishes the image of a block diagonal from its blocks' echelons.  One
-Smith elimination diagonalises the leading block of its list matrix and
-applies each operation to whole rows or columns: `cokernel` passes m alone
-and keeps the diagonal, and `smith_normal_form` passes [m I; I], whose
-right block ends as u and bottom block as v.  Everything is pure and
-exact: no floats, no modular shortcuts, and every normal form is
-canonical, so equal inputs always produce identical outputs.
+`kernel` and `intersect` are the public ways to get one (`engine._build_j`
+also finishes one from validation's iota echelons).  One Smith
+elimination diagonalises the leading block of its list matrix and applies
+each operation to whole rows or columns: `cokernel` passes m alone and
+keeps the diagonal, and `smith_normal_form` passes [m I; I], whose right
+block ends as u and bottom block as v.  Everything is pure and exact: no
+floats, no modular shortcuts, and every normal form is canonical, so
+equal inputs always produce identical outputs.
 """
 
 from __future__ import annotations
@@ -98,6 +98,13 @@ class IntegerMatrix:
         return IntegerMatrix(self.rows, self.cols,
                              tuple(tuple(a - b for a, b in zip(ra, rb))
                                    for ra, rb in zip(self.data, other.data)))
+
+    def shifted(self, c: int) -> "IntegerMatrix":
+        """m + c I, for a square m."""
+        if not self.is_square:
+            raise ValueError("identity shift of a non-square matrix")
+        return IntegerMatrix(self.rows, self.cols, tuple(
+            r[:i] + (r[i] + c,) + r[i + 1:] for i, r in enumerate(self.data)))
 
     def __neg__(self) -> "IntegerMatrix":
         return IntegerMatrix(self.rows, self.cols,
@@ -348,8 +355,8 @@ class Submodule:
 
 
 def _restricted_image(n: int, a_columns: Sequence[Sequence[int]],
-                      b_columns: Iterable[Sequence[int]]) -> Submodule:
-    """The lattice {x : A x in B Z^q}, in canonical column-HNF basis.
+                      b_columns: Iterable[Sequence[int]]) -> list[list[int]]:
+    """The columns of the canonical column-HNF basis of {x : A x in B Z^q}.
 
     The one place that lays out the stack [A B; I 0]: its columns, built
     from those of A and B (of height ``n``, explicit as A may have none),
@@ -358,24 +365,26 @@ def _restricted_image(n: int, a_columns: Sequence[Sequence[int]],
     rows in the bottom block, and their bottom blocks span the wanted
     lattice (Kannan-Bachem).  Only these are back-normalised; that reads
     only later pivots, so their bottom blocks are the trailing columns of
-    the full column HNF, the Hermite basis.
+    the full column HNF, the Hermite basis: returned as bare columns, for
+    `kernel` to wrap and `intersect` to map by A.
     """
     p = len(a_columns)
     zero = (0,) * p
     pivots = _echelon(chain(((*c, *zero[:i], 1, *zero[i + 1:]) for i, c in enumerate(a_columns)),
                             ((*c, *zero) for c in b_columns)))
     first = next((k for k, (row, _) in enumerate(pivots) if row >= n), len(pivots))
-    return Submodule(_from_columns(p, [c[n:] for c in _back_normalise(pivots[first:])]))
+    return [c[n:] for c in _back_normalise(pivots[first:])]
 
 
 def kernel(m: IntegerMatrix) -> Submodule:
     """Integer kernel {x : m x = 0} of Z^cols, automatically saturated.
 
-    The restricted image with no B, read off [m; I].  m's columns come
-    from its transpose, which keeps them, empty, when m has no rows.
+    The restricted image with no B, read off [m; I], wrapped as the
+    Submodule of its columns.  m's columns come from its transpose, which
+    keeps them, empty, when m has no rows.
     Saturated: k x in the kernel with k != 0 puts x in it.
     """
-    return _restricted_image(m.rows, m.transpose().data, ())
+    return Submodule(_from_columns(m.cols, _restricted_image(m.rows, m.transpose().data, ())))
 
 
 def image(m: IntegerMatrix) -> Submodule:
@@ -432,10 +441,9 @@ def intersect(a: Submodule, b: Submodule) -> Submodule:
     if a.rank > b.rank:
         a, b = b, a
     a_columns = tuple(zip(*a.basis.data))
-    x = _restricted_image(a.ambient_rank, a_columns, zip(*b.basis.data)).basis
     # A X column by column, skipping the zero entries of X
     pivots = []
-    for xc in zip(*x.data):
+    for xc in _restricted_image(a.ambient_rank, a_columns, zip(*b.basis.data)):
         c = [0] * a.ambient_rank
         for ac, t in zip(a_columns, xc):
             if t:
@@ -497,11 +505,7 @@ def char_poly(m: IntegerMatrix) -> IntPolynomial:
     c = -mk.trace()
     coeffs[n - 1] = c
     for k in range(2, n + 1):
-        mk = m * (mk + _scalar(n, c))
+        mk = m * mk.shifted(c)
         c = -mk.trace() // k
         coeffs[n - k] = c
     return IntPolynomial(tuple(coeffs))
-
-
-def _scalar(n: int, c: int) -> IntegerMatrix:
-    return IntegerMatrix(n, n, tuple(tuple(c if i == j else 0 for j in range(n)) for i in range(n)))

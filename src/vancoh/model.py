@@ -120,8 +120,7 @@ def branch_kernel(b: Branch) -> Submodule:
 
     This basis is the coordinate system for the corresponding iota rows.
     """
-    nu = b.monodromy
-    return linalg.kernel(nu - IntegerMatrix.identity(nu.rows))
+    return linalg.kernel(b.monodromy.shifted(-1))
 
 
 def _check_monodromy(m: IntegerMatrix, size: int, subject: str, kind: str,
@@ -152,9 +151,10 @@ def _validate(cfg: SliceConfiguration) -> tuple[list[Violation], list[PointRecor
     special point that passes every check, computed while checking iota.
 
     The kernels are listed in branch declaration order.  Injectivity of
-    iota is read off its column echelon pivots, which are handed on without
-    back-normalising them: the engine finishes them into the Hermite basis
-    of j's point block.  Without violations there is one record per point.
+    iota is read off its column echelon pivots, which are handed on as they
+    are: back-normalising them here would cost the validate path, which
+    never reads them, and `engine._build_j` finishes them into j's point-block
+    basis.  Without violations there is one record per point.
     """
     out: list[Violation] = []
     points: list[PointRecord] = []

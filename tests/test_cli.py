@@ -408,6 +408,17 @@ class TestMainEntry:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.xfail(strict=True, raises=ValueError,
+                       reason="euler_total and betti_high sum the Milnor numbers into an "
+                              "integer past the interpreter's string conversion limit")
+    def test_derived_integer_past_digit_limit_gets_one_report(self, tmp_path, capsys):
+        doc = json.loads(Path(CORPUS["quadric_power_2_2"]).read_text())
+        doc["isolated_points"] = [{"id": p, "milnor_number": 10 ** 4300 - 1} for p in "PQ"]
+        path = tmp_path / "huge_milnor.json"
+        path.write_text(json.dumps(doc))
+        main(["compute", "--format", "json", str(path)])
+        assert len(json.loads(capsys.readouterr().out)) == 1
+
     def test_matrix_suppression(self, tmp_path, capsys):
         path = copy_corpus(tmp_path, "xyzu")  # j matrix is 12x14
         assert main(["compute", str(path)]) == 0

@@ -598,6 +598,19 @@ class TestSinglePass:
             assert columns == list(j.data)
             assert report.lowest_group.free_rank == j.cols - oracles.rational_rank(j.tolist())
 
+    def test_each_monodromy_shifted_once(self, monkeypatch):
+        # nu - id is formed by one shift per loop and per branch, with no
+        # identity matrix and no subtraction built
+        cfg = load_corpus("xyzu")
+        identities = count_calls(monkeypatch, IntegerMatrix, "identity")
+        subtractions = count_calls(monkeypatch, IntegerMatrix, "__sub__")
+        shifts = count_calls(monkeypatch, IntegerMatrix, "shifted")
+        analyze(cfg)
+        assert len(shifts) == 24
+        assert vancoh.model.validate(cfg) == []
+        assert len(shifts) == 24 + 12
+        assert identities == subtractions == []
+
     def test_validation_back_normalises_only_kernels(self, monkeypatch):
         # validation keeps each iota's echelon as it is; only the engine
         # finishes it into a Hermite basis

@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import vancoh.linalg
 from vancoh.linalg import (FinAbGroup, IntegerMatrix, Submodule, char_poly, cokernel,
                            hnf_columns, image, intersect, is_unimodular, kernel, matrix,
                            rank, smith_normal_form, solve_in_basis)
@@ -64,9 +63,27 @@ class TestTranspose:
         assert (t.rows, t.cols) == (m.cols, m.rows)
         assert all(t.data[j][i] == x for i, row in enumerate(m.data) for j, x in enumerate(row))
         assert t.transpose() == m
-        # eliminating m's rows is the echelon of the transpose, pivot for pivot
-        assert vancoh.linalg._echelon(m.data) == vancoh.linalg._echelon(zip(*t.data))
         assert rank(m) == rank(t) == oracles.rational_rank(m.tolist())
+
+
+class TestShifted:
+    def test_identity_minus_identity_is_zero(self):
+        assert IntegerMatrix.identity(3).shifted(-1) == IntegerMatrix.zeros(3, 3)
+
+    def test_zero_shift_is_equal(self):
+        m = matrix([[2, -1], [5, 7]])
+        assert m.shifted(0) == m
+
+    def test_big_entries_stay_exact(self):
+        big = 2 ** 200
+        shifted = matrix([[big, 1], [-big, big - 1]]).shifted(big)
+        assert shifted.data == ((2 * big, 1), (-big, 2 * big - 1))
+        assert all(type(x) is int for row in shifted.data for x in row)
+
+    @pytest.mark.parametrize("rows, cols", [(2, 3), (3, 2), (0, 1), (1, 0)])
+    def test_non_square_raises(self, rows, cols):
+        with pytest.raises(ValueError):
+            IntegerMatrix.zeros(rows, cols).shifted(1)
 
 
 class TestSmithNormalForm:

@@ -28,6 +28,10 @@ class TestBranchKernel:
         b = Branch("S", matrix([[1, 2], [0, -1]]))
         assert branch_kernel(b) == branch_kernel(b)
 
+    def test_non_square_raises(self):
+        with pytest.raises(ValueError):
+            branch_kernel(Branch("S", matrix([[1, 0, 0], [0, 1, 0]])))
+
 
 def _with_monodromy(**changes):
     return lambda cfg: replace(cfg, monodromy_data=replace(cfg.monodromy_data, **changes))
