@@ -139,8 +139,9 @@ def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
     -iota spans the lattice of iota, so its Hermite basis is the block
     diagonal of the back-normalised iota echelons at the points' row
     offsets: pivot rows still increase, and no pivot row holds an entry of
-    an earlier point's column.  An inconsistent branch is reported in
-    component order.
+    an earlier point's column.  Each distinct (kernel, invariants) pair is
+    solved once; an inconsistent one counts at each of its branches, and
+    the first of these in component order is reported.
     """
     first_col = {}
     upper = 0
@@ -152,6 +153,7 @@ def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
     data = [[0] * domain for _ in range(codomain)]
     columns = []
     inconsistent = []
+    solved = {}  # (kernel basis, invariant basis) -> coordinates or None
     row0, col0 = 0, upper
     for p, (q, (kernels, pivots)) in enumerate(zip(cfg.special_points, points)):
         for i, row in enumerate(q.iota.data):
@@ -162,7 +164,10 @@ def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
         for k, (b, kern) in enumerate(zip(q.branches, kernels)):
             ci, c0 = first_col[b.component_id]
             inv = comps[ci].invariants
-            coords = linalg.solve_in_basis(kern.basis, inv.basis)
+            pair = kern.basis, inv.basis
+            if pair not in solved:
+                solved[pair] = linalg.solve_in_basis(*pair)
+            coords = solved[pair]
             if coords is None:
                 inconsistent.append((ci, p, k))
             else:

@@ -87,28 +87,12 @@ class IntegerMatrix:
             raise ValueError("trace of a non-square matrix")
         return sum(self.data[i][i] for i in range(self.rows))
 
-    def __add__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        self._check_shape(other)
-        return IntegerMatrix(self.rows, self.cols,
-                             tuple(tuple(a + b for a, b in zip(ra, rb))
-                                   for ra, rb in zip(self.data, other.data)))
-
-    def __sub__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        self._check_shape(other)
-        return IntegerMatrix(self.rows, self.cols,
-                             tuple(tuple(a - b for a, b in zip(ra, rb))
-                                   for ra, rb in zip(self.data, other.data)))
-
     def shifted(self, c: int) -> "IntegerMatrix":
         """m + c I, for a square m."""
         if not self.is_square:
             raise ValueError("identity shift of a non-square matrix")
         return IntegerMatrix(self.rows, self.cols, tuple(
             r[:i] + (r[i] + c,) + r[i + 1:] for i, r in enumerate(self.data)))
-
-    def __neg__(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.rows, self.cols,
-                             tuple(tuple(-a for a in r) for r in self.data))
 
     def __mul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
@@ -117,10 +101,6 @@ class IntegerMatrix:
         return IntegerMatrix(self.rows, other.cols,
                              tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
                                    for row in self.data))
-
-    def _check_shape(self, other: "IntegerMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("matrix shape mismatch")
 
 
 def matrix(rows: Sequence[Sequence[int]], cols: int | None = None) -> IntegerMatrix:

@@ -124,17 +124,20 @@ def branch_kernel(b: Branch) -> Submodule:
 
 
 def _check_monodromy(m: IntegerMatrix, size: int, subject: str, kind: str,
-                     out: list[Violation]) -> bool:
-    """Append the monodromy's violations to `out`; True when it has none."""
+                     out: list[Violation], unimodular: dict[IntegerMatrix, bool]) -> bool:
+    """Append the monodromy's violations to `out`; True when it has none.
+    Unimodularity is read from, or added to, the call's `unimodular` table."""
     if m.rows != size or m.cols != size:
         out.append(Violation(f"{kind}-shape", subject,
                              f"expected {size}x{size}, got {m.rows}x{m.cols}"))
         return False
-    if not linalg.is_unimodular(m):
+    ok = unimodular.get(m)
+    if ok is None:
+        ok = unimodular[m] = linalg.is_unimodular(m)
+    if not ok:
         out.append(Violation(f"{kind}-not-unimodular", subject,
                              "monodromy must be an automorphism (determinant +-1)"))
-        return False
-    return True
+    return ok
 
 
 def validate(cfg: SliceConfiguration) -> list[Violation]:
@@ -150,14 +153,20 @@ def _validate(cfg: SliceConfiguration) -> tuple[list[Violation], list[PointRecor
     """Violations plus one (branch kernels, iota echelon) record for each
     special point that passes every check, computed while checking iota.
 
-    The kernels are listed in branch declaration order.  Injectivity of
-    iota is read off its column echelon pivots, which are handed on as they
-    are: back-normalising them here would cost the validate path, which
-    never reads them, and `engine._build_j` finishes them into j's point-block
-    basis.  Without violations there is one record per point.
+    The kernels are listed in branch declaration order.  Each distinct
+    monodromy is checked for unimodularity, and each distinct branch
+    monodromy's kernel built, once per call; shapes, which depend on the
+    component, and faults are checked and reported at each occurrence.
+    Injectivity of iota is read off its column echelon pivots, which are
+    handed on as they are: back-normalising them here would cost the
+    validate path, which never reads them, and `engine._build_j` finishes
+    them into j's point-block basis.  Without violations there is one
+    record per point.
     """
     out: list[Violation] = []
     points: list[PointRecord] = []
+    unimodular: dict[IntegerMatrix, bool] = {}
+    kernels: dict[IntegerMatrix, Submodule] = {}
 
     if cfg.original_s < 2:
         out.append(Violation("dimension-range", "original_s", "original_s must be >= 2"))
@@ -191,7 +200,8 @@ def _validate(cfg: SliceConfiguration) -> tuple[list[Violation], list[PointRecor
             out.append(Violation("transversal-rank", c.id, "transversal rank must be positive"))
             continue
         for w, nu in enumerate(c.loop_monodromies):
-            _check_monodromy(nu, c.transversal_rank, f"{c.id}[loop {w}]", "loop", out)
+            _check_monodromy(nu, c.transversal_rank, f"{c.id}[loop {w}]", "loop", out,
+                             unimodular)
         expected = 2 * c.genus + branches[c.id]
         # a negative genus or a repeated id gives no loop count to compare against
         if c.genus >= 0 and rank_of[c.id] and len(c.loop_monodromies) != expected:
@@ -214,8 +224,11 @@ def _validate(cfg: SliceConfiguration) -> tuple[list[Violation], list[PointRecor
                 continue
             # a component without a valid or unique rank was reported once, above
             if rank >= 1 and _check_monodromy(
-                    b.monodromy, rank, f"{q.id}[branch {k}]", "branch", out):
-                point_kernels.append(branch_kernel(b))
+                    b.monodromy, rank, f"{q.id}[branch {k}]", "branch", out, unimodular):
+                kern = kernels.get(b.monodromy)
+                if kern is None:
+                    kern = kernels[b.monodromy] = branch_kernel(b)
+                point_kernels.append(kern)
         if len(point_kernels) != len(q.branches):
             continue
         kernel_rows = sum(kern.rank for kern in point_kernels)

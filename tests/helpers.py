@@ -125,6 +125,11 @@ def vstack(matrices: list[IntegerMatrix]) -> IntegerMatrix:
                          tuple(row for m in matrices for row in m.data))
 
 
+def scaled(m: IntegerMatrix, c: int) -> IntegerMatrix:
+    """Every entry of ``m`` times ``c``."""
+    return IntegerMatrix(m.rows, m.cols, tuple(tuple(c * x for x in r) for r in m.data))
+
+
 def rand_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> IntegerMatrix:
     return IntegerMatrix.from_rows(
         [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)], cols)

@@ -110,17 +110,24 @@ class TestBuildJ:
         assert rep.g_rank == 0 and rep.bounds.min_bound == 1
 
     def test_inconsistent_branches_reported_in_component_order(self):
-        # T fails at q1 before S fails at q2; S comes first among components
+        # T fails before S in the walk, at an earlier point or an earlier
+        # branch of one point; S comes first among components.  Both
+        # branches carry the same (kernel, invariants) pair, which is
+        # solved once and still counts at each of them.
         ident, flip = matrix([[1]]), matrix([[-1]])
-        cfg = SliceConfiguration(
-            n=3, original_n=3, original_s=2,
-            components=(CurveComponent("S", 0, 1, (ident,)), CurveComponent("T", 0, 1, (ident,))),
-            special_points=tuple(
-                SpecialPoint(q, (Branch(c, flip),), 0, 0, IntegerMatrix.zeros(0, 0))
-                for q, c in (("q1", "T"), ("q2", "S"))),
-            isolated_points=())
-        with pytest.raises(InternalDefectError, match="component 'S' .* branch 0 at point 'q2'"):
-            analyze(cfg)
+        for points, named in [((("q1", "T"), ("q2", "S")), "branch 0 at point 'q2'"),
+                              ((("q1", "TS"),), "branch 1 at point 'q1'")]:
+            cfg = SliceConfiguration(
+                n=3, original_n=3, original_s=2,
+                components=(CurveComponent("S", 0, 1, (ident,)),
+                            CurveComponent("T", 0, 1, (ident,))),
+                special_points=tuple(
+                    SpecialPoint(q, tuple(Branch(c, flip) for c in cs), 0, 0,
+                                 IntegerMatrix.zeros(0, 0))
+                    for q, cs in points),
+                isolated_points=())
+            with pytest.raises(InternalDefectError, match=f"component 'S' .* {named}"):
+                analyze(cfg)
 
     def test_inconsistent_branch_monodromy_is_defect(self):
         # loop fixes everything, branch fixes nothing: the invariant module
@@ -532,23 +539,28 @@ class TestSinglePass:
         validations = count_calls(monkeypatch, vancoh.model, "_validate")
         comps = count_calls(monkeypatch, vancoh.engine, "component_cohomology")
         builds = count_calls(monkeypatch, vancoh.engine, "_build_j")
+        checks = count_calls(monkeypatch, vancoh.linalg, "is_unimodular")
+        solves = count_calls(monkeypatch, vancoh.linalg, "solve_in_basis")
         analyze(cfg)
         # one Smith elimination per component, each for its cokernel and
         # without transforms
         assert len(cokernels) == len(smith) == len(cfg.components) == 6
         assert snf == []
-        # one kernel per component and per branch; ker j is counted, not built
-        branches = sum(len(q.branches) for q in cfg.special_points)
-        assert len(kernels) == 6 + branches == 18
+        # every loop and branch of xyzu carries [[1]], and every branch
+        # pairs its kernel with invariants Z^1: one unimodularity check,
+        # one branch kernel and one solve.  One kernel per component; ker j
+        # is counted, not built
+        assert (len(checks), len(solves)) == (1, 1)
+        assert len(kernels) == 6 + 1
         # kernels and the intersection back-normalise inside their own
         # echelon pass, and the point block's basis is finished from
         # validation's iota echelons: the only full Hermite form is the
         # cross-check's image of the invariant block, and each kernel, iota,
         # rank, unimodularity, image and intersect call runs exactly one
-        # elimination
+        # elimination: 1 check, 7 kernels, 4 iotas, rank j, image, intersect
         assert len(hnfs) == len(images) == 1
         assert hnfs == images
-        assert len(echelons) == 49
+        assert len(echelons) == 15
         assert (len(validations), len(builds)) == (1, 1)
         assert [c.id for c, _ in comps] == [c.id for c in cfg.components]
 
@@ -599,25 +611,39 @@ class TestSinglePass:
             assert report.lowest_group.free_rank == j.cols - oracles.rational_rank(j.tolist())
 
     def test_each_monodromy_shifted_once(self, monkeypatch):
-        # nu - id is formed by one shift per loop and per branch, with no
-        # identity matrix and no subtraction built
+        # nu - id is formed by one shift per loop and per distinct branch
+        # monodromy, with no identity matrix built; matrices have no
+        # subtraction at all
         cfg = load_corpus("xyzu")
         identities = count_calls(monkeypatch, IntegerMatrix, "identity")
-        subtractions = count_calls(monkeypatch, IntegerMatrix, "__sub__")
         shifts = count_calls(monkeypatch, IntegerMatrix, "shifted")
         analyze(cfg)
-        assert len(shifts) == 24
+        assert len(shifts) == 12 + 1
         assert vancoh.model.validate(cfg) == []
-        assert len(shifts) == 24 + 12
-        assert identities == subtractions == []
+        assert len(shifts) == 13 + 1
+        assert identities == []
+        assert not hasattr(IntegerMatrix, "__sub__")
+
+    def test_tables_last_one_call(self, monkeypatch):
+        # each call checks and kernels its monodromies afresh: nothing is
+        # kept from one configuration to the next
+        cfg = load_corpus("xyzu")
+        checks = count_calls(monkeypatch, vancoh.linalg, "is_unimodular")
+        kernels = count_calls(monkeypatch, vancoh.model, "branch_kernel")
+        analyze(cfg)
+        analyze(cfg)
+        assert (len(checks), len(kernels)) == (2, 2)
+        assert vancoh.model.validate(cfg) == []
+        assert (len(checks), len(kernels)) == (3, 3)
 
     def test_validation_back_normalises_only_kernels(self, monkeypatch):
         # validation keeps each iota's echelon as it is; only the engine
-        # finishes it into a Hermite basis
+        # finishes it into a Hermite basis.  xyzu's 12 branches share one
+        # monodromy, so one kernel
         kernels = count_calls(monkeypatch, vancoh.linalg, "kernel")
         finishes = count_calls(monkeypatch, vancoh.linalg, "_back_normalise")
         assert vancoh.model.validate(load_corpus("xyzu")) == []
-        assert len(finishes) == len(kernels) == 12
+        assert len(finishes) == len(kernels) == 1
 
     def test_validation_runs_no_smith_form(self, monkeypatch):
         cfgs = [load_corpus(name) for name in ("xyz", "xyzu", "x2z_y2u")]

@@ -1,13 +1,21 @@
 """The benchmark harness imports vancoh by name: every name it reads must
 still exist, or a deletion in the library shows up only as a failed
-benchmark run."""
+benchmark run.  The harness also repeats passes over the same documents in
+one process, so the library must keep no results from one call to the
+next, or a repeated pass would time a cache."""
 
 import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+LIBRARY = ROOT / "src" / "vancoh"
+
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault", "pop", "popitem",
+            "clear", "remove", "discard", "__setitem__"}
 
 
 def harness_names(*files: str) -> set[tuple[str, str]]:
@@ -43,3 +51,70 @@ def exists(module: str, name: str) -> bool:
     mod = importlib.import_module(module)
     return hasattr(mod, name) or (hasattr(mod, "__path__")
                                   and importlib.util.find_spec(f"{module}.{name}") is not None)
+
+
+def call_time_caches(source: str) -> list[str]:
+    """Each place in a module's source that can keep results across calls:
+    a use of ``functools.cache`` or ``lru_cache``, a ``global`` statement,
+    and a write from inside a function to a dict, list or set bound at
+    module level."""
+    tree = ast.parse(source)
+    found = []
+    containers = set()
+    for node in tree.body:
+        value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+        if (isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                               ast.SetComp))
+                or (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                    and value.func.id in CONTAINER_CALLS)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            containers |= {t.id for t in targets if isinstance(t, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, f"functools.{a.name}") for a in node.names
+                      if a.name in ("cache", "lru_cache")]
+        elif (isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache")
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            found.append((node.lineno, f"functools.{node.attr}"))
+        elif isinstance(node, ast.Global):
+            found.append((node.lineno, f"global {', '.join(node.names)}"))
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                    and isinstance(node.value, ast.Name) and node.value.id in containers):
+                found.append((node.lineno, f"{node.value.id}[...] written"))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in MUTATORS and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id in containers):
+                found.append((node.lineno, f"{node.func.value.id}.{node.func.attr}"))
+    return [f"line {line}: {what}" for line, what in sorted(set(found))]
+
+
+def test_library_keeps_nothing_across_calls():
+    sites = [f"{path.relative_to(LIBRARY)} {site}" for path in sorted(LIBRARY.rglob("*.py"))
+             for site in call_time_caches(path.read_text())]
+    assert sites == []
+
+
+def test_cache_check_finds_planted_caches():
+    planted = """
+import functools
+from functools import lru_cache
+SEEN = {}
+LOG = []
+LIMITS = {"rank": 9}
+
+@functools.cache
+def f(x):
+    SEEN[x] = LIMITS["rank"]
+    LOG.append(x)
+    return x
+
+def g():
+    global LOG
+"""
+    assert call_time_caches(planted) == [
+        "line 3: functools.lru_cache", "line 8: functools.cache", "line 10: SEEN[...] written",
+        "line 11: LOG.append", "line 15: global LOG"]

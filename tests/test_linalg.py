@@ -9,7 +9,7 @@ from vancoh.linalg import (FinAbGroup, IntegerMatrix, Submodule, char_poly, coke
 
 import oracles
 from helpers import (diagonal_of, exact_inverse, hstack, rand_matrix, rand_unimodular,
-                     record_echelons, vstack)
+                     record_echelons, scaled, vstack)
 
 
 def small_matrices(max_dim=5, bound=9):
@@ -412,7 +412,7 @@ def snf_intersect(a, b):
     """Intersection through the Smith kernel of [A -B], mapped back by A."""
     if a.rank == 0 or b.rank == 0:
         return image(IntegerMatrix.zeros(a.ambient_rank, 0))
-    k = snf_kernel(hstack([a.basis, -b.basis])).basis
+    k = snf_kernel(hstack([a.basis, scaled(b.basis, -1)])).basis
     coeffs = IntegerMatrix(a.rank, k.cols, k.data[:a.rank])
     return image(a.basis * coeffs)
 
@@ -518,7 +518,7 @@ class TestDifferential:
             n = rng.randint(2, 6)
             ma = rand_matrix(rng, n, rng.randint(1, n), big)
             shared = ma * rand_matrix(rng, ma.cols, 1, 3)
-            mb = hstack([rand_matrix(rng, n, rng.randint(0, n - 1), big), shared + shared])
+            mb = hstack([rand_matrix(rng, n, rng.randint(0, n - 1), big), scaled(shared, 2)])
             a, b = image(ma), image(mb)
             got = intersect(a, b)
             assert got == intersect(b, a) == snf_intersect(a, b), (ma, mb)

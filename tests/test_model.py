@@ -147,6 +147,40 @@ class TestValidate:
         violations = validate(replace(cfg, components=comps))
         assert [v.code for v in violations] == ["loop-not-unimodular"]
 
+    def test_repeated_fault_reported_at_each_occurrence(self):
+        # every loop and branch of xyzu carries [[1]]; as [[2]] the one
+        # matrix is reported at each of them, in declaration order
+        cfg = load_corpus("xyzu")
+        two = matrix([[2]])
+        bad = replace(
+            cfg,
+            components=tuple(replace(c, loop_monodromies=(two,) * len(c.loop_monodromies))
+                             for c in cfg.components),
+            special_points=tuple(replace(q, branches=tuple(replace(b, monodromy=two)
+                                                           for b in q.branches))
+                                 for q in cfg.special_points))
+        expected = ([("loop-not-unimodular", f"{c.id}[loop {w}]")
+                     for c in cfg.components for w in range(len(c.loop_monodromies))]
+                    + [("branch-not-unimodular", f"{q.id}[branch {k}]")
+                       for q in cfg.special_points for k in range(len(q.branches))])
+        assert len(expected) == 24
+        assert [(v.code, v.subject) for v in validate(bad)] == expected
+
+    def test_repeated_matrix_shape_checked_per_component(self):
+        # one 2x2 matrix under components of rank 2, 1 and 2: only the
+        # rank-1 component's loop and branch have the wrong shape
+        ident = IntegerMatrix.identity(2)
+        cfg = replace(
+            load_corpus("xyz"), monodromy_data=None, polar_data=None, isolated_points=(),
+            components=(CurveComponent("S", 0, 2, (ident,)), CurveComponent("T", 0, 1, (ident,)),
+                        CurveComponent("U", 0, 2, (ident,))),
+            special_points=(
+                SpecialPoint("q1", (Branch("S", ident), Branch("T", ident)), 0, 0,
+                             IntegerMatrix.zeros(0, 0)),
+                SpecialPoint("q2", (Branch("U", ident),), 0, 0, IntegerMatrix.zeros(2, 0))))
+        assert [(v.code, v.subject) for v in validate(cfg)] == [
+            ("loop-shape", "T[loop 0]"), ("branch-shape", "q1[branch 1]")]
+
     def test_iota_with_kernel(self):
         cfg = load_corpus("xyz")
         q = cfg.special_points[0]
