@@ -1,5 +1,8 @@
 """Command line: validate or compute configuration files, run the corpus.
 
+Each file takes one path to one report: read, hash and parse it, stop at
+its parse and `--strict` violations, then validate it or compute.
+
 Exit status: 0 when every input is valid and all internal checks pass, 1 on
 any validation failure (including unreadable or malformed files), 2 on an
 internal defect.
@@ -8,6 +11,7 @@ internal defect.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from functools import partial
 
@@ -15,7 +19,7 @@ from . import corpus
 from .engine import InternalDefectError, InvalidConfigurationError, analyze
 from .loader import load_bytes
 from .model import Violation, validate
-from .report import Report, format_group, input_digest, render_json, render_text
+from .report import Report, format_group, render_json, render_text
 
 
 def _file_report(path: str, *, strict: bool, costalk_required: bool,
@@ -29,13 +33,8 @@ def _file_report(path: str, *, strict: bool, costalk_required: bool,
         return Report("unreadable",
                       (Violation("unreadable-file", "document",
                                  exc.strerror or "cannot read"),), None)
-    digest = input_digest(raw)
-    cid = digest[:12]
-    result, error = load_bytes(raw)
-    if error is not None:
-        return Report(cid, (Violation("malformed-document", "document", error),), None,
-                      input_sha256=digest)
-    assert result is not None
+    digest = hashlib.sha256(raw).hexdigest()
+    result = load_bytes(raw)
     violations = list(result.violations)
     warnings: tuple[str, ...] = ()
     if result.unknown_keys:
@@ -44,20 +43,18 @@ def _file_report(path: str, *, strict: bool, costalk_required: bool,
                               for key in result.unknown_keys)
         else:
             warnings = tuple(result.unknown_keys)
-    cfg = result.configuration
-    report = partial(Report, cid, warnings=warnings, input_sha256=digest)
-    if cfg is not None and not violations:
-        missing = [Violation("missing-costalk", q.id,
-                             "lower bound requested but costalk rank is absent")
-                   for q in cfg.special_points
-                   if costalk_required and q.costalk_rank is None]
-        # On the compute path without missing costalks, analyze validates.
-        if missing or not compute:
-            violations = validate(cfg) or missing
-    if violations or cfg is None:
+    report = partial(Report, digest[:12], warnings=warnings, input_sha256=digest)
+    if violations:
         return report(tuple(violations), None)
-    if not compute:
-        return report((), None)
+    # A document without structural violations always assembles.
+    cfg = result.configuration
+    missing = [Violation("missing-costalk", q.id,
+                         "lower bound requested but costalk rank is absent")
+               for q in cfg.special_points
+               if costalk_required and q.costalk_rank is None]
+    # On the compute path without missing costalks, analyze validates.
+    if missing or not compute:
+        return report(tuple(validate(cfg) or missing), None)
     try:
         return report((), analyze(cfg))
     except InvalidConfigurationError as exc:

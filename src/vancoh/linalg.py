@@ -2,24 +2,24 @@
 
 Dense matrices of arbitrary-precision integers, Smith and Hermite normal
 forms, kernels, images, cokernels and lattice intersections.  One column
-echelon elimination is the core, and it takes columns only: `rank` passes
-the rows of m, the columns of its transpose, and every other caller the
-columns of its matrix.  Ranks and unimodularity read its pivots, and one
-back-normalisation turns it into the column Hermite normal form, which
-gives images.  Kernels and intersections eliminate the stack [A B; I 0],
-laid out in one function (a kernel has no B), and back-normalise only the
-columns with pivots below the top block; that reads only later pivots, so
-these equal the columns of the full Hermite form.  An intersection maps
-its columns by A, which keeps them in echelon form, and back-normalises
-once more.  A `Submodule` is nothing but its Hermite basis, so `image`,
-`kernel` and `intersect` are the public ways to get one (`engine._build_j`
-also finishes one from validation's iota echelons).  One Smith
-elimination diagonalises the leading block of its list matrix and applies
-each operation to whole rows or columns: `cokernel` passes m alone and
-keeps the diagonal, and `smith_normal_form` passes [m I; I], whose right
+echelon elimination is the core, and it takes columns only: `rank` and
+`is_unimodular` pass the rows of m, the columns of its transpose, and every
+other caller the columns of its matrix.  Ranks and unimodularity read its
+pivots, and one back-normalisation turns it into the column Hermite normal
+form, which gives images.  Kernels and intersections eliminate the stack
+[A B; I 0], laid out in one function (a kernel has no B), and
+back-normalise only the columns with pivots below the top block; that reads
+only later pivots, so these equal the columns of the full Hermite form.  An
+intersection maps its columns by A, which keeps them in echelon form, and
+back-normalises once more.  A `Submodule` is nothing but its Hermite basis,
+so `image`, `kernel` and `intersect` are the public ways to get one
+(`engine._build_j` also finishes one from validation's iota echelons).  One
+Smith elimination diagonalises the leading block of its list matrix and
+applies each operation to whole rows or columns: `cokernel` passes m alone
+and keeps the diagonal, and `smith_normal_form` passes [m I; I], whose right
 block ends as u and bottom block as v.  Everything is pure and exact: no
-floats, no modular shortcuts, and every normal form is canonical, so
-equal inputs always produce identical outputs.
+floats, no modular shortcuts, and every normal form is canonical, so equal
+inputs always produce identical outputs.
 """
 
 from __future__ import annotations
@@ -79,8 +79,7 @@ class IntegerMatrix:
         return [list(r) for r in self.data]
 
     def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.cols, self.rows,
-                             tuple(zip(*self.data)) if self.rows else ((),) * self.cols)
+        return _from_columns(self.cols, self.data)
 
     def trace(self) -> int:
         if not self.is_square:
@@ -277,7 +276,7 @@ def _back_normalise(pivots: list[tuple[int, list[int]]]) -> list[list[int]]:
     return [c for _, c in pivots]
 
 
-def _from_columns(rows: int, columns: list[list[int]]) -> IntegerMatrix:
+def _from_columns(rows: int, columns: Sequence[Sequence[int]]) -> IntegerMatrix:
     return IntegerMatrix(rows, len(columns), tuple(zip(*columns)) if columns else ((),) * rows)
 
 
@@ -303,13 +302,14 @@ def rank(m: IntegerMatrix) -> int:
 def is_unimodular(m: IntegerMatrix) -> bool:
     """True iff ``m`` is square with determinant +-1.
 
-    The column echelon form of a square matrix of full rank is triangular
-    and reached by unimodular column operations, so |det m| is the product
-    of its positive pivots: all of them must be 1.
+    The column echelon form of the transpose (the rows of ``m``, as in
+    `rank`) of a square matrix of full rank is triangular and reached by
+    unimodular column operations, so |det m| = |det m^T| is the product of
+    its positive pivots: all of them must be 1.
     """
     if not m.is_square:
         return False
-    pivots = _echelon(zip(*m.data))
+    pivots = _echelon(m.data)
     return len(pivots) == m.rows and all(c[row] == 1 for row, c in pivots)
 
 

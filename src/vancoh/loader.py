@@ -9,10 +9,11 @@ them.  The three kinds of value are leaves, lists and records; a matrix or
 polynomial leaf is built by its constructor, which alone checks the entries,
 and the constructor's ValueError text becomes the violation detail.
 
-Parsing never throws on bad content: structural problems come back as
-violations, one per malformed position, so a batch run can keep going on
-the other inputs.  Unknown keys are collected separately; strict mode turns
-them into violations.
+Parsing never throws on bad content, from the raw bytes on: problems come
+back as violations, one per malformed position or one for a document that
+does not decode, so a batch run can keep going on the other inputs.
+Unknown keys are collected separately; strict mode turns them into
+violations.
 """
 
 from __future__ import annotations
@@ -204,28 +205,31 @@ def serialize_configuration(cfg: SliceConfiguration) -> dict:
 
 
 def load_path(path) -> tuple[ParseResult | None, str | None]:
-    """Read and decode a configuration file.
+    """Read and parse a configuration file.
 
-    Returns (result, error): error is a human-readable message for an
-    unreadable or undecodable file, in which case result is None.
+    Returns (result, None) as `load_bytes`, or (None, message) when the
+    file cannot be read.
     """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         return None, f"unreadable file: {exc}"
-    return load_bytes(raw)
+    return load_bytes(raw), None
 
 
-def load_bytes(raw: bytes) -> tuple[ParseResult | None, str | None]:
-    """Decode and parse a document's bytes; (result, error) as `load_path`.
+def load_bytes(raw: bytes) -> ParseResult:
+    """Decode and parse a document's bytes.
 
-    Every decoder failure is an error, never an exception: bad UTF-8 or
-    JSON and integer literals past the interpreter's digit limit (all
-    ValueError), and nesting too deep for the decoder (RecursionError).
+    A decoder failure is the result's one `malformed-document` violation at
+    `document`, never an exception: bad UTF-8 or JSON and integer literals
+    past the interpreter's digit limit (all ValueError), and nesting too
+    deep for the decoder (RecursionError).
     """
     try:
         doc = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
-        return None, f"malformed document: {exc}"
-    return parse_configuration(doc), None
+        result = ParseResult(None, [], [])
+        _bad(result, "document", f"malformed document: {exc}")
+        return result
+    return parse_configuration(doc)

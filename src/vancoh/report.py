@@ -7,7 +7,6 @@ produce byte-identical serialized reports regardless of file path.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 
@@ -32,10 +31,6 @@ def format_group(g: FinAbGroup) -> str:
         parts.append(f"Z^{g.free_rank}")
     parts.extend(f"Z/{d}" for d in g.torsion)
     return " (+) ".join(parts)
-
-
-def input_digest(raw: bytes) -> str:
-    return hashlib.sha256(raw).hexdigest()
 
 
 @dataclass(frozen=True)

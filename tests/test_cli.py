@@ -11,9 +11,10 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import vancoh
 from vancoh import (Bounds, FinAbGroup, Report, SixTermCheck, analyze, format_group,
-                    load_bytes, parse_configuration, serialize_configuration)
+                    load_bytes, load_path, parse_configuration, serialize_configuration)
 from vancoh.cli import main, run
 from vancoh.corpus import bundled
+from vancoh.loader import ParseResult
 from vancoh.report import render_json, render_text, report_to_dict
 
 from helpers import corpus_documents, count_calls, document_slots, mutated_document
@@ -162,6 +163,36 @@ class TestRun:
         assert status == 0
 
 
+class TestLoader:
+    """`load_bytes` gives one `ParseResult` whatever the bytes; `load_path`
+    adds only the unreadable file."""
+
+    @pytest.mark.parametrize("raw", [
+        b'{"n": 3, "id": "\xff"}',
+        b"{not json",
+        b'{"n": ' + b"7" * 4400 + b"}",  # past the interpreter's int digit limit
+        b"[" * 100_000,                  # past the decoder's nesting limit
+    ], ids=["bad-utf8", "invalid-json", "long-integer", "deep-nesting"])
+    def test_decoder_failure_is_one_violation(self, raw):
+        result = load_bytes(raw)
+        assert isinstance(result, ParseResult)
+        assert result.configuration is None and result.unknown_keys == []
+        [v] = result.violations
+        assert (v.code, v.subject) == ("malformed-document", "document")
+        assert v.detail.startswith("malformed document: ")
+
+    def test_non_object_top_level_keeps_its_violation(self):
+        result = load_bytes(b"[1, 2]")
+        assert result.configuration is None and result.unknown_keys == []
+        assert [(v.code, v.subject, v.detail) for v in result.violations] == [
+            ("malformed-document", "", "top-level document must be an object")]
+
+    def test_load_path_errs_only_on_unreadable_file(self, tmp_path):
+        result, error = load_path(tmp_path / "missing.json")
+        assert result is None and error.startswith("unreadable file: ")
+        assert load_path(CORPUS["xyzu"]) == (load_bytes(CORPUS["xyzu"].read_bytes()), None)
+
+
 def _is_matrix(value):
     return isinstance(value, list) and all(
         isinstance(row, list) and all(type(x) is int for x in row) for row in value)
@@ -259,8 +290,7 @@ def test_raw_bytes_and_arbitrary_values_get_one_report(tmp_path, data):
 def test_parsed_mutants_round_trip(mutant):
     """Every configuration a mutant parses to, valid or not, survives
     serialize -> JSON -> parse unchanged."""
-    result, error = load_bytes(mutant)
-    cfg = None if error else result.configuration
+    cfg = load_bytes(mutant).configuration
     if cfg is not None:
         again = parse_configuration(json.loads(json.dumps(serialize_configuration(cfg))))
         assert (again.configuration, again.violations, again.unknown_keys) == (cfg, [], [])
@@ -293,8 +323,7 @@ def test_nonpositive_rank_gives_one_violation(tmp_path, seed, mutate, pick, rank
     path = tmp_path / "rank.json"
     raw = json.dumps(doc).encode()
     path.write_bytes(raw)
-    result, error = load_bytes(raw)
-    cfg = None if error else result.configuration
+    cfg = load_bytes(raw).configuration
     for compute in (True, False):
         reports, status = run([str(path)], compute=compute)
         assert len(reports) == 1 and status in (0, 1, 2)

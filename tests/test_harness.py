@@ -2,7 +2,9 @@
 still exist, or a deletion in the library shows up only as a failed
 benchmark run.  The harness also repeats passes over the same documents in
 one process, so the library must keep no results from one call to the
-next, or a repeated pass would time a cache."""
+next, or a repeated pass would time a cache.  Inside the library, modules
+read each other's private names only at the one handoff of iota echelons
+from validation to the engine, so that coupling cannot spread unseen."""
 
 import ast
 import importlib
@@ -118,3 +120,51 @@ def g():
     assert call_time_caches(planted) == [
         "line 3: functools.lru_cache", "line 8: functools.cache", "line 10: SEEN[...] written",
         "line 11: LOG.append", "line 15: global LOG"]
+
+
+def private_reads(sources: dict[str, str]) -> list[str]:
+    """``reader reads module._name`` for each ``_``-prefixed, non-dunder
+    name that one package module takes from another: by
+    ``from .module import _name``, or as an attribute of a module bound by
+    ``from . import module``.  ``sources`` maps module names to source."""
+    found = set()
+    for reader, source in sources.items():
+        tree = ast.parse(source)
+        siblings = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if node.module is None:
+                        siblings[alias.asname or alias.name] = alias.name
+                    elif is_private(alias.name):
+                        found.add(f"{reader} reads {node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in siblings and is_private(node.attr)):
+                found.add(f"{reader} reads {siblings[node.value.id]}.{node.attr}")
+    return sorted(found)
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_private_reads_are_the_iota_echelon_handoff():
+    sources = {".".join(path.relative_to(LIBRARY).with_suffix("").parts): path.read_text()
+               for path in sorted(LIBRARY.rglob("*.py"))}
+    assert private_reads(sources) == [
+        "engine reads linalg._back_normalise", "engine reads linalg._from_columns",
+        "engine reads model._validate", "model reads linalg._echelon"]
+
+
+def test_private_read_check_finds_planted_reads():
+    planted = {
+        "a": """
+from . import b, c as cc, __version__
+from .b import _hidden, public, __all__
+
+x = b._one(cc._two, b.public, b.__dict__, _hidden, public)
+""",
+        "b": "def _one(*args):\n    return args\n",
+    }
+    assert private_reads(planted) == ["a reads b._hidden", "a reads b._one", "a reads c._two"]
