@@ -5,8 +5,8 @@ description of the sliced singular locus."""
 __version__ = "0.1.0"
 
 from .linalg import (FinAbGroup, IntegerMatrix, Submodule, char_poly, cokernel,
-                     hnf_columns, image, intersect, is_unimodular, kernel, matrix,
-                     rank, smith_normal_form, solve_in_basis)
+                     image, intersect, is_unimodular, kernel, matrix, rank,
+                     smith_normal_form, solve_in_basis)
 from .polynomial import IntPolynomial, poly_divides, poly_product
 from .model import (Branch, CurveComponent, EigenvalueData, IsolatedPoint,
                     MonodromyData, SliceConfiguration, SpecialPoint, Violation,
@@ -19,8 +19,8 @@ from .report import Report, format_group, render_json, render_text
 
 __all__ = [
     "FinAbGroup", "IntegerMatrix", "Submodule", "char_poly", "cokernel",
-    "hnf_columns", "image", "intersect", "is_unimodular", "kernel", "matrix",
-    "rank", "smith_normal_form", "solve_in_basis",
+    "image", "intersect", "is_unimodular", "kernel", "matrix", "rank",
+    "smith_normal_form", "solve_in_basis",
     "IntPolynomial", "poly_divides", "poly_product",
     "Branch", "CurveComponent", "EigenvalueData", "IsolatedPoint",
     "MonodromyData", "SliceConfiguration", "SpecialPoint", "Violation",

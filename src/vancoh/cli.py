@@ -112,9 +112,7 @@ def _run_corpus(fmt: str, verbose: bool) -> int:
         print(f"corpus FAILURE {f}", file=log)
     if fmt == "json" or verbose:
         _emit(reports, fmt, verbose)
-    if failures:
-        return 1
-    return status
+    return max(status, 1) if failures else status
 
 
 def main(argv: list[str] | None = None) -> int:

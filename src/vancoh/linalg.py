@@ -1,13 +1,14 @@
 """Exact linear algebra over the integers.
 
-Dense matrices of arbitrary-precision integers, Smith and Hermite normal
-forms, kernels, images, cokernels and lattice intersections.  One column
-echelon elimination is the core, and it takes columns only: `rank` and
+Dense matrices of arbitrary-precision integers, built from row lists by
+`matrix`, the one checked constructor; Smith and Hermite normal forms,
+kernels, images, cokernels and lattice intersections.  One column echelon
+elimination is the core, and it takes columns only: `rank` and
 `is_unimodular` pass the rows of m, the columns of its transpose, and every
 other caller the columns of its matrix.  Ranks and unimodularity read its
 pivots, and one back-normalisation turns it into the column Hermite normal
-form, which gives images.  Kernels and intersections eliminate the stack
-[A B; I 0], laid out in one function (a kernel has no B), and
+form, the basis of `image(m)`.  Kernels and intersections eliminate the
+stack [A B; I 0], laid out in one function (a kernel has no B), and
 back-normalise only the columns with pivots below the top block; that reads
 only later pivots, so these equal the columns of the full Hermite form.  An
 intersection maps its columns by A, which keeps them in echelon form, and
@@ -38,24 +39,6 @@ class IntegerMatrix:
     rows: int
     cols: int
     data: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
-        """Entries must be exactly `int`; any other raises, never converts."""
-        data = tuple(map(tuple, rows))
-        for row in data:
-            for x in row:
-                if type(x) is not int:
-                    raise ValueError("matrix entries must be integers")
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
-                raise ValueError("ragged rows in matrix literal")
-        else:
-            width = 0 if cols is None else cols
-        if cols is not None and data and width != cols:
-            raise ValueError(f"expected {cols} columns, got {width}")
-        return IntegerMatrix(len(data), width, data)
 
     @staticmethod
     def identity(n: int) -> "IntegerMatrix":
@@ -102,9 +85,21 @@ class IntegerMatrix:
                                    for row in self.data))
 
 
-def matrix(rows: Sequence[Sequence[int]], cols: int | None = None) -> IntegerMatrix:
-    """Shorthand constructor from nested row lists."""
-    return IntegerMatrix.from_rows(rows, cols)
+def matrix(rows: Sequence[Sequence[int]]) -> IntegerMatrix:
+    """The checked constructor from nested row lists.
+
+    Entries must be exactly `int`; any other raises, never converts.  They
+    are checked before the rows' lengths.
+    """
+    data = tuple(map(tuple, rows))
+    for row in data:
+        for x in row:
+            if type(x) is not int:
+                raise ValueError("matrix entries must be integers")
+    width = len(data[0]) if data else 0
+    if any(len(row) != width for row in data):
+        raise ValueError("ragged rows in matrix literal")
+    return IntegerMatrix(len(data), width, data)
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +275,6 @@ def _from_columns(rows: int, columns: Sequence[Sequence[int]]) -> IntegerMatrix:
     return IntegerMatrix(rows, len(columns), tuple(zip(*columns)) if columns else ((),) * rows)
 
 
-def hnf_columns(m: IntegerMatrix) -> IntegerMatrix:
-    """Canonical basis of the column span of ``m``.
-
-    Column-style Hermite normal form: pivot rows strictly increase with the
-    column index, pivots are positive, and in each pivot row the entries of
-    earlier columns lie in [0, pivot).  Zero columns are dropped, so the
-    result has exactly rank-many columns and is the unique canonical basis
-    of the lattice spanned by the columns of ``m``.
-    """
-    return _from_columns(m.rows, _back_normalise(_echelon(zip(*m.data))))
-
-
 def rank(m: IntegerMatrix) -> int:
     """Rank over the rationals: the number of column-echelon pivots of the
     transpose, whose columns are the rows of ``m``, eliminated in order;
@@ -368,8 +351,15 @@ def kernel(m: IntegerMatrix) -> Submodule:
 
 
 def image(m: IntegerMatrix) -> Submodule:
-    """Column span of ``m`` as a canonical submodule of Z^rows."""
-    return Submodule(hnf_columns(m))
+    """Column span of ``m`` as a canonical submodule of Z^rows.
+
+    Its basis is the column-style Hermite normal form of ``m``: pivot rows
+    strictly increase with the column index, pivots are positive, in each
+    pivot row the entries of earlier columns lie in [0, pivot), and zero
+    columns are dropped.  So it has exactly rank-many columns and is the
+    unique canonical basis of the lattice spanned by the columns of ``m``.
+    """
+    return Submodule(_from_columns(m.rows, _back_normalise(_echelon(zip(*m.data)))))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .linalg import IntegerMatrix
+from .linalg import IntegerMatrix, matrix
 from .model import (Branch, CurveComponent, EigenvalueData, IsolatedPoint, MonodromyData,
                     SliceConfiguration, SpecialPoint, Violation)
 from .polynomial import IntPolynomial
@@ -84,7 +84,7 @@ _PAIRS = _Leaf("expected a list of [lambda_k, clk_betti_k] integer pairs",
                lambda v: tuple(map(tuple, v)), lambda pairs: [list(p) for p in pairs])
 _MATRIX = _Leaf("expected a matrix as nested row lists",
                 lambda v: isinstance(v, list) and all(isinstance(row, list) for row in v),
-                IntegerMatrix.from_rows, IntegerMatrix.tolist)
+                matrix, IntegerMatrix.tolist)
 
 
 class _ListOf:

@@ -24,14 +24,6 @@ class IntPolynomial:
             cs.pop()
         return IntPolynomial(tuple(cs))
 
-    @staticmethod
-    def zero() -> "IntPolynomial":
-        return IntPolynomial(())
-
-    @staticmethod
-    def one() -> "IntPolynomial":
-        return IntPolynomial((1,))
-
     def __post_init__(self):
         if self.coeffs and self.coeffs[-1] == 0:
             raise ValueError("polynomial coefficients not normalized (trailing zero)")
@@ -47,7 +39,7 @@ class IntPolynomial:
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.is_zero or other.is_zero:
-            return IntPolynomial.zero()
+            return IntPolynomial(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -82,7 +74,7 @@ class IntPolynomial:
 
 
 def poly_product(polys: Sequence[IntPolynomial]) -> IntPolynomial:
-    acc = IntPolynomial.one()
+    acc = IntPolynomial((1,))
     for p in polys:
         acc = acc * p
     return acc

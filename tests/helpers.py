@@ -11,7 +11,7 @@ import random
 from dataclasses import replace
 
 from vancoh import (Branch, CurveComponent, IntegerMatrix, IsolatedPoint,
-                    SliceConfiguration, SpecialPoint, branch_kernel, linalg, model,
+                    SliceConfiguration, SpecialPoint, branch_kernel, linalg, matrix, model,
                     parse_configuration, serialize_configuration, validate)
 from vancoh.corpus import bundled
 from vancoh.linalg import rank as matrix_rank, solve_in_basis
@@ -131,8 +131,8 @@ def scaled(m: IntegerMatrix, c: int) -> IntegerMatrix:
 
 
 def rand_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> IntegerMatrix:
-    return IntegerMatrix.from_rows(
-        [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)], cols)
+    return IntegerMatrix(rows, cols, tuple(tuple(rng.randint(-bound, bound) for _ in range(cols))
+                                           for _ in range(rows)))
 
 
 def rand_unimodular(rng: random.Random, n: int, bound: int = 3) -> IntegerMatrix:
@@ -152,7 +152,7 @@ def rand_unimodular(rng: random.Random, n: int, bound: int = 3) -> IntegerMatrix
             candidate = [x + c * y for x, y in zip(m[i], m[j])]
             if max(abs(x) for x in candidate) <= bound:
                 m[i] = candidate
-    return IntegerMatrix.from_rows(m)
+    return matrix(m)
 
 
 def exact_inverse(m: IntegerMatrix) -> IntegerMatrix:
@@ -162,7 +162,7 @@ def exact_inverse(m: IntegerMatrix) -> IntegerMatrix:
     cols = [oracles.rational_solve(m.tolist(), [int(i == j) for i in range(n)])
             for j in range(n)]
     assert all(x.denominator == 1 for col in cols for x in col)
-    return IntegerMatrix.from_rows([[int(col[i]) for col in cols] for i in range(n)])
+    return matrix([[int(col[i]) for col in cols] for i in range(n)])
 
 
 def random_valid_config(rng: random.Random, max_components: int = 3,

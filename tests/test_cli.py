@@ -10,14 +10,16 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import vancoh
-from vancoh import (Bounds, FinAbGroup, Report, SixTermCheck, analyze, format_group,
-                    load_bytes, load_path, parse_configuration, serialize_configuration)
+from vancoh import (Bounds, FinAbGroup, InternalDefectError, Report, SixTermCheck, Violation,
+                    analyze, format_group, load_bytes, load_path, parse_configuration,
+                    serialize_configuration)
 from vancoh.cli import main, run
 from vancoh.corpus import bundled
 from vancoh.loader import ParseResult
 from vancoh.report import render_json, render_text, report_to_dict
 
-from helpers import corpus_documents, count_calls, document_slots, mutated_document
+from helpers import (corpus_documents, count_calls, document_slots, load_corpus,
+                     mutated_document)
 
 
 CORPUS = {name: path for name, path in bundled()}
@@ -368,6 +370,11 @@ class TestReportToDict:
         assert report_to_dict(report, verbose=True) == expected
         assert report.vanishing == analyze(cfg)
 
+    def test_violations_and_results_raise(self):
+        with pytest.raises(ValueError,
+                           match="^a report with violations must not carry results$"):
+            Report("xyz", (Violation("negative-rank", "S"),), analyze(load_corpus("xyz")))
+
     def test_sections_carry_dataclass_fields(self):
         reports, _ = run([str(CORPUS["xyzu"])])
         v = report_to_dict(reports[0])["vanishing"]
@@ -456,3 +463,41 @@ class TestMainEntry:
         assert main(["compute", "--verbose", str(path)]) == 0
         out = capsys.readouterr().out
         assert "suppressed" not in out
+
+
+def plant_mismatch(monkeypatch):
+    expected = {**vancoh.corpus.EXPECTED}
+    expected["xyz"] = {**expected["xyz"], "group": "Z^3"}
+    monkeypatch.setattr(vancoh.corpus, "EXPECTED", expected)
+    return "corpus FAILURE xyz: mismatch {'group': ('Z^2', 'Z^3')}\n"
+
+
+def plant_defect(monkeypatch):
+    xyz = load_corpus("xyz")
+
+    def analyze_with_defect(cfg):
+        if cfg == xyz:
+            raise InternalDefectError("planted defect")
+        return analyze(cfg)
+
+    monkeypatch.setattr(vancoh.cli, "analyze", analyze_with_defect)
+    return "corpus FAILURE xyz: no result (defect)\n"
+
+
+class TestCorpusFailures:
+    """The corpus run names each failing germ, and exits 1 on a mismatch and
+    2 on an internal defect."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("plant,status", [(plant_mismatch, 1), (plant_defect, 2)],
+                             ids=["mismatch", "defect"])
+    def test_failure_line_and_exit_status(self, monkeypatch, capsys, plant, status, fmt):
+        line = plant(monkeypatch)
+        assert main(["corpus", "--format", fmt]) == status
+        captured = capsys.readouterr()
+        log = captured.err if fmt == "json" else captured.out
+        assert log.count(line) == 1
+        assert log.count(": ok") == 5
+        assert "corpus xyz: ok" not in log
+        if fmt == "json":
+            assert len(json.loads(captured.out)) == 6

@@ -2,18 +2,22 @@
 still exist, or a deletion in the library shows up only as a failed
 benchmark run.  The harness also repeats passes over the same documents in
 one process, so the library must keep no results from one call to the
-next, or a repeated pass would time a cache.  Inside the library, modules
-read each other's private names only at the one handoff of iota echelons
-from validation to the engine, so that coupling cannot spread unseen."""
+next, or a repeated pass would time a cache.  The README's python examples
+import vancoh by name too, and must keep importing.  Inside the library,
+modules read each other's private names only at the one handoff of iota
+echelons from validation to the engine, so that coupling cannot spread
+unseen."""
 
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 LIBRARY = ROOT / "src" / "vancoh"
+README = ROOT / "README.md"
 
 CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
 MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault", "pop", "popitem",
@@ -53,6 +57,44 @@ def exists(module: str, name: str) -> bool:
     mod = importlib.import_module(module)
     return hasattr(mod, name) or (hasattr(mod, "__path__")
                                   and importlib.util.find_spec(f"{module}.{name}") is not None)
+
+
+def readme_imports(markdown: str) -> set[tuple[str, str]]:
+    """(module, name) for each ``from vancoh... import name`` in the
+    ```python blocks of ``markdown``."""
+    names = set()
+    for block in re.findall(r"^```python\n(.*?)^```", markdown, re.M | re.S):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "vancoh":
+                names.update((node.module, alias.name) for alias in node.names)
+    return names
+
+
+def test_readme_imports_existing_names():
+    names = readme_imports(README.read_text())
+    assert {("vancoh", "matrix"), ("vancoh", "analyze")} <= names
+    assert [f"{module}.{name}" for module, name in sorted(names)
+            if not exists(module, name)] == []
+
+
+def test_readme_import_check_finds_planted_names():
+    planted = """
+```python
+from vancoh import (matrix,
+                    retired_name)
+from vancoh.linalg import image
+import json
+```
+
+```sh
+from vancoh import shell_text
+```
+"""
+    names = readme_imports(planted)
+    assert names == {("vancoh", "matrix"), ("vancoh", "retired_name"),
+                     ("vancoh.linalg", "image")}
+    assert [f"{module}.{name}" for module, name in sorted(names)
+            if not exists(module, name)] == ["vancoh.retired_name"]
 
 
 def call_time_caches(source: str) -> list[str]:

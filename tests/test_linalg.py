@@ -3,9 +3,9 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vancoh.linalg import (FinAbGroup, IntegerMatrix, Submodule, char_poly, cokernel,
-                           hnf_columns, image, intersect, is_unimodular, kernel, matrix,
-                           rank, smith_normal_form, solve_in_basis)
+from vancoh.linalg import (FinAbGroup, IntegerMatrix, char_poly, cokernel,
+                           image, intersect, is_unimodular, kernel, matrix, rank,
+                           smith_normal_form, solve_in_basis)
 
 import oracles
 from helpers import (diagonal_of, exact_inverse, hstack, rand_matrix, rand_unimodular,
@@ -20,27 +20,47 @@ def small_matrices(max_dim=5, bound=9):
                 min_size=r, max_size=r)))
 
 
-def as_matrix(rows):
-    return IntegerMatrix.from_rows(rows)
-
-
 class TestLiteral:
     @pytest.mark.parametrize("entry", [1.5, 2.0, "4", True, None], ids=repr)
-    @pytest.mark.parametrize("build", [matrix, IntegerMatrix.from_rows])
+    @pytest.mark.parametrize("build", [matrix])
     def test_rejects_non_integer_entries(self, build, entry):
-        for rows, cols in (([[1, 2], [3, entry]], None), ([[entry]], 1),
-                           ([[1, 2], [entry]], None)):  # entries are checked before raggedness
+        for rows in ([[1, 2], [3, entry]], [[entry]],
+                     [[1, 2], [entry]]):  # entries are checked before raggedness
             with pytest.raises(ValueError, match="^matrix entries must be integers$"):
-                build(rows, cols)
+                build(rows)
 
-    @pytest.mark.parametrize("build", [matrix, IntegerMatrix.from_rows])
+    @pytest.mark.parametrize("build", [matrix])
     def test_builds_exact_integers(self, build):
         big = 2 ** 200
         assert build([[big, -big], [0, 1]]).data == ((big, -big), (0, 1))
         assert build([]) == IntegerMatrix.zeros(0, 0)
         assert build([[]]) == IntegerMatrix.zeros(1, 0)
-        assert build([], 3) == IntegerMatrix.zeros(0, 3)
-        assert build([[1, -2]], 2).data == ((1, -2),)
+
+
+class TestShape:
+    @pytest.mark.parametrize("rows, cols", [(-1, 0), (0, -1)])
+    def test_rejects_negative_dimension(self, rows, cols):
+        with pytest.raises(ValueError, match="^negative matrix dimension$"):
+            IntegerMatrix(rows, cols, ())
+
+    @pytest.mark.parametrize("rows, cols, data", [
+        (2, 1, ((1,),)), (1, 2, ((1,),)), (1, 1, ((1,), (2,))), (0, 0, ((),)),
+    ], ids=["short-column", "short-row", "extra-row", "0x0-with-row"])
+    def test_rejects_data_off_shape(self, rows, cols, data):
+        with pytest.raises(ValueError, match="^matrix data does not match declared shape$"):
+            IntegerMatrix(rows, cols, data)
+
+    def test_ragged_rows_raise(self):
+        with pytest.raises(ValueError, match="^ragged rows in matrix literal$"):
+            matrix([[1, 2], [3]])
+
+    def test_trace_of_non_square_raises(self):
+        with pytest.raises(ValueError, match="^trace of a non-square matrix$"):
+            IntegerMatrix.zeros(2, 3).trace()
+
+    def test_mismatched_product_raises(self):
+        with pytest.raises(ValueError, match="^cannot multiply 2x3 by 2x3$"):
+            IntegerMatrix.zeros(2, 3) * IntegerMatrix.zeros(2, 3)
 
 
 def shaped_matrices(max_dim=5, bound=9):
@@ -49,7 +69,7 @@ def shaped_matrices(max_dim=5, bound=9):
         lambda shape: st.lists(
             st.lists(st.integers(-bound, bound), min_size=shape[1], max_size=shape[1]),
             min_size=shape[0], max_size=shape[0]).map(
-                lambda rows: IntegerMatrix.from_rows(rows, shape[1])))
+                lambda rows: matrix(rows) if rows else IntegerMatrix.zeros(0, shape[1])))
 
 
 class TestTranspose:
@@ -119,7 +139,7 @@ class TestSmithNormalForm:
     @settings(max_examples=200, deadline=None)
     @given(small_matrices())
     def test_property_reconstruction(self, rows):
-        m = as_matrix(rows)
+        m = matrix(rows)
         u, d, v = smith_normal_form(m)
         assert u * m * v == d
         assert oracles.bareiss_det(u.tolist()) in (1, -1)
@@ -166,7 +186,7 @@ class TestKernelImage:
     @settings(max_examples=200, deadline=None)
     @given(small_matrices())
     def test_property_rank_nullity_and_saturation(self, rows):
-        m = as_matrix(rows)
+        m = matrix(rows)
         k = kernel(m)
         im = image(m)
         assert k.rank + im.rank == m.cols
@@ -200,6 +220,20 @@ class TestCokernel:
             u = rand_unimodular(rng, m.rows)
             v = rand_unimodular(rng, m.cols)
             assert cokernel(u * m * v) == cokernel(m)
+
+
+class TestFinAbGroup:
+    @pytest.mark.parametrize("free_rank, torsion, message", [
+        (-1, (), "negative free rank"),
+        (0, (1,), "torsion invariant below 2"),
+        (1, (2, 0), "torsion invariant below 2"),
+        (0, (-2,), "torsion invariant below 2"),
+        (0, (2, 3), "torsion invariants must form a divisibility chain"),
+        (2, (4, 2), "torsion invariants must form a divisibility chain"),
+    ], ids=["negative-rank", "factor-1", "factor-0", "negative-factor", "2-3", "4-2"])
+    def test_rejects_invalid_invariants(self, free_rank, torsion, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FinAbGroup(free_rank, torsion)
 
 
 class TestIntersect:
@@ -278,10 +312,10 @@ class TestHermite:
         for _ in range(60):
             m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), 6)
             v = rand_unimodular(rng, m.cols)
-            assert hnf_columns(m) == hnf_columns(m * v)
+            assert image(m) == image(m * v)
 
     def test_pivot_shape(self):
-        assert_column_hnf(hnf_columns(matrix([[0, 2, 4], [1, 1, 1], [3, 0, 2]])))
+        assert_column_hnf(image(matrix([[0, 2, 4], [1, 1, 1], [3, 0, 2]])).basis)
 
 
 def assert_column_hnf(h):
@@ -339,7 +373,7 @@ def rounding_cases():
 
 
 class TestNearestQuotients:
-    """The column echelon form behind hnf_columns, rank and is_unimodular on
+    """The column echelon form behind image, rank and is_unimodular on
     the edge cases of its nearest-integer quotients."""
 
     CASES = rounding_cases()
@@ -347,10 +381,10 @@ class TestNearestQuotients:
     def test_hnf_canonical_and_shaped(self):
         rng = random.Random(48)
         for m in self.CASES:
-            h = hnf_columns(m)
+            h = image(m).basis
             assert_column_hnf(h)
             assert solve_in_basis(h, m) is not None, m
-            assert hnf_columns(m * rand_unimodular(rng, m.cols, bound=9)) == h, m
+            assert image(m * rand_unimodular(rng, m.cols, bound=9)).basis == h, m
 
     def test_rank_matches_rational_oracle(self):
         for m in self.CASES:
@@ -369,7 +403,7 @@ class TestSolveInBasis:
         rng = random.Random(13)
         for _ in range(40):
             n = rng.randint(1, 5)
-            basis = hnf_columns(rand_matrix(rng, n, rng.randint(1, n), 4))
+            basis = image(rand_matrix(rng, n, rng.randint(1, n), 4)).basis
             if basis.cols == 0:
                 continue
             coeffs = rand_matrix(rng, basis.cols, 2, 5)
@@ -377,7 +411,7 @@ class TestSolveInBasis:
             assert got == coeffs
 
     def test_rejects_outside_vector(self):
-        basis = hnf_columns(matrix([[2], [0]]))
+        basis = image(matrix([[2], [0]])).basis
         assert solve_in_basis(basis, matrix([[1], [0]])) is None
         assert solve_in_basis(basis, matrix([[0], [1]])) is None
 
@@ -394,7 +428,7 @@ class TestSolveInBasis:
     def test_empty_shapes(self):
         assert solve_in_basis(IntegerMatrix.zeros(0, 0), IntegerMatrix.zeros(0, 3)) \
             == IntegerMatrix.zeros(0, 3)
-        basis = hnf_columns(matrix([[2], [1]]))
+        basis = image(matrix([[2], [1]])).basis
         assert solve_in_basis(basis, IntegerMatrix.zeros(2, 0)) == IntegerMatrix.zeros(1, 0)
 
 
@@ -420,7 +454,7 @@ def snf_intersect(a, b):
 def rank_deficient(m):
     """``m`` with its last row replaced by the first plus the second last."""
     rows = list(m.data[:-1])
-    return IntegerMatrix.from_rows(rows + [[x + y for x, y in zip(rows[0], rows[-1])]])
+    return matrix(rows + [[x + y for x, y in zip(rows[0], rows[-1])]])
 
 
 def differential_cases():
@@ -475,13 +509,12 @@ class TestDifferential:
 
     CASES = differential_cases()
 
-    def test_hnf_columns_matches_smith_route(self):
+    def test_image_matches_smith_route(self):
         for m in self.CASES:
-            h = hnf_columns(m)
+            h = image(m).basis
             assert (h.rows, h.cols) == (m.rows, oracles.rational_rank(m.tolist())), m
             assert_column_hnf(h)
-            assert image(m) == Submodule(h)
-            assert hnf_columns(snf_image(m)) == h, m
+            assert image(snf_image(m)).basis == h, m
 
     def test_kernel_matches_smith_route(self):
         for m in self.CASES:
@@ -531,6 +564,7 @@ class TestCharPoly:
     def test_identity(self):
         p = char_poly(IntegerMatrix.identity(2))
         assert p.coeffs == (1, -2, 1)
+        assert char_poly(IntegerMatrix.identity(0)).coeffs == (1,)
 
     def test_minus_one(self):
         assert char_poly(matrix([[-1]])).coeffs == (1, 1)
@@ -547,7 +581,7 @@ class TestCharPoly:
         lambda n: st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
                            min_size=n, max_size=n)))
     def test_property_matches_cofactor_oracle(self, rows):
-        assert char_poly(as_matrix(rows)).coeffs == oracles.charpoly_cofactor(rows)
+        assert char_poly(matrix(rows)).coeffs == oracles.charpoly_cofactor(rows)
 
     def test_conjugation_invariance(self):
         rng = random.Random(17)

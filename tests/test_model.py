@@ -98,11 +98,11 @@ SINGLE_FAULTS = {
                      [("polar-length", "polar_data")]),
     "polar-negative": (lambda cfg: replace(cfg, polar_data=((3, -1),)),
                        [("polar-negative", "polar_data[0]")]),
-    "zero-char-poly": (_with_monodromy(char_poly=IntPolynomial.zero()),
+    "zero-char-poly": (_with_monodromy(char_poly=IntPolynomial(())),
                        [("zero-polynomial", "monodromy_data.char_poly")]),
     "zero-component-char-poly": (
         _with_monodromy(component_char_polys=(
-            IntPolynomial((-1, 1)), IntPolynomial.zero(), IntPolynomial((-1, 1)))),
+            IntPolynomial((-1, 1)), IntPolynomial(()), IntPolynomial((-1, 1)))),
         [("zero-polynomial", "monodromy_data.component_char_polys[1]")]),
     "char-poly-count": (_with_monodromy(component_char_polys=(IntPolynomial((-1, 1)),) * 2),
                         [("char-poly-count", "monodromy_data")]),

@@ -29,15 +29,28 @@ def test_from_coeffs_builds_exact_integers():
     assert IntPolynomial.from_coeffs([]).is_zero
 
 
+def test_trailing_zero_raises():
+    with pytest.raises(ValueError, match="^polynomial coefficients not normalized"):
+        IntPolynomial((1, 0))
+
+
 def test_str():
     assert str(P(-1, 1)) == "t - 1"
     assert str(P(1, -2, 1)) == "t^2 - 2*t + 1"
     assert str(P()) == "0"
+    # zero coefficients are skipped
+    assert str(P(1, 0, 1)) == "t^2 + 1"
+    assert str(P(0, 0, -3)) == "-3*t^2"
+    assert str(P(-2, 0, 0, 1)) == "t^3 - 2"
 
 
 def test_product():
     assert poly_product([P(-1, 1), P(1, 1)]).coeffs == (-1, 0, 1)
     assert poly_product([]).coeffs == (1,)
+    for p in (P(), P(3), P(-1, 0, 2)):
+        assert (p * P()).is_zero
+        assert (P() * p).is_zero
+    assert poly_product([P(-1, 1), P(), P(1, 1)]).is_zero
 
 
 def test_divides_basics():
