@@ -1,7 +1,8 @@
 """Command line: validate or compute configuration files, run the corpus.
 
-Each file takes one path to one report: read, hash and parse it, stop at
-its parse and `--strict` violations, then validate it or compute.
+Each file takes one path to one report: `loader.load_path` reads, hashes
+and parses it, then the report stops at its parse and `--strict`
+violations, or validates it or computes.
 
 Exit status: 0 when every input is valid and all internal checks pass, 1 on
 any validation failure (including unreadable or malformed files), 2 on an
@@ -11,13 +12,12 @@ internal defect.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from functools import partial
 
 from . import corpus
 from .engine import InternalDefectError, InvalidConfigurationError, analyze
-from .loader import load_bytes
+from .loader import load_path
 from .model import Violation, validate
 from .report import Report, format_group, render_json, render_text
 
@@ -26,15 +26,10 @@ def _file_report(path: str, *, strict: bool, costalk_required: bool,
                  compute: bool) -> Report:
     # Reports stay a pure function of the input bytes: no paths inside, so
     # equal documents serialize identically wherever they live.
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        return Report("unreadable",
-                      (Violation("unreadable-file", "document",
-                                 exc.strerror or "cannot read"),), None)
-    digest = hashlib.sha256(raw).hexdigest()
-    result = load_bytes(raw)
+    result, error = load_path(path)
+    if result is None:
+        return Report("unreadable", (Violation("unreadable-file", "document", error),), None)
+    digest = result.input_sha256
     violations = list(result.violations)
     warnings: tuple[str, ...] = ()
     if result.unknown_keys:

@@ -123,9 +123,10 @@ def component_cohomology(c: CurveComponent, n: int) -> ComponentCohomology:
 
 
 def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
-             points: list[PointRecord]) -> tuple[IntegerMatrix, Submodule]:
-    """Matrix of the comparison map j into the branch kernels, and the
-    Hermite basis of the column span of its point block.
+             points: list[PointRecord]) -> tuple[IntegerMatrix, Submodule, list]:
+    """Matrix of the comparison map j into the branch kernels, the Hermite
+    basis of the column span of its point block, and each component's list
+    of the fq_rank_low of the point at each of its branches.
 
     Domain basis: canonical invariant bases of the components (declaration
     order), then the standard basis of Z^fq_rank_low for each special point.
@@ -135,13 +136,14 @@ def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
     coordinates obtained by exact solve; the point block is -iota, so that
     ker j consists of the matched pairs.  One walk over the special points
     and their validated (branch kernels, iota echelon) records lays out
-    both blocks.  The point block is the block diagonal of the -iotas, and
-    -iota spans the lattice of iota, so its Hermite basis is the block
-    diagonal of the back-normalised iota echelons at the points' row
-    offsets: pivot rows still increase, and no pivot row holds an entry of
-    an earlier point's column.  Each distinct (kernel, invariants) pair is
-    solved once; an inconsistent one counts at each of its branches, and
-    the first of these in component order is reported.
+    both blocks, and is the one read of the component-point incidence.
+    The point block is the block diagonal of the -iotas, and -iota spans
+    the lattice of iota, so its Hermite basis is the block diagonal of the
+    back-normalised iota echelons at the points' row offsets: pivot rows
+    still increase, and no pivot row holds an entry of an earlier point's
+    column.  Each distinct (kernel, invariants) pair is solved once; an
+    inconsistent one counts at each of its branches, and the first of these
+    in component order is reported.
     """
     first_col = {}
     upper = 0
@@ -152,6 +154,7 @@ def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
     domain = upper + sum(q.fq_rank_low for q in cfg.special_points)
     data = [[0] * domain for _ in range(codomain)]
     columns = []
+    lows = [[] for _ in comps]
     inconsistent = []
     solved = {}  # (kernel basis, invariant basis) -> coordinates or None
     row0, col0 = 0, upper
@@ -163,6 +166,7 @@ def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
         col0 += q.fq_rank_low
         for k, (b, kern) in enumerate(zip(q.branches, kernels)):
             ci, c0 = first_col[b.component_id]
+            lows[ci].append(q.fq_rank_low)
             inv = comps[ci].invariants
             pair = kern.basis, inv.basis
             if pair not in solved:
@@ -182,7 +186,7 @@ def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
             f"lie in the kernel of branch {k} at point {cfg.special_points[p].id!r}; the "
             f"supplied loop and branch monodromies are mutually inconsistent")
     j = IntegerMatrix(codomain, domain, tuple(tuple(r) for r in data))
-    return j, Submodule(linalg._from_columns(codomain, columns))
+    return j, Submodule(linalg._from_columns(codomain, columns)), lows
 
 
 def analyze(cfg: SliceConfiguration) -> VanishingReport:
@@ -190,17 +194,18 @@ def analyze(cfg: SliceConfiguration) -> VanishingReport:
 
     Validation hands on each special point's branch kernels and iota
     echelon; `_build_j` lays out j and the Hermite basis of its point block
-    from them in one walk.  The component invariants, j and the rank of
-    ker j are each computed once, and every ledger and cross-check reads
-    them.  Raises InvalidConfigurationError on validation failure and
-    InternalDefectError when an internal invariant breaks.
+    from them in one walk, the one read of the component-point incidence.
+    The component invariants, j and the rank of ker j are each computed
+    once, and every ledger and cross-check reads them; the six-term ledger
+    writes d = a - b + e.  Raises InvalidConfigurationError on validation
+    failure and InternalDefectError when an internal invariant breaks.
     """
     violations, points = model._validate(cfg)
     if violations:
         raise InvalidConfigurationError(violations)
 
     comps = tuple(component_cohomology(c, cfg.n) for c in cfg.components)
-    j, point_image = _build_j(cfg, comps, points)
+    j, point_image, lows = _build_j(cfg, comps, points)
     # The integer kernel is saturated, so its rank is the rational nullity.
     # rank walks the rows of the raw j (see the module docstring); the
     # cross-check below eliminates other matrices, so the two routes stay
@@ -221,11 +226,7 @@ def analyze(cfg: SliceConfiguration) -> VanishingReport:
     # computation of the intersection of the two images.  Branch-free
     # components have zero columns in j, so the invariant columns span the
     # same image as those of the components with branches.
-    lows = {c.id: [] for c in cfg.components}  # fq_rank_low at each branch
-    for q in cfg.special_points:
-        for b in q.branches:
-            lows[b.component_id].append(q.fq_rank_low)
-    i0 = [(cc.component_id, cc.invariants.rank) for cc in comps if not lows[cc.component_id]]
+    i0 = [(cc.component_id, cc.invariants.rank) for cc, low in zip(comps, lows) if not low]
     g_rank = lowest.free_rank - sum(r for _, r in i0)
     g_direct = linalg.intersect(
         linalg.image(IntegerMatrix(j.rows, upper, tuple(r[:upper] for r in j.data))),
@@ -239,13 +240,13 @@ def analyze(cfg: SliceConfiguration) -> VanishingReport:
     # the top pair group; a negative value flags contradictory input ranks.
     # Each branch map nu - id is square, so the free rank of its cokernel
     # equals the rank of its kernel: the branch cokernel term is the sum of
-    # the branch-kernel ranks, which is the codomain of j.
+    # the branch-kernel ranks, j.rows, which is also the codomain term, so
+    # the two cancel in d = c - b + a + e - f.
     a = lowest.free_rank
     b = j.cols
-    c_term = f_term = j.rows
     e = sum(cc.coker.free_rank for cc in comps) + sum(q.fq_rank_high for q in cfg.special_points)
-    d = c_term - b + a + e - f_term
-    six = SixTermCheck(a, b, c_term, d, e, f_term, consistent=d >= 0)
+    d = a - b + e
+    six = SixTermCheck(a, b, j.rows, d, e, j.rows, consistent=d >= 0)
 
     # The ranks must reproduce the Euler characteristic of the whole
     # vanishing neighborhood pair exactly.  Each special point takes away
@@ -268,10 +269,8 @@ def analyze(cfg: SliceConfiguration) -> VanishingReport:
     # transversal rank alone without special points, a conservative
     # convention).
     costalks = [q.costalk_rank for q in cfg.special_points]
-    concentration = 0
-    for c in cfg.components:
-        if 0 not in lows[c.id]:
-            concentration += min([c.transversal_rank] + lows[c.id])
+    concentration = sum(min([c.transversal_rank] + low)
+                        for c, low in zip(cfg.components, lows) if 0 not in low)
     bounds = Bounds(
         upper_lowest=upper,
         lower_lowest=None if None in costalks else upper - sum(costalks),

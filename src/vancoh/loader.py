@@ -13,11 +13,13 @@ Parsing never throws on bad content, from the raw bytes on: problems come
 back as violations, one per malformed position or one for a document that
 does not decode, so a batch run can keep going on the other inputs.
 Unknown keys are collected separately; strict mode turns them into
-violations.
+violations.  `load_path` is the one reader of a file, and `load_bytes` of
+a document's bytes, which it hashes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 
@@ -32,6 +34,7 @@ class ParseResult:
     configuration: SliceConfiguration | None
     violations: list[Violation]
     unknown_keys: list[str]
+    input_sha256: str = ""  # of the raw bytes; "" for a decoded document
 
 
 def _bad(r: ParseResult, path: str, detail: str) -> None:
@@ -43,12 +46,8 @@ def _bad(r: ParseResult, path: str, detail: str) -> None:
 # is only assembled from a document with no violations, so those Nones are
 # never seen.  `write(parsed)` gives the plain JSON form back.
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(_is_int(x) for x in value)
+    return isinstance(value, list) and all(type(x) is int for x in value)
 
 
 def _same(value):
@@ -72,8 +71,8 @@ class _Leaf:
         return None
 
 
-_INT = _Leaf("expected an integer", _is_int)
-_OPTIONAL_INT = _Leaf("expected an integer", lambda v: v is None or _is_int(v))  # null = absent
+_INT = _Leaf("expected an integer", lambda v: type(v) is int)
+_OPTIONAL_INT = _Leaf("expected an integer", lambda v: v is None or type(v) is int)  # null = absent
 _STR = _Leaf("expected a string", lambda v: isinstance(v, str))
 _POLYNOMIAL = _Leaf("expected a polynomial as an ascending coefficient list",
                     lambda v: isinstance(v, list), IntPolynomial.from_coeffs,
@@ -205,31 +204,34 @@ def serialize_configuration(cfg: SliceConfiguration) -> dict:
 
 
 def load_path(path) -> tuple[ParseResult | None, str | None]:
-    """Read and parse a configuration file.
+    """Read, hash and parse a configuration file.
 
-    Returns (result, None) as `load_bytes`, or (None, message) when the
-    file cannot be read.
+    Returns (result, None) as `load_bytes`, or (None, reason) when the file
+    cannot be read, where reason is the operating system's, without the path.
     """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        return None, f"unreadable file: {exc}"
+        return None, exc.strerror or "cannot read"
     return load_bytes(raw), None
 
 
 def load_bytes(raw: bytes) -> ParseResult:
-    """Decode and parse a document's bytes.
+    """Hash, decode and parse a document's bytes.
 
-    A decoder failure is the result's one `malformed-document` violation at
-    `document`, never an exception: bad UTF-8 or JSON and integer literals
-    past the interpreter's digit limit (all ValueError), and nesting too
-    deep for the decoder (RecursionError).
+    The result carries the bytes' sha256 hex digest, also when they do not
+    decode.  A decoder failure is the result's one `malformed-document`
+    violation at `document`, never an exception: bad UTF-8 or JSON and
+    integer literals past the interpreter's digit limit (all ValueError),
+    and nesting too deep for the decoder (RecursionError).
     """
     try:
         doc = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         result = ParseResult(None, [], [])
         _bad(result, "document", f"malformed document: {exc}")
-        return result
-    return parse_configuration(doc)
+    else:
+        result = parse_configuration(doc)
+    result.input_sha256 = hashlib.sha256(raw).hexdigest()
+    return result

@@ -1,5 +1,8 @@
 import copy
+import errno
+import hashlib
 import json
+import os
 import random
 import re
 import shutil
@@ -103,9 +106,23 @@ class TestRun:
         assert len(calls) == len(paths)
 
     def test_unreadable(self, tmp_path):
-        reports, status = run([str(tmp_path / "missing.json")])
+        # the detail is the operating system's reason, and no report names the path
+        where = tmp_path / "distinctive-dir-q7x"
+        where.mkdir()
+        [report], status = run([str(where / "missing.json")])
         assert status == 1
-        assert reports[0].validation[0].code == "unreadable-file"
+        assert [(v.code, v.subject, v.detail) for v in report.validation] == [
+            ("unreadable-file", "document", os.strerror(errno.ENOENT))]
+        for verbose in (False, True):
+            for text in (render_json([report], verbose), render_text(report, verbose)):
+                assert "distinctive-dir-q7x" not in text
+
+    def test_loader_reads_each_path_once(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, vancoh.cli, "load_path")
+        paths = [str(copy_corpus(tmp_path, name)) for name in ("xyz", "xyzu", "x2z_y2u")]
+        paths.append(str(tmp_path / "missing.json"))
+        run(paths)
+        assert calls == [(p,) for p in paths]
 
     def test_defect_exit_2(self, tmp_path):
         doc = {
@@ -191,8 +208,30 @@ class TestLoader:
 
     def test_load_path_errs_only_on_unreadable_file(self, tmp_path):
         result, error = load_path(tmp_path / "missing.json")
-        assert result is None and error.startswith("unreadable file: ")
+        assert result is None and error == os.strerror(errno.ENOENT)
         assert load_path(CORPUS["xyzu"]) == (load_bytes(CORPUS["xyzu"].read_bytes()), None)
+
+    @pytest.mark.parametrize("raw", [
+        CORPUS["xyzu"].read_bytes(),
+        b"[1, 2]",
+        b'{"n": 3, "id": "\xff"}',
+    ], ids=["corpus", "non-object", "bad-utf8"])
+    def test_load_bytes_hashes_the_bytes(self, raw):
+        assert load_bytes(raw).input_sha256 == hashlib.sha256(raw).hexdigest()
+
+    def test_decoded_document_carries_no_digest(self):
+        assert parse_configuration(json.loads(CORPUS["xyzu"].read_text())).input_sha256 == ""
+
+    def test_int_subclass_is_not_an_integer(self):
+        class Count(int):
+            pass
+
+        doc = json.loads(CORPUS["xyz"].read_text())
+        doc["n"] = Count(3)
+        result = parse_configuration(doc)
+        assert result.configuration is None
+        assert [(v.code, v.subject, v.detail) for v in result.violations] == [
+            ("malformed-document", "n", "expected an integer")]
 
 
 def _is_matrix(value):

@@ -108,6 +108,10 @@ class TestBuildJ:
         assert rep.lowest_group == FinAbGroup(1, ())
         assert rep.i0_contribution == (("R", 1),)
         assert rep.g_rank == 0 and rep.bounds.min_bound == 1
+        # the same walk reads each component's lower point ranks: S, R, T
+        comps = tuple(component_cohomology(c, cfg.n) for c in cfg.components)
+        _, _, lows = vancoh.engine._build_j(cfg, comps, vancoh.model._validate(cfg)[1])
+        assert lows == [[1, 0], [], [1, 0]]
 
     def test_inconsistent_branches_reported_in_component_order(self):
         # T fails before S in the walk, at an earlier point or an earlier
@@ -666,6 +670,6 @@ class TestSinglePass:
     def test_shortcut_fires(self, monkeypatch):
         # a j with a nonzero row loses one kernel dimension
         monkeypatch.setattr(vancoh.engine, "_build_j", lambda *args: (
-            matrix([[1, 0]]), image(IntegerMatrix.zeros(1, 0))))
+            matrix([[1, 0]]), image(IntegerMatrix.zeros(1, 0)), [[]]))
         with pytest.raises(InternalDefectError, match="shortcut"):
             analyze(load_corpus("quadric_power_3_2"))

@@ -1,6 +1,8 @@
 """The benchmark harness imports vancoh by name: every name it reads must
 still exist, or a deletion in the library shows up only as a failed
-benchmark run.  The harness also repeats passes over the same documents in
+benchmark run.  It also names functions in span-name strings, and a
+stranded one reads 0 without failing, so those stranded today are pinned.
+The harness also repeats passes over the same documents in
 one process, so the library must keep no results from one call to the
 next, or a repeated pass would time a cache.  The README's python examples
 import vancoh by name too, and must keep importing.  Inside the library,
@@ -50,6 +52,64 @@ def test_bench_reads_existing_names():
             ("vancoh.linalg", "IntegerMatrix"), ("vancoh.linalg", "Submodule")} <= names
     assert [f"{module}.{name}" for module, name in sorted(names)
             if not exists(module, name)] == []
+
+
+def span_names(run_source: str, tracer_source: str) -> set[str]:
+    """The ``layer.function`` span names the bench reads as strings: the
+    values of ``CALL_COUNTS`` and the keys of ``calls.get`` and
+    ``self_s.get`` in run.py, and the members of ``STAGES`` in tracer.py."""
+    names = set()
+    for source, table in ((run_source, "CALL_COUNTS"), (tracer_source, "STAGES")):
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                    and any(isinstance(t, ast.Name) and t.id == table for t in node.targets)):
+                for value in node.value.values:
+                    members = value.elts if isinstance(value, ast.Tuple) else [value]
+                    names.update(m.value for m in members)
+    for node in ast.walk(ast.parse(run_source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and node.args
+                and isinstance(node.args[0], ast.Constant) and reads_spans(node.func.value)):
+            names.add(node.args[0].value)
+    return names
+
+
+def reads_spans(node: ast.expr) -> bool:
+    """``node`` is ``calls`` or ``<something>["self_s"]``."""
+    if isinstance(node, ast.Subscript):
+        return isinstance(node.slice, ast.Constant) and node.slice.value == "self_s"
+    return isinstance(node, ast.Name) and node.id == "calls"
+
+
+def test_bench_span_names_stranded_are_pinned():
+    names = span_names((BENCH / "run.py").read_text(), (BENCH / "tracer.py").read_text())
+    assert {"linalg.kernel", "model.validate", "engine.component_cohomology"} <= names
+    # ROADMAP item 1 feeds these metrics from names that exist and empties the list.
+    assert stranded(names) == [
+        "engine.build_j", "engine.decompose", "engine.lower_bound_lowest", "engine.min_bound",
+        "engine.polar_bounds", "engine.six_term_check", "engine.upper_bound_lowest",
+        "linalg.hnf_columns"]
+
+
+def test_span_name_reader_finds_planted_names():
+    run_source = """
+CALL_COUNTS = {"a_calls": "linalg.kernel", "b_calls": "linalg.retired"}
+OTHER = {"c_calls": "model.other"}
+
+def values(calls, layer):
+    return (calls.get("engine.analyze", 0), layer["self_s"].get("model.gone", 0.0),
+            layer["stage_s"].get("engine.stage", 0.0), layer.get("cli.run"))
+"""
+    tracer_source = 'STAGES = {"engine.stage": ("engine.old", "engine.older")}\n'
+    names = span_names(run_source, tracer_source)
+    assert names == {"linalg.kernel", "linalg.retired", "engine.analyze", "model.gone",
+                     "engine.old", "engine.older"}
+    assert stranded(names) == ["engine.old", "engine.older", "linalg.retired", "model.gone"]
+
+
+def stranded(names: set[str]) -> list[str]:
+    """Each ``layer.function`` name that is not an attribute of ``vancoh.layer``."""
+    return [name for name in sorted(names) if not exists(*f"vancoh.{name}".rsplit(".", 1))]
 
 
 def exists(module: str, name: str) -> bool:

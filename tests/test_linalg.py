@@ -22,19 +22,17 @@ def small_matrices(max_dim=5, bound=9):
 
 class TestLiteral:
     @pytest.mark.parametrize("entry", [1.5, 2.0, "4", True, None], ids=repr)
-    @pytest.mark.parametrize("build", [matrix])
-    def test_rejects_non_integer_entries(self, build, entry):
+    def test_rejects_non_integer_entries(self, entry):
         for rows in ([[1, 2], [3, entry]], [[entry]],
                      [[1, 2], [entry]]):  # entries are checked before raggedness
             with pytest.raises(ValueError, match="^matrix entries must be integers$"):
-                build(rows)
+                matrix(rows)
 
-    @pytest.mark.parametrize("build", [matrix])
-    def test_builds_exact_integers(self, build):
+    def test_builds_exact_integers(self):
         big = 2 ** 200
-        assert build([[big, -big], [0, 1]]).data == ((big, -big), (0, 1))
-        assert build([]) == IntegerMatrix.zeros(0, 0)
-        assert build([[]]) == IntegerMatrix.zeros(1, 0)
+        assert matrix([[big, -big], [0, 1]]).data == ((big, -big), (0, 1))
+        assert matrix([]) == IntegerMatrix.zeros(0, 0)
+        assert matrix([[]]) == IntegerMatrix.zeros(1, 0)
 
 
 class TestShape:
