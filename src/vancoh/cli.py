@@ -135,6 +135,11 @@ def main(argv: list[str] | None = None) -> int:
                                              "their expected values"))
 
     args = parser.parse_args(argv)
+    # JSON admits lone surrogates (an escaped "\ud800" in an id or key), which
+    # no encoding can write: print them as escapes instead of failing.
+    for stream in (sys.stdout, sys.stderr):
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(errors="backslashreplace")
 
     if args.command == "corpus":
         return _run_corpus(args.format, args.verbose)

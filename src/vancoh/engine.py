@@ -251,11 +251,14 @@ def analyze(cfg: SliceConfiguration) -> VanishingReport:
     # The ranks must reproduce the Euler characteristic of the whole
     # vanishing neighborhood pair exactly.  Each special point takes away
     # chi(F_q) - 1 = (-1)^n (fq_rank_low - fq_rank_high), the local reduced
-    # cohomology being concentrated in degrees n-2 and n-1.
+    # cohomology being concentrated in degrees n-2 and n-1.  The lowest rank
+    # a cancels from -a + d: per component, the check compares the rank that
+    # `cokernel` reads from the echelon of the stacked matrix's rows with
+    # the rank of its kernel from the [m; I] stack.
     mu_sum = sum(r.milnor_number for r in cfg.isolated_points)
     euler = sum(cc.euler for cc in comps) + (-1) ** cfg.n * (
         mu_sum + sum(q.fq_rank_high - q.fq_rank_low for q in cfg.special_points))
-    bookkeeping = (-1) ** (cfg.n - 1) * a + (-1) ** cfg.n * (d + mu_sum)
+    bookkeeping = (-1) ** cfg.n * (e - b + mu_sum)
     if bookkeeping != euler:
         raise InternalDefectError(
             f"Euler bookkeeping mismatch: six-term ranks give {bookkeeping}, "

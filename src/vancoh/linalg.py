@@ -3,22 +3,22 @@
 Dense matrices of arbitrary-precision integers, built from row lists by
 `matrix`, the one checked constructor; Smith and Hermite normal forms,
 kernels, images, cokernels and lattice intersections.  One column echelon
-elimination is the core, and it takes columns only: `rank` and
-`is_unimodular` pass the rows of m, the columns of its transpose, and every
-other caller the columns of its matrix.  Ranks and unimodularity read its
-pivots, and one back-normalisation turns it into the column Hermite normal
-form, the basis of `image(m)`.  Kernels and intersections eliminate the
-stack [A B; I 0], laid out in one function (a kernel has no B), and
-back-normalise only the columns with pivots below the top block; that reads
-only later pivots, so these equal the columns of the full Hermite form.  An
-intersection maps its columns by A, which keeps them in echelon form, and
-back-normalises once more.  A `Submodule` is nothing but its Hermite basis,
-so `image`, `kernel` and `intersect` are the public ways to get one
-(`engine._build_j` also finishes one from validation's iota echelons).  One
-Smith elimination diagonalises the leading block of its list matrix and
-applies each operation to whole rows or columns: `cokernel` passes m alone
-and keeps the diagonal, and `smith_normal_form` passes [m I; I], whose right
-block ends as u and bottom block as v.  Everything is pure and exact: no
+elimination is the core, and it takes columns only: `rank`,
+`is_unimodular` and `cokernel` pass the rows of m, the columns of its
+transpose, and the Hermite callers the columns of their matrix.  Ranks and
+unimodularity read its pivots, and one back-normalisation turns it into
+the column Hermite normal form, the basis of `image(m)`.  Kernels and
+intersections eliminate the stack [A B; I 0], laid out in one function (a
+kernel has no B), and back-normalise only the columns with pivots below
+the top block; that reads only later pivots, so these equal the columns of
+the full Hermite form.  An intersection maps its columns by A, which keeps
+them in echelon form, and back-normalises once more.  A `Submodule` is
+nothing but its Hermite basis, so `image`, `kernel` and `intersect` are the
+public ways to get one (`engine._build_j` also finishes one from
+validation's iota echelons).  Smith forms alternate echelon passes over
+rows and columns (Kannan-Bachem): `cokernel` stops after m's rows when
+every pivot is 1, and `smith_normal_form` extends each row by its row of u
+and each column by its column of v.  Everything is pure and exact: no
 floats, no modular shortcuts, and every normal form is canonical, so equal
 inputs always produce identical outputs.
 """
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .polynomial import IntPolynomial
@@ -112,100 +113,44 @@ class SNFResult(NamedTuple):
     v: IntegerMatrix
 
 
-def _select_pivot(a, t, rows, cols):
-    # Smallest absolute nonzero entry in the trailing block, ties broken by
-    # lowest row then lowest column: the rule that makes runs reproducible.
-    best = None
-    for i in range(t, rows):
-        ai = a[i]
-        for j in range(t, cols):
-            x = ai[j]
-            if x:
-                key = -x if x < 0 else x
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-    return best
-
-
-def _smith(a: list[list[int]], rows: int, cols: int) -> None:
-    """Diagonalize the leading ``rows`` x ``cols`` block of the list matrix
-    ``a`` in place into Smith normal form.
-
-    Pivots come from that block only, but row operations act on whole rows
-    and column operations on whole columns.  For ``a = [m I; I]`` the block
-    right of m therefore ends as the row transform and the block below m
-    as the column transform; the diagonal does not depend on them.
-    """
-    t = 0
-    while t < rows and t < cols:
-        sel = _select_pivot(a, t, rows, cols)
-        if sel is None:
-            break
-        _, pi, pj = sel
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-
-        pt = a[t]
-        pivot = pt[t]
-        dirty = False
-        for i in range(t + 1, rows):
-            x = a[i][t]
-            if x:
-                q = x // pivot
-                if q:
-                    a[i] = [y - q * z for y, z in zip(a[i], pt)]
-                if a[i][t]:
-                    dirty = True
-        for j in range(t + 1, cols):
-            x = pt[j]
-            if x:
-                q = x // pivot
-                if q:
-                    for row in a:
-                        row[j] -= q * row[t]
-                if pt[j]:
-                    dirty = True
-        if dirty:
-            continue
-
-        # Pivot must divide the whole trailing block for the divisor chain.
-        offender = None
-        for i in range(t + 1, rows):
-            ai = a[i]
-            for j in range(t + 1, cols):
-                if ai[j] % pivot:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            a[t] = [x + y for x, y in zip(pt, a[offender])]
-            continue
-        t += 1
-
-
 def smith_normal_form(m: IntegerMatrix) -> SNFResult:
     """Diagonalize ``m`` as ``u * m * v = d`` by unimodular ``u``, ``v``.
 
     ``d`` is diagonal with nonnegative entries satisfying the divisibility
     chain d1 | d2 | ... .  Total on all integer matrices, including empty
-    ones.  Exact arithmetic throughout; intermediate growth is handled by
-    Python's big integers.  One elimination of ``[m I; I]`` gives all three.
+    ones.  Echelon passes alternate over rows and columns, as in `cokernel`,
+    each row extended by its row of u and each column by its column of v,
+    until one leaves every pivot at its own index with nothing after it.  A
+    diagonal entry that does not divide a later one gets that vector added,
+    and the passes go on.
     """
-    rows, cols = m.rows, m.cols
-    a = ([list(r + e) for r, e in zip(m.data, IntegerMatrix.identity(rows).data)]
-         + [list(e) for e in IntegerMatrix.identity(cols).data])
-    _smith(a, rows, cols)
-    return SNFResult(
-        IntegerMatrix(rows, rows, tuple(tuple(r[cols:]) for r in a[:rows])),
-        IntegerMatrix(rows, cols, tuple(tuple(r[:cols]) for r in a[:rows])),
-        IntegerMatrix(cols, cols, tuple(map(tuple, a[rows:]))),
-    )
+    # vectors: m's current rows or columns, of length width, extended by
+    # tracks, their rows of u or columns of v; other: the other transform
+    width, by_rows = m.cols, True
+    vectors, tracks = m.data, IntegerMatrix.identity(m.rows).data
+    other = IntegerMatrix.identity(m.cols).data
+    while True:
+        # the tracks are independent, so no vector is dropped; those zero in m come last
+        pivots = _echelon((*x, *t) for x, t in zip(vectors, tracks))
+        vectors = [c[:width] for _, c in pivots]
+        tracks = [c[width:] for _, c in pivots]
+        r = sum(p < width for p, _ in pivots)
+        # only the first pass can leave a pivot past its own index
+        if all(p == k and not any(c[k + 1:width]) for k, (p, c) in enumerate(pivots[:r])):
+            late = next(((i, j) for i in range(r) for j in range(i + 1, r)
+                         if vectors[j][j] % vectors[i][i]), None)
+            if late is None:
+                break
+            i, j = late
+            vectors[i] = [x + y for x, y in zip(vectors[i], vectors[j])]
+            tracks[i] = [x + y for x, y in zip(tracks[i], tracks[j])]
+        width, by_rows = len(vectors), not by_rows
+        vectors, tracks, other = list(zip(*vectors)), other, tracks
+    u_rows, d_rows, v_columns = ((tracks, vectors, other) if by_rows
+                                 else (other, list(zip(*vectors)), tracks))
+    return SNFResult(IntegerMatrix(m.rows, m.rows, tuple(map(tuple, u_rows))),
+                     IntegerMatrix(m.rows, m.cols, tuple(map(tuple, d_rows))),
+                     _from_columns(m.cols, v_columns))
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +332,23 @@ class FinAbGroup:
 
 
 def cokernel(m: IntegerMatrix) -> FinAbGroup:
-    """Z^rows / (column span of m), from the Smith diagonal alone."""
-    a = [list(r) for r in m.data]
-    _smith(a, m.rows, m.cols)
-    diag = [a[i][i] for i in range(min(m.rows, m.cols)) if a[i][i]]
-    return FinAbGroup(m.rows - len(diag), tuple(x for x in diag if x > 1))
+    """Z^rows / (column span of m), from echelon passes alone.
+
+    The echelon of m's rows, as in `rank`, gives the rank r.  If every pivot
+    is 1, the minor on the pivot columns is unitriangular: the r x r minors
+    have gcd 1 and there is no torsion.  Otherwise bare passes alternate
+    over columns and rows until no vector holds an entry after its pivot,
+    and gcd and lcm turn the pivots left into the divisibility chain.
+    """
+    pivots = _echelon(m.data)
+    if any(c[p] > 1 for p, c in pivots):
+        while any(any(c[p + 1:]) for p, c in pivots):
+            pivots = _echelon(zip(*(c for _, c in pivots)))
+    factors = [c[p] for p, c in pivots if c[p] > 1]
+    for i in range(len(factors)):
+        for k in range(i + 1, len(factors)):
+            factors[i], factors[k] = gcd(factors[i], factors[k]), lcm(factors[i], factors[k])
+    return FinAbGroup(m.rows - len(pivots), tuple(x for x in factors if x > 1))
 
 
 def intersect(a: Submodule, b: Submodule) -> Submodule:

@@ -8,6 +8,8 @@ production normal-form and engine code paths.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 
 def bareiss_det(rows: list[list[int]]) -> int:
@@ -34,6 +36,28 @@ def bareiss_det(rows: list[list[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+
+def invariant_factors(rows: list[list[int]]) -> list[int]:
+    """The nonzero invariant factors d1 | d2 | ... of an integer matrix from
+    its determinantal divisors: D_k is the gcd of the k x k minors, up to
+    the rank, and d_k = D_k / D_(k-1).
+
+    Exponential in the size; meant for matrices up to about 4x5.
+    """
+    ncols = len(rows[0]) if rows else 0
+    factors, prev = [], 1
+    for k in range(1, min(len(rows), ncols) + 1):
+        divisor = 0
+        for picked in combinations(rows, k):
+            for cols in combinations(range(ncols), k):
+                divisor = gcd(divisor, bareiss_det([[r[j] for j in cols] for r in picked]))
+        if not divisor:
+            break
+        factors.append(divisor // prev)
+        prev = divisor
+    return factors
 
 
 def rational_rank(rows: list[list[int]]) -> int:

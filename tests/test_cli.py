@@ -6,6 +6,8 @@ import os
 import random
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -421,6 +423,16 @@ class TestReportToDict:
         assert set(v["bounds"]) == {f.name for f in fields(Bounds)}
 
 
+def test_one_version(tmp_path):
+    # reports carry vancoh.__version__ as their provenance; the packaging
+    # metadata states the version separately, and the two must agree
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["version"] == vancoh.__version__
+    [report] = run([str(copy_corpus(tmp_path, "xyz"))])[0]
+    assert report_to_dict(report)["provenance"]["version"] == vancoh.__version__
+
+
 class TestDeterminism:
     def test_identical_bytes_identical_reports(self, tmp_path):
         a = copy_corpus(tmp_path, "xyzu", "first.json")
@@ -502,6 +514,29 @@ class TestMainEntry:
         assert main(["compute", "--verbose", str(path)]) == 0
         out = capsys.readouterr().out
         assert "suppressed" not in out
+
+    @pytest.mark.parametrize("encoding", [None, "utf-8"])
+    @pytest.mark.parametrize("swap, shown", [('"n": 3,', '"\\ud800": 1, "n": 3,'),
+                                             ('"S1"', '"\\udcff"')], ids=["key", "id"])
+    def test_lone_surrogate_is_printed_escaped(self, tmp_path, swap, shown, encoding):
+        # JSON admits an escaped lone surrogate; an extra top-level key keeps
+        # it as a warning and a component id carries it into the report
+        path = tmp_path / "surrogate.json"
+        path.write_text(Path(CORPUS["xyz"]).read_text().replace(swap, shown))
+        root = Path(__file__).resolve().parent.parent
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                         os.environ.get("PYTHONPATH")]))
+        if encoding:
+            env["PYTHONIOENCODING"] = encoding
+        outs = []
+        for command in ("validate", "compute"):
+            proc = subprocess.run([sys.executable, "-m", "vancoh.cli", command, str(path)],
+                                  env=env, capture_output=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+            outs.append(proc.stdout.decode("utf-8"))
+        assert [out.count("configuration ") for out in outs] == [1, 1]
+        assert shown.split('"')[1] in outs[1]  # compute prints unknown keys and component ids
 
 
 def plant_mismatch(monkeypatch):

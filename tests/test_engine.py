@@ -534,7 +534,6 @@ class TestSinglePass:
     def test_each_intermediate_once(self, monkeypatch):
         cfg = load_corpus("xyzu")
         snf = count_calls(monkeypatch, vancoh.linalg, "smith_normal_form")
-        smith = count_calls(monkeypatch, vancoh.linalg, "_smith")
         cokernels = count_calls(monkeypatch, vancoh.linalg, "cokernel")
         kernels = count_calls(monkeypatch, vancoh.linalg, "kernel")
         images = count_calls(monkeypatch, vancoh.linalg, "image")
@@ -545,9 +544,8 @@ class TestSinglePass:
         checks = count_calls(monkeypatch, vancoh.linalg, "is_unimodular")
         solves = count_calls(monkeypatch, vancoh.linalg, "solve_in_basis")
         analyze(cfg)
-        # one Smith elimination per component, each for its cokernel and
-        # without transforms
-        assert len(cokernels) == len(smith) == len(cfg.components) == 6
+        # one cokernel per component, without transforms
+        assert len(cokernels) == len(cfg.components) == 6
         assert snf == []
         # every loop and branch of xyzu carries [[1]], and every branch
         # pairs its kernel with invariants Z^1: one unimodularity check,
@@ -560,9 +558,10 @@ class TestSinglePass:
         # validation's iota echelons: the only full Hermite form is the
         # cross-check's image of the invariant block, and each kernel, iota,
         # rank, unimodularity, image and intersect call runs exactly one
-        # elimination: 1 check, 7 kernels, 4 iotas, rank j, image, intersect
+        # elimination: 1 check, 7 kernels, 4 iotas, rank j, image, intersect.
+        # Every xyzu cokernel has unit pivots, so each echelons its rows once
         assert len(images) == 1
-        assert len(echelons) == 15
+        assert len(echelons) == 15 + 6
         assert (len(validations), len(builds)) == (1, 1)
         assert [c.id for c, _ in comps] == [c.id for c in cfg.components]
 
@@ -650,9 +649,9 @@ class TestSinglePass:
     def test_validation_runs_no_smith_form(self, monkeypatch):
         cfgs = [load_corpus(name) for name in ("xyz", "xyzu", "x2z_y2u")]
         snf = count_calls(monkeypatch, vancoh.linalg, "smith_normal_form")
-        smith = count_calls(monkeypatch, vancoh.linalg, "_smith")
+        cokernels = count_calls(monkeypatch, vancoh.linalg, "cokernel")
         assert [vancoh.model.validate(cfg) for cfg in cfgs] == [[], [], []]
-        assert snf == smith == []
+        assert snf == cokernels == []
 
     def test_euler_bookkeeping_fires(self, monkeypatch):
         original = vancoh.engine.component_cohomology

@@ -219,6 +219,43 @@ class TestCokernel:
             v = rand_unimodular(rng, m.cols)
             assert cokernel(u * m * v) == cokernel(m)
 
+    def test_matches_determinantal_divisors(self, monkeypatch):
+        # random matrices, products through a narrower middle, and stacked
+        # nu - id blocks of unimodular monodromies and of -I, up to 4x5,
+        # against the oracle's gcds of minors.  Both exits of cokernel are
+        # taken: one echelon and no torsion when every pivot is 1, further
+        # passes while some vector holds an entry after its pivot
+        rng = random.Random(200)
+        cases = []
+        for _ in range(70):
+            cases.append(rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 5), 9))
+        for _ in range(70):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+            middle = rng.randrange(min(rows, cols))
+            cases.append(rand_matrix(rng, rows, middle, 4) * rand_matrix(rng, middle, cols, 4))
+        for _ in range(60):
+            n = rng.randint(1, 2)
+            loops = [rng.choice((rand_unimodular(rng, n), scaled(IntegerMatrix.identity(n), -1)))
+                     for _ in range(rng.randint(1, 4 // n))]
+            cases.append(vstack([nu.shifted(-1) for nu in loops]))
+        # entries settle only on the fourth pass; fewer passes misread these
+        cases += [matrix([[-23, -2, -9], [-30, -16, -11], [-4, 12, 30], [13, -22, -18]]),
+                  matrix([[-7, 2, -7], [-4, -4, 9], [-9, 9, 3]]),
+                  matrix([[9, 30, 17], [-15, 23, -8], [-21, 13, 29]])]
+        echelons = record_echelons(monkeypatch)
+        units = alternating = 0
+        for m in cases:
+            factors = oracles.invariant_factors(m.tolist())
+            start = len(echelons)
+            group = cokernel(m)
+            assert group == FinAbGroup(m.rows - len(factors),
+                                       tuple(x for x in factors if x > 1)), m
+            units += len(echelons) - start == 1 and not group.torsion
+            alternating += len(echelons) - start > 1
+            diag = diagonal_of(smith_normal_form(m).d)
+            assert diag == factors + [0] * (len(diag) - len(factors)), m
+        assert units >= 50 and alternating >= 50
+
 
 class TestFinAbGroup:
     @pytest.mark.parametrize("free_rank, torsion, message", [
