@@ -3,11 +3,12 @@
 A configuration is one JSON document.  The record tables below are the
 single statement of its format: each lists one record's keys, which are the
 field names of its `model` dataclass, in the order they are checked, with
-the kind of value each holds and, for an optional key, the default it takes
-when absent.  `parse_configuration` and `serialize_configuration` both walk
-them.  The three kinds of value are leaves, lists and records; a matrix or
-polynomial leaf is built by its constructor, which alone checks the entries,
-and the constructor's ValueError text becomes the violation detail.
+the kind of value each holds; a key is optional exactly when its field has
+a default.  `parse_configuration` and `serialize_configuration` both walk
+them.  Leaves, lists and records are each read one way wherever they sit,
+the document itself included; a matrix or polynomial leaf is built by its
+constructor, which alone checks the entries, and the constructor's
+ValueError text becomes the violation detail.
 
 Parsing never throws on bad content, from the raw bytes on: problems come
 back as violations, one per malformed position or one for a document that
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .linalg import IntegerMatrix, matrix
 from .model import (Branch, CurveComponent, EigenvalueData, IsolatedPoint, MonodromyData,
@@ -87,14 +88,13 @@ _MATRIX = _Leaf("expected a matrix as nested row lists",
 
 
 class _ListOf:
-    """A list of `item` values, each read at its own index once the list
-    passes `ok`."""
+    """A list of `item` values, each read at its own index."""
 
-    def __init__(self, item, detail: str, ok=lambda v: isinstance(v, list)):
-        self.item, self.detail, self.ok = item, detail, ok
+    def __init__(self, item, detail: str):
+        self.item, self.detail = item, detail
 
     def read(self, r: ParseResult, value, path: str):
-        if not self.ok(value):
+        if not isinstance(value, list):
             _bad(r, path, self.detail)
             return None
         read = self.item.read
@@ -104,17 +104,15 @@ class _ListOf:
         return [self.item.write(x) for x in values]
 
 
-_REQUIRED = object()
-
-
 class _Record:
-    """A JSON object holding one `cls` dataclass: `fields` are
-    ``(key, kind)`` or ``(key, kind, default)`` for an optional key."""
+    """A JSON object holding one `cls` dataclass, whose ``(key, kind)`` pairs
+    are `table`; a key may be omitted when its field has a default."""
 
-    def __init__(self, cls, *fields):
+    def __init__(self, cls, *table):
+        defaults = {f.name: f.default for f in fields(cls)}
         self.cls = cls
-        self.fields = [(f[0], f[1], f[2] if len(f) > 2 else _REQUIRED) for f in fields]
-        self.keys = frozenset(key for key, _, _ in self.fields)
+        self.fields = [(key, kind, defaults[key]) for key, kind in table]
+        self.keys = frozenset(key for key, _ in table)
 
     def read(self, r: ParseResult, value, path: str):
         if not isinstance(value, dict):
@@ -128,7 +126,7 @@ class _Record:
         for key, kind, default in self.fields:
             if key in value:
                 args[key] = kind.read(r, value[key], prefix + key)
-            elif default is _REQUIRED:
+            elif default is MISSING:
                 _bad(r, prefix + key, "missing required key")
                 args[key] = None
             else:
@@ -139,14 +137,13 @@ class _Record:
         out = {}
         for key, kind, default in self.fields:
             value = getattr(obj, key)
-            if default is _REQUIRED or value != default:
+            if default is MISSING or value != default:
                 out[key] = kind.write(value)
         return out
 
 
-def _records(*fields) -> _ListOf:
-    return _ListOf(_Record(*fields), "expected a list of objects",
-                   lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v))
+def _records(*table) -> _ListOf:
+    return _ListOf(_Record(*table), "expected a list of objects")
 
 
 _EIGEN = _records(EigenvalueData, ("eigenvalue", _STR), ("total", _INT), ("components", _INTS))
@@ -167,17 +164,17 @@ _CONFIGURATION = _Record(
         ("id", _STR),
         ("fq_rank_low", _INT),
         ("fq_rank_high", _INT),
-        ("costalk_rank", _OPTIONAL_INT, None),
+        ("costalk_rank", _OPTIONAL_INT),
         ("branches", _records(Branch, ("component_id", _STR), ("monodromy", _MATRIX))),
         ("iota", _MATRIX))),
     ("isolated_points", _records(IsolatedPoint, ("id", _STR), ("milnor_number", _INT))),
-    ("polar_data", _PAIRS, None),
+    ("polar_data", _PAIRS),
     ("monodromy_data", _Record(
         MonodromyData,
         ("char_poly", _POLYNOMIAL),
         ("component_char_polys", _ListOf(_POLYNOMIAL, "expected a list of polynomials")),
-        ("eigen_dims", _EIGEN, ()),
-        ("jordan_sizes", _EIGEN, ())), None),
+        ("eigen_dims", _EIGEN),
+        ("jordan_sizes", _EIGEN))),
 )
 
 
@@ -188,9 +185,6 @@ def parse_configuration(doc) -> ParseResult:
     structural violations, and the list of unknown key paths.
     """
     result = ParseResult(None, [], [])
-    if not isinstance(doc, dict):
-        _bad(result, "", "top-level document must be an object")
-        return result
     cfg = _CONFIGURATION.read(result, doc, "")
     if not result.violations:
         result.configuration = cfg

@@ -94,7 +94,7 @@ class SliceConfiguration:
     original_s: int
     components: tuple[CurveComponent, ...]
     special_points: tuple[SpecialPoint, ...]
-    isolated_points: tuple[IsolatedPoint, ...] = ()
+    isolated_points: tuple[IsolatedPoint, ...]
     polar_data: tuple[tuple[int, int], ...] | None = None
     monodromy_data: MonodromyData | None = None
 

@@ -60,6 +60,82 @@ def invariant_factors(rows: list[list[int]]) -> list[int]:
     return factors
 
 
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = x a + y b and g >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def hermite_columns(rows: list[list[int]]) -> list[list[int]]:
+    """Column Hermite normal form of the lattice spanned by the columns, as
+    rows: pivot rows strictly increase, pivots are positive, and each
+    earlier column's entry in a pivot row lies in [0, pivot).
+
+    Row by row, the first open column takes the gcd of the row's entries by
+    extended-gcd 2x2 column operations of determinant 1; its pivot then
+    floor-reduces the columns already finished.  The form is unique, so it
+    must equal the production basis entry for entry.
+    """
+    nrows = len(rows)
+    cols = [list(c) for c in zip(*rows)]
+    done = 0
+    for row in range(nrows):
+        if done == len(cols):
+            break
+        head = cols[done]
+        for j in range(done + 1, len(cols)):
+            a, b = head[row], cols[j][row]
+            if b:
+                g, x, y = _ext_gcd(a, b)
+                other = cols[j]
+                head, cols[j] = ([x * u + y * v for u, v in zip(head, other)],
+                                 [(a // g) * v - (b // g) * u for u, v in zip(head, other)])
+        if head[row] < 0:
+            head = [-u for u in head]
+        cols[done] = head
+        if head[row]:
+            for i in range(done):
+                q = cols[i][row] // head[row]
+                cols[i] = [u - q * v for u, v in zip(cols[i], head)]
+            done += 1
+    return [[c[i] for c in cols[:done]] for i in range(nrows)]
+
+
+def kernel_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Hermite basis of {x in Z^ncols : rows x = 0}, as ncols rows: the
+    Hermite columns of [rows; I] whose pivot lies in the identity block,
+    read on that block."""
+    stack = [list(r) for r in rows] + [[int(i == j) for j in range(ncols)]
+                                       for i in range(ncols)]
+    h = hermite_columns(stack)
+    top = h[:len(rows)]
+    keep = [j for j in range(len(h[0]) if h else 0) if not any(r[j] for r in top)]
+    return [[r[j] for j in keep] for r in h[len(rows):]]
+
+
+def intersection_basis(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Hermite basis of the intersection of the column lattices of a and b
+    (same number of rows): a x over the kernel of [a | -b]."""
+    p = len(a[0]) if a else 0
+    k = kernel_basis([ra + [-x for x in rb] for ra, rb in zip(a, b)],
+                     p + (len(b[0]) if b else 0))
+    return hermite_columns([[sum(x * kr[j] for x, kr in zip(ra, k[:p]))
+                             for j in range(len(k[0]) if k else 0)] for ra in a])
+
+
+def is_saturated(rows: list[list[int]]) -> bool:
+    """Whether the columns are a basis of a saturated lattice, i.e. have an
+    integer left inverse: their rows span all of Z^k."""
+    k = len(rows[0]) if rows else 0
+    return hermite_columns([list(c) for c in zip(*rows)]) == [
+        [int(i == j) for j in range(k)] for i in range(k)]
+
+
 def rational_rank(rows: list[list[int]]) -> int:
     """Rank over Q by straightforward Gaussian elimination."""
     a = [[Fraction(x) for x in r] for r in rows]

@@ -54,7 +54,7 @@ def test_stdout_digest(command):
     assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN[command]
 
 
-LOADER_DIGEST = "44010eb5910492cb73c5c7c6380d307a14809e5fe97e0829babeb1d77c2bc74b"
+LOADER_DIGEST = "740ecc9a46e1480e170fb14cd93877103a6ab66cb15f2b49a8a3b619500f841b"
 
 
 def test_loader_digest():
@@ -139,7 +139,7 @@ def test_cross_check_digest(monkeypatch):
     assert digest.hexdigest() == CROSS_CHECK_DIGEST
 
 
-PIPELINE_DIGEST = "bd7ac90c741ff610e31fef0c136306055e7c654dfd66a34211022b5e38b4b355"
+PIPELINE_DIGEST = "5a08f9888a05263553f7d7f75037d07f5524c5f524172fcda1fa858ca5d0114f"
 
 
 def test_pipeline_digest(tmp_path):

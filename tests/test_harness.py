@@ -8,13 +8,17 @@ next, or a repeated pass would time a cache.  The README's python examples
 import vancoh by name too, and must keep importing.  Inside the library,
 modules read each other's private names only at the one handoff of iota
 echelons from validation to the engine, so that coupling cannot spread
-unseen."""
+unseen.  The library must parse under the oldest Python that pyproject.toml
+admits, and CI runs the tier-1 command of ROADMAP.md on each supported
+version."""
 
 import ast
 import importlib
 import importlib.util
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -270,3 +274,50 @@ x = b._one(cc._two, b.public, b.__dict__, _hidden, public)
         "b": "def _one(*args):\n    return args\n",
     }
     assert private_reads(planted) == ["a reads b._hidden", "a reads b._one", "a reads c._two"]
+
+
+def too_new(source: str, version: tuple[int, int]) -> str | None:
+    """The syntax error `source` gives when parsed as `version`'s grammar,
+    or None when it parses."""
+    try:
+        ast.parse(source, feature_version=version)
+    except SyntaxError as exc:
+        return str(exc)
+    return None
+
+
+def requires_python() -> tuple[int, int]:
+    """The minimum version that pyproject.toml's ``requires-python`` states."""
+    tomllib = pytest.importorskip("tomllib")
+    spec = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["requires-python"]
+    major, minor = re.fullmatch(r">=\s*(\d+)\.(\d+)", spec).groups()
+    return int(major), int(minor)
+
+
+def test_library_parses_at_the_minimum_version():
+    version = requires_python()
+    errors = {str(path.relative_to(LIBRARY)): too_new(path.read_text(), version)
+              for path in sorted(LIBRARY.rglob("*.py"))}
+    assert "loader.py" in errors
+    assert {path: error for path, error in errors.items() if error} == {}
+
+
+def test_version_check_finds_planted_syntax():
+    planted = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    assert too_new(planted, (3, 10)) is not None
+    assert too_new(planted, (3, 11)) is None
+
+
+def tier1_command() -> str:
+    [command] = re.findall(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text())
+    return command
+
+
+def test_ci_runs_tier1_on_each_supported_version():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    [job] = workflow["jobs"].values()
+    versions = job["strategy"]["matrix"]["python-version"]
+    assert versions[0] == "%d.%d" % requires_python()
+    assert versions == ["3.10", "3.11", "3.12"]
+    assert [step["run"] for step in job["steps"] if "run" in step][-1] == tier1_command()

@@ -576,6 +576,37 @@ class TestDifferential:
             zero = image(IntegerMatrix.zeros(m.rows, 0))
             assert intersect(a, zero) == intersect(zero, a) == zero
 
+    def test_independent_oracles_on_worked_examples(self):
+        assert oracles.hermite_columns([[2, 4], [1, 3]]) == [[2, 0], [0, 1]]
+        assert oracles.hermite_columns([[0, 0], [-3, 6]]) == [[0], [3]]
+        assert oracles.hermite_columns([[], []]) == [[], []]
+        assert oracles.kernel_basis([[1, 1]], 2) == [[1], [-1]]
+        assert oracles.kernel_basis([], 2) == [[1, 0], [0, 1]]
+        assert oracles.intersection_basis([[2], [0]], [[3], [0]]) == [[6], [0]]
+        assert oracles.intersection_basis([[1], [0]], [[0], [1]]) == [[], []]
+        assert [oracles.is_saturated(c) for c in (
+            [[2], [1]], [[1, 0], [0, 1], [0, 0]], [[], []],
+            [[2], [0]], [[1, 1], [1, -1]], [[1, 2], [1, 2]])] == [True] * 3 + [False] * 3
+
+    def test_image_matches_hermite_oracle(self):
+        for m in self.CASES:
+            assert image(m).basis.tolist() == oracles.hermite_columns(m.tolist()), m
+
+    def test_kernel_matches_oracle(self):
+        for m in self.CASES:
+            k = kernel(m).basis.tolist()
+            assert k == oracles.kernel_basis(m.tolist(), m.cols), m
+            assert oracles.is_saturated(k), m
+
+    def test_intersect_matches_oracle(self):
+        rng = random.Random(44)
+        for m in self.CASES:
+            split = rng.randint(0, m.cols)
+            a = image(IntegerMatrix(m.rows, split, tuple(r[:split] for r in m.data)))
+            b = image(IntegerMatrix(m.rows, m.cols - split, tuple(r[split:] for r in m.data)))
+            assert intersect(a, b).basis.tolist() == oracles.intersection_basis(
+                a.basis.tolist(), b.basis.tolist()), m
+
     def test_intersect_huge_entries(self):
         # entries up to 2^200; b contains a multiple of a combination of
         # a's columns, so most intersections are nonzero

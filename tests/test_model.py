@@ -1,12 +1,13 @@
 import json
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from vancoh import (Branch, CurveComponent, EigenvalueData, IntPolynomial, IsolatedPoint,
-                    SpecialPoint, branch_kernel, image, matrix, parse_configuration,
-                    serialize_configuration, validate)
+                    SliceConfiguration, SpecialPoint, branch_kernel, image, matrix,
+                    parse_configuration, serialize_configuration, validate)
+from vancoh import loader
 from vancoh.corpus import bundled
 from vancoh.linalg import IntegerMatrix
 
@@ -329,7 +330,7 @@ class TestRoundTrip:
             ("special_points[0].branches[0].monodromy", "matrix entries must be integers"),
             ("special_points[0].branches[1].monodromy", "missing required key"),
             ("special_points[0].iota", "expected a matrix as nested row lists"),
-            ("special_points[1].branches", "expected a list of objects"),
+            ("special_points[1].branches[0]", "expected an object"),
             ("isolated_points[0].milnor_number", "expected an integer"),
             ("isolated_points[1].id", "missing required key"),
             ("polar_data", "expected a list of [lambda_k, clk_betti_k] integer pairs"),
@@ -356,6 +357,31 @@ class TestRoundTrip:
         assert result.unknown_keys == [
             "surprise", "components[0].colour", "special_points[0].branches[0].twist",
             "isolated_points[0].depth"]
+
+    def test_non_object_record_reported_at_its_index(self):
+        # the other items of the list are still read
+        doc = serialize_configuration(load_corpus("xyz"))
+        doc["components"][0]["genus"] = "x"
+        doc["components"].append(7)
+        result = parse_configuration(doc)
+        assert result.configuration is None
+        assert [(v.code, v.subject, v.detail) for v in result.violations] == [
+            ("malformed-document", "components[0].genus", "expected an integer"),
+            ("malformed-document", "components[3]", "expected an object")]
+
+    def test_isolated_points_required(self):
+        cfg = load_corpus("xyz")
+        kept = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "isolated_points"}
+        with pytest.raises(TypeError):
+            SliceConfiguration(**kept)
+        doc = serialize_configuration(cfg)
+        del doc["isolated_points"]
+        assert [(v.subject, v.detail) for v in parse_configuration(doc).violations] \
+            == [("isolated_points", "missing required key")]
+
+    def test_record_keys_are_fields(self):
+        with pytest.raises(KeyError):
+            loader._Record(IsolatedPoint, ("id", loader._STR), ("depth", loader._INT))
 
     def test_null_costalk_treated_as_absent(self):
         doc = serialize_configuration(load_corpus("xyz"))
