@@ -16,6 +16,12 @@ ranks, the Betti bounds, and the monodromy divisibility predicates.  The
 interaction rank is cross-checked by intersecting the images of j's
 invariant and point blocks; `_build_j` finishes the point block's Hermite
 basis from validation's iota echelons instead of eliminating it again.
+What each check guards: the Euler bookkeeping never reads the lowest rank;
+per component, it compares the rank `cokernel` reads from the stacked
+nu - id rows with the rank of its [m; I] kernel.  The interaction
+cross-check and the no-special-point shortcut check the answer, given j.
+With no special points, those two compare the same numbers: the lowest
+rank against `upper`, the sum of the invariant ranks.
 `analyze` does all of this in one pass and returns the immutable
 `VanishingReport`.
 """
@@ -142,8 +148,7 @@ def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
     back-normalised iota echelons at the points' row offsets: pivot rows
     still increase, and no pivot row holds an entry of an earlier point's
     column.  Each distinct (kernel, invariants) pair is solved once; an
-    inconsistent one counts at each of its branches, and the first of these
-    in component order is reported.
+    inconsistent one raises where the walk meets it.
     """
     first_col = {}
     upper = 0
@@ -155,10 +160,9 @@ def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
     data = [[0] * domain for _ in range(codomain)]
     columns = []
     lows = [[] for _ in comps]
-    inconsistent = []
     solved = {}  # (kernel basis, invariant basis) -> coordinates or None
     row0, col0 = 0, upper
-    for p, (q, (kernels, pivots)) in enumerate(zip(cfg.special_points, points)):
+    for q, (kernels, pivots) in zip(cfg.special_points, points):
         for i, row in enumerate(q.iota.data):
             data[row0 + i][col0:col0 + q.fq_rank_low] = [-x for x in row]
         below = [0] * (codomain - row0 - q.iota.rows)
@@ -173,18 +177,13 @@ def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
                 solved[pair] = linalg.solve_in_basis(*pair)
             coords = solved[pair]
             if coords is None:
-                inconsistent.append((ci, p, k))
-            else:
-                for i, row in enumerate(coords.data):
-                    data[row0 + i][c0:c0 + inv.rank] = row
+                raise InternalDefectError(
+                    f"invariant submodule of component {b.component_id!r} does not "
+                    f"lie in the kernel of branch {k} at point {q.id!r}; the "
+                    f"supplied loop and branch monodromies are mutually inconsistent")
+            for i, row in enumerate(coords.data):
+                data[row0 + i][c0:c0 + inv.rank] = row
             row0 += kern.rank
-
-    if inconsistent:
-        ci, p, k = min(inconsistent)
-        raise InternalDefectError(
-            f"invariant submodule of component {comps[ci].component_id!r} does not "
-            f"lie in the kernel of branch {k} at point {cfg.special_points[p].id!r}; the "
-            f"supplied loop and branch monodromies are mutually inconsistent")
     j = IntegerMatrix(codomain, domain, tuple(tuple(r) for r in data))
     return j, Submodule(linalg._from_columns(codomain, columns)), lows
 
@@ -252,9 +251,7 @@ def analyze(cfg: SliceConfiguration) -> VanishingReport:
     # vanishing neighborhood pair exactly.  Each special point takes away
     # chi(F_q) - 1 = (-1)^n (fq_rank_low - fq_rank_high), the local reduced
     # cohomology being concentrated in degrees n-2 and n-1.  The lowest rank
-    # a cancels from -a + d: per component, the check compares the rank that
-    # `cokernel` reads from the echelon of the stacked matrix's rows with
-    # the rank of its kernel from the [m; I] stack.
+    # a cancels from -a + d (see the module docstring).
     mu_sum = sum(r.milnor_number for r in cfg.isolated_points)
     euler = sum(cc.euler for cc in comps) + (-1) ** cfg.n * (
         mu_sum + sum(q.fq_rank_high - q.fq_rank_low for q in cfg.special_points))

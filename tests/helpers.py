@@ -418,7 +418,7 @@ def pipeline_documents(seed: int = 1200) -> list[bytes]:
     out += [serialize_configuration(dense_iota_config(rng, mu, mu - 2, mu - 3, 2))
             for mu in (6, 8, 10)]
     out.append(serialize_configuration(dense_iota_config(rng, 4, 5, 3, 2)))
-    # T fails at q1 and S at q2: an internal defect, named in component order
+    # T fails at q1 and S at q2: an internal defect, named at q1, where the walk meets it
     out.append({"n": 3, "original_n": 3, "original_s": 2, "isolated_points": [],
                 "components": [{"id": c, "genus": 0, "transversal_rank": 1,
                                 "loop_monodromies": [[[1]]]} for c in "ST"],

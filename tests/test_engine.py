@@ -113,14 +113,13 @@ class TestBuildJ:
         _, _, lows = vancoh.engine._build_j(cfg, comps, vancoh.model._validate(cfg)[1])
         assert lows == [[1, 0], [], [1, 0]]
 
-    def test_inconsistent_branches_reported_in_component_order(self):
+    def test_inconsistent_branch_reported_where_the_walk_meets_it(self):
         # T fails before S in the walk, at an earlier point or an earlier
-        # branch of one point; S comes first among components.  Both
-        # branches carry the same (kernel, invariants) pair, which is
-        # solved once and still counts at each of them.
+        # branch of one point, though S comes first among components: the
+        # walk raises at T's branch.  Both branches carry the same
+        # (kernel, invariants) pair, which is solved once.
         ident, flip = matrix([[1]]), matrix([[-1]])
-        for points, named in [((("q1", "T"), ("q2", "S")), "branch 0 at point 'q2'"),
-                              ((("q1", "TS"),), "branch 1 at point 'q1'")]:
+        for points in [(("q1", "T"), ("q2", "S")), (("q1", "TS"),)]:
             cfg = SliceConfiguration(
                 n=3, original_n=3, original_s=2,
                 components=(CurveComponent("S", 0, 1, (ident,)),
@@ -130,7 +129,8 @@ class TestBuildJ:
                                  IntegerMatrix.zeros(0, 0))
                     for q, cs in points),
                 isolated_points=())
-            with pytest.raises(InternalDefectError, match=f"component 'S' .* {named}"):
+            with pytest.raises(InternalDefectError,
+                               match="component 'T' .* branch 0 at point 'q1'"):
                 analyze(cfg)
 
     def test_inconsistent_branch_monodromy_is_defect(self):

@@ -139,7 +139,7 @@ def test_cross_check_digest(monkeypatch):
     assert digest.hexdigest() == CROSS_CHECK_DIGEST
 
 
-PIPELINE_DIGEST = "5a08f9888a05263553f7d7f75037d07f5524c5f524172fcda1fa858ca5d0114f"
+PIPELINE_DIGEST = "0dc029d89e070eead057bab9e795885fa49dd44d880581a1eed001ca5a97b6f6"
 
 
 def test_pipeline_digest(tmp_path):

@@ -8,9 +8,11 @@ next, or a repeated pass would time a cache.  The README's python examples
 import vancoh by name too, and must keep importing.  Inside the library,
 modules read each other's private names only at the one handoff of iota
 echelons from validation to the engine, so that coupling cannot spread
-unseen.  The library must parse under the oldest Python that pyproject.toml
-admits, and CI runs the tier-1 command of ROADMAP.md on each supported
-version."""
+unseen.  Outside `linalg`, only `engine._build_j` builds a `Submodule`,
+from those echelons, so every other lattice is a Hermite basis from
+`image`, `kernel` or `intersect`.  The library must parse under the oldest
+Python that pyproject.toml admits, and CI runs the tier-1 command of
+ROADMAP.md on each supported version."""
 
 import ast
 import importlib
@@ -276,6 +278,52 @@ x = b._one(cc._two, b.public, b.__dict__, _hidden, public)
     assert private_reads(planted) == ["a reads b._hidden", "a reads b._one", "a reads c._two"]
 
 
+def submodule_calls(source: str) -> list[str]:
+    """The innermost enclosing function (``<module>`` at top level) of each
+    call of ``Submodule`` in a module's source, in source order: a call by
+    its name, by a name it is imported as, or as a module attribute."""
+    tree = ast.parse(source)
+    names = {"Submodule"} | {alias.asname for node in ast.walk(tree)
+                             if isinstance(node, ast.ImportFrom) for alias in node.names
+                             if alias.name == "Submodule" and alias.asname}
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call)
+                    and ((isinstance(child.func, ast.Name) and child.func.id in names)
+                         or (isinstance(child.func, ast.Attribute)
+                             and child.func.attr == "Submodule"))):
+                found.append(where)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_submodules_are_built_in_linalg_and_build_j():
+    calls = [f"{path.relative_to(LIBRARY).with_suffix('')}.{where}"
+             for path in sorted(LIBRARY.rglob("*.py")) if path != LIBRARY / "linalg.py"
+             for where in submodule_calls(path.read_text())]
+    assert calls == ["engine._build_j"]
+
+
+def test_submodule_call_check_finds_planted_calls():
+    planted = """
+from . import linalg
+from .linalg import Submodule, Submodule as Lattice, image
+
+a = Submodule(m)
+
+def f(m):
+    def g():
+        return Lattice(m)
+    return linalg.Submodule(m), g, image(m), isinstance(a, Submodule), linalg.Submodule
+"""
+    assert submodule_calls(planted) == ["<module>", "g", "f"]
+
+
 def too_new(source: str, version: tuple[int, int]) -> str | None:
     """The syntax error `source` gives when parsed as `version`'s grammar,
     or None when it parses."""
@@ -319,5 +367,5 @@ def test_ci_runs_tier1_on_each_supported_version():
     [job] = workflow["jobs"].values()
     versions = job["strategy"]["matrix"]["python-version"]
     assert versions[0] == "%d.%d" % requires_python()
-    assert versions == ["3.10", "3.11", "3.12"]
+    assert versions == ["3.10", "3.11", "3.12", "3.13"]
     assert [step["run"] for step in job["steps"] if "run" in step][-1] == tier1_command()

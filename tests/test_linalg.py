@@ -609,7 +609,9 @@ class TestDifferential:
 
     def test_intersect_huge_entries(self):
         # entries up to 2^200; b contains a multiple of a combination of
-        # a's columns, so most intersections are nonzero
+        # a's columns, so most intersections are nonzero.  Checked against
+        # the Smith route and the independent oracles, with the image and
+        # kernel of each operand
         rng = random.Random(49)
         big = 2 ** 200
         seen = set()
@@ -621,6 +623,11 @@ class TestDifferential:
             a, b = image(ma), image(mb)
             got = intersect(a, b)
             assert got == intersect(b, a) == snf_intersect(a, b), (ma, mb)
+            assert got.basis.tolist() == oracles.intersection_basis(
+                a.basis.tolist(), b.basis.tolist()), (ma, mb)
+            for m, h in ((ma, a), (mb, b)):
+                assert h.basis.tolist() == oracles.hermite_columns(m.tolist()), m
+                assert kernel(m).basis.tolist() == oracles.kernel_basis(m.tolist(), m.cols), m
             if got.rank:
                 seen.add((a.rank > b.rank) - (a.rank < b.rank))
         assert seen == {-1, 0, 1}
