@@ -15,15 +15,14 @@ From it follow the Euler-characteristic bookkeeping, the six-term exactness
 ranks, the Betti bounds, and the monodromy divisibility predicates.  The
 interaction rank is cross-checked by intersecting the images of j's
 invariant and point blocks; `_build_j` finishes the point block's Hermite
-basis from validation's iota echelons instead of eliminating it again.
-What each check guards: the Euler bookkeeping never reads the lowest rank;
-per component, it compares the rank `cokernel` reads from the stacked
-nu - id rows with the rank of its [m; I] kernel.  The interaction
-cross-check and the no-special-point shortcut check the answer, given j.
-With no special points, those two compare the same numbers: the lowest
-rank against `upper`, the sum of the invariant ranks.
-`analyze` does all of this in one pass and returns the immutable
-`VanishingReport`.
+basis from copies of validation's iota echelons.  `analyze` runs it all in
+one pass, and each of its three cross-checks compares two routes to one
+number through `_agree`, which raises naming both routes and both values.
+The Euler bookkeeping never reads the lowest rank: per component, it
+compares the rank `cokernel` reads from the stacked nu - id rows with the
+rank of its [m; I] kernel.  The interaction cross-check and the
+no-special-point shortcut check the answer, given j; with no special
+points, both compare the lowest rank with `upper`, the invariant ranks' sum.
 """
 
 from __future__ import annotations
@@ -143,12 +142,13 @@ def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
     ker j consists of the matched pairs.  One walk over the special points
     and their validated (branch kernels, iota echelon) records lays out
     both blocks, and is the one read of the component-point incidence.
-    The point block is the block diagonal of the -iotas, and -iota spans
-    the lattice of iota, so its Hermite basis is the block diagonal of the
-    back-normalised iota echelons at the points' row offsets: pivot rows
-    still increase, and no pivot row holds an entry of an earlier point's
-    column.  Each distinct (kernel, invariants) pair is solved once; an
-    inconsistent one raises where the walk meets it.
+    -iota spans the lattice of iota, so the point block's Hermite basis is
+    the block diagonal of the back-normalised iota echelons, whose rows the
+    walk lays beside the -iota rows: pivot rows still increase, and no pivot
+    row holds an entry of an earlier point's column.  It back-normalises
+    copies, so the records stay as validation wrote them, and solves each
+    distinct (kernel, invariants) pair once; an inconsistent one raises
+    where the walk meets it.
     """
     first_col = {}
     upper = 0
@@ -158,15 +158,15 @@ def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
     codomain = sum(q.iota.rows for q in cfg.special_points)
     domain = upper + sum(q.fq_rank_low for q in cfg.special_points)
     data = [[0] * domain for _ in range(codomain)]
-    columns = []
+    hermite = [[0] * domain for _ in range(codomain)]
     lows = [[] for _ in comps]
     solved = {}  # (kernel basis, invariant basis) -> coordinates or None
     row0, col0 = 0, upper
     for q, (kernels, pivots) in zip(cfg.special_points, points):
-        for i, row in enumerate(q.iota.data):
+        finished = linalg._back_normalise([(r, c[:]) for r, c in pivots])
+        for i, (row, basis_row) in enumerate(zip(q.iota.data, zip(*finished))):
             data[row0 + i][col0:col0 + q.fq_rank_low] = [-x for x in row]
-        below = [0] * (codomain - row0 - q.iota.rows)
-        columns += ([0] * row0 + c + below for c in linalg._back_normalise(pivots))
+            hermite[row0 + i][col0:col0 + q.fq_rank_low] = basis_row
         col0 += q.fq_rank_low
         for k, (b, kern) in enumerate(zip(q.branches, kernels)):
             ci, c0 = first_col[b.component_id]
@@ -185,15 +185,21 @@ def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
                 data[row0 + i][c0:c0 + inv.rank] = row
             row0 += kern.rank
     j = IntegerMatrix(codomain, domain, tuple(tuple(r) for r in data))
-    return j, Submodule(linalg._from_columns(codomain, columns)), lows
+    block = tuple(tuple(r[upper:]) for r in hermite)
+    return j, Submodule(IntegerMatrix(codomain, domain - upper, block)), lows
+
+
+def _agree(check: str, one: tuple[str, int], other: tuple[str, int]) -> None:
+    """Raise InternalDefectError naming both routes and values unless they agree."""
+    if one[1] != other[1]:
+        raise InternalDefectError(f"{check} mismatch: {one[0]} {one[1]}, {other[0]} {other[1]}")
 
 
 def analyze(cfg: SliceConfiguration) -> VanishingReport:
     """Run the whole computation on a configuration in a single pass.
 
     Validation hands on each special point's branch kernels and iota
-    echelon; `_build_j` lays out j and the Hermite basis of its point block
-    from them in one walk, the one read of the component-point incidence.
+    echelon, from which `_build_j` lays out j and its point block's basis.
     The component invariants, j and the rank of ker j are each computed
     once, and every ledger and cross-check reads them; the six-term ledger
     writes d = a - b + e.  Raises InvalidConfigurationError on validation
@@ -207,18 +213,10 @@ def analyze(cfg: SliceConfiguration) -> VanishingReport:
     j, point_image, lows = _build_j(cfg, comps, points)
     # The integer kernel is saturated, so its rank is the rational nullity.
     # rank walks the rows of the raw j (see the module docstring); the
-    # cross-check below eliminates other matrices, so the two routes stay
-    # independent.
+    # interaction cross-check eliminates other matrices, so the two routes
+    # stay independent.
     lowest = FinAbGroup(j.cols - linalg.rank(j), ())
     upper = sum(cc.invariants.rank for cc in comps)
-
-    shortcut = None
-    if not cfg.special_points:
-        # The direct sum of the component invariants, against the kernel.
-        shortcut = FinAbGroup(upper, ()) == lowest
-        if not shortcut:
-            raise InternalDefectError(
-                "direct-sum shortcut disagrees with the kernel computation")
 
     # Decomposition: the branch-free components' invariants plus the
     # interaction part, whose rank is cross-checked against the direct
@@ -230,10 +228,6 @@ def analyze(cfg: SliceConfiguration) -> VanishingReport:
     g_direct = linalg.intersect(
         linalg.image(IntegerMatrix(j.rows, upper, tuple(r[:upper] for r in j.data))),
         point_image).rank
-    if g_direct != g_rank:
-        raise InternalDefectError(
-            f"interaction rank mismatch: kernel route gives {g_rank}, "
-            f"image intersection gives {g_direct}")
 
     # Six-term ranks: the alternating sum of the five determined terms fixes
     # the top pair group; a negative value flags contradictory input ranks.
@@ -256,10 +250,14 @@ def analyze(cfg: SliceConfiguration) -> VanishingReport:
     euler = sum(cc.euler for cc in comps) + (-1) ** cfg.n * (
         mu_sum + sum(q.fq_rank_high - q.fq_rank_low for q in cfg.special_points))
     bookkeeping = (-1) ** cfg.n * (e - b + mu_sum)
-    if bookkeeping != euler:
-        raise InternalDefectError(
-            f"Euler bookkeeping mismatch: six-term ranks give {bookkeeping}, "
-            f"direct formula gives {euler}")
+
+    if not cfg.special_points:
+        _agree("direct-sum shortcut",
+               ("invariant sum gives", upper), ("kernel computation gives", a))
+    _agree("interaction rank",
+           ("kernel route gives", g_rank), ("image intersection gives", g_direct))
+    _agree("Euler bookkeeping",
+           ("six-term ranks give", bookkeeping), ("direct formula gives", euler))
 
     # Upper bound: the monomorphism bound refined to the invariant
     # submodules.  Lower bound: minus the costalk corrections, absent unless
@@ -301,6 +299,6 @@ def analyze(cfg: SliceConfiguration) -> VanishingReport:
         six_term=six,
         bounds=bounds,
         monodromy=monodromy,
-        shortcut_agrees=shortcut,
+        shortcut_agrees=None if cfg.special_points else True,
         j_matrix=j,
     )

@@ -111,7 +111,7 @@ class Violation:
         return {"code": self.code, "subject": self.subject, "detail": self.detail}
 
 
-# A special point's branch kernels and iota echelon, as validation hands them on.
+# A special point's branch kernels and iota echelon from validation; read, never changed.
 PointRecord = tuple[list[Submodule], list[tuple[int, list[int]]]]
 
 
@@ -160,8 +160,8 @@ def _validate(cfg: SliceConfiguration) -> tuple[list[Violation], list[PointRecor
     Injectivity of iota is read off its column echelon pivots, which are
     handed on as they are: back-normalising them here would cost the
     validate path, which never reads them, and `engine._build_j` finishes
-    them into j's point-block basis.  Without violations there is one
-    record per point.
+    copies of them into j's point-block basis.  The records are read and
+    never changed.  Without violations there is one record per point.
     """
     out: list[Violation] = []
     points: list[PointRecord] = []

@@ -1,4 +1,5 @@
 import random
+from copy import deepcopy
 from dataclasses import replace
 
 import pytest
@@ -112,6 +113,20 @@ class TestBuildJ:
         comps = tuple(component_cohomology(c, cfg.n) for c in cfg.components)
         _, _, lows = vancoh.engine._build_j(cfg, comps, vancoh.model._validate(cfg)[1])
         assert lows == [[1, 0], [], [1, 0]]
+
+    def test_handoff_is_read_only(self):
+        # the point block's basis is finished from copies of validation's
+        # iota echelons: the records stay as written, and a second build
+        # on them gives the same result
+        for cfg in (load_corpus("xyz"), dense_iota_config(random.Random(23), 8, 6, 5, 2)):
+            violations, points = vancoh.model._validate(cfg)
+            assert violations == []
+            snapshot = deepcopy(points)
+            comps = tuple(component_cohomology(c, cfg.n) for c in cfg.components)
+            first = vancoh.engine._build_j(cfg, comps, points)
+            second = vancoh.engine._build_j(cfg, comps, points)
+            assert points == snapshot
+            assert first == second
 
     def test_inconsistent_branch_reported_where_the_walk_meets_it(self):
         # T fails before S in the walk, at an earlier point or an earlier
@@ -657,18 +672,24 @@ class TestSinglePass:
         original = vancoh.engine.component_cohomology
         monkeypatch.setattr(vancoh.engine, "component_cohomology", lambda c, n: replace(
             original(c, n), coker=FinAbGroup(0, ())))  # Z^1 for xyz
-        with pytest.raises(InternalDefectError, match="Euler bookkeeping"):
+        with pytest.raises(InternalDefectError) as info:
             analyze(load_corpus("xyz"))
+        assert str(info.value) == (
+            "Euler bookkeeping mismatch: six-term ranks give 4, direct formula gives 1")
 
     def test_interaction_rank_fires(self, monkeypatch):
         monkeypatch.setattr(vancoh.linalg, "intersect",
                             lambda a, b: image(IntegerMatrix.zeros(a.ambient_rank, 0)))
-        with pytest.raises(InternalDefectError, match="interaction rank"):
+        with pytest.raises(InternalDefectError) as info:
             analyze(load_corpus("xyz"))  # interaction rank 2
+        assert str(info.value) == (
+            "interaction rank mismatch: kernel route gives 2, image intersection gives 0")
 
     def test_shortcut_fires(self, monkeypatch):
         # a j with a nonzero row loses one kernel dimension
         monkeypatch.setattr(vancoh.engine, "_build_j", lambda *args: (
             matrix([[1, 0]]), image(IntegerMatrix.zeros(1, 0)), [[]]))
-        with pytest.raises(InternalDefectError, match="shortcut"):
+        with pytest.raises(InternalDefectError) as info:
             analyze(load_corpus("quadric_power_3_2"))
+        assert str(info.value) == (
+            "direct-sum shortcut mismatch: invariant sum gives 2, kernel computation gives 1")

@@ -8,11 +8,14 @@ next, or a repeated pass would time a cache.  The README's python examples
 import vancoh by name too, and must keep importing.  Inside the library,
 modules read each other's private names only at the one handoff of iota
 echelons from validation to the engine, so that coupling cannot spread
-unseen.  Outside `linalg`, only `engine._build_j` builds a `Submodule`,
-from those echelons, so every other lattice is a Hermite basis from
-`image`, `kernel` or `intersect`.  The library must parse under the oldest
-Python that pyproject.toml admits, and CI runs the tier-1 command of
-ROADMAP.md on each supported version."""
+unseen: `model` echelons iota with `linalg._echelon`, and `engine` calls
+`model._validate` and finishes copies of the echelons with
+`linalg._back_normalise`.  Outside `linalg`, only `engine._build_j` builds
+a `Submodule`, from those echelons, so every other lattice is a Hermite
+basis from `image`, `kernel` or `intersect`.  The library must parse under
+the oldest Python that pyproject.toml admits, and CI runs the tier-1
+command of ROADMAP.md on each supported version, with the test
+dependencies that pyproject.toml's ``test`` extra lists."""
 
 import ast
 import importlib
@@ -261,8 +264,8 @@ def test_private_reads_are_the_iota_echelon_handoff():
     sources = {".".join(path.relative_to(LIBRARY).with_suffix("").parts): path.read_text()
                for path in sorted(LIBRARY.rglob("*.py"))}
     assert private_reads(sources) == [
-        "engine reads linalg._back_normalise", "engine reads linalg._from_columns",
-        "engine reads model._validate", "model reads linalg._echelon"]
+        "engine reads linalg._back_normalise", "engine reads model._validate",
+        "model reads linalg._echelon"]
 
 
 def test_private_read_check_finds_planted_reads():
@@ -334,10 +337,15 @@ def too_new(source: str, version: tuple[int, int]) -> str | None:
     return None
 
 
+def project() -> dict:
+    """The ``[project]`` table of pyproject.toml."""
+    tomllib = pytest.importorskip("tomllib")
+    return tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+
 def requires_python() -> tuple[int, int]:
     """The minimum version that pyproject.toml's ``requires-python`` states."""
-    tomllib = pytest.importorskip("tomllib")
-    spec = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["requires-python"]
+    spec = project()["requires-python"]
     major, minor = re.fullmatch(r">=\s*(\d+)\.(\d+)", spec).groups()
     return int(major), int(minor)
 
@@ -368,4 +376,9 @@ def test_ci_runs_tier1_on_each_supported_version():
     versions = job["strategy"]["matrix"]["python-version"]
     assert versions[0] == "%d.%d" % requires_python()
     assert versions == ["3.10", "3.11", "3.12", "3.13"]
-    assert [step["run"] for step in job["steps"] if "run" in step][-1] == tier1_command()
+    runs = [step["run"] for step in job["steps"] if "run" in step]
+    assert runs[-1] == tier1_command()
+    # CI installs exactly the test extra, so an install of .[test] runs
+    # every test CI runs
+    [install] = [run.split("pip install", 1)[1].split() for run in runs if "pip install" in run]
+    assert sorted(install) == sorted(project()["optional-dependencies"]["test"])
