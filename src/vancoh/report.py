@@ -3,12 +3,17 @@
 Reports are pure data derived from the input bytes alone, so equal inputs
 produce byte-identical serialized reports regardless of file path.
 `six_term`, `bounds` and each group dict carry their dataclass's fields.
+
+`render_json` writes exactly what `json.dumps(reports, sort_keys=True,
+indent=2, ensure_ascii=True)` would, plus a newline, so consumers may hash or
+diff it: each leaf gets the C-level spelling `json` itself uses, and the
+indentation is written around the leaves.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .engine import VanishingReport
@@ -16,6 +21,7 @@ from .linalg import FinAbGroup, IntegerMatrix
 from .model import Violation
 
 MATRIX_PRINT_LIMIT = 12  # larger literals are suppressed unless verbose
+_LITERALS = {True: "true", False: "false", None: "null"}
 
 
 def format_group(g: FinAbGroup) -> str:
@@ -106,9 +112,47 @@ def report_to_dict(report: Report, verbose: bool = False) -> dict:
     return out
 
 
+def _write(value, pad: str, out: list[str]) -> None:
+    """Append the indented JSON of `value`, whose line starts with `pad`, to
+    `out`.  Types are tested in `json`'s order, so subclasses and bools come
+    out as it writes them.  Keys must be strings; a float or any other leaf,
+    which no report carries, raises `json`'s TypeError."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None or value is True or value is False:
+        out.append(_LITERALS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict) and value:
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            out += (sep, _quote(key), ": ")
+            _write(value[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = pad + "  "
+        if set(map(type, value)) == {int}:  # a matrix row: one join, no call per entry
+            out.append("[\n" + inner + (",\n" + inner).join(map(int.__repr__, value)))
+        else:
+            sep = "[\n" + inner
+            for item in value:
+                out.append(sep)
+                _write(item, inner, out)
+                sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    elif isinstance(value, (dict, list, tuple)):
+        out.append("{}" if isinstance(value, dict) else "[]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def render_json(reports: list[Report], verbose: bool = False) -> str:
-    docs = [report_to_dict(r, verbose) for r in reports]
-    return json.dumps(docs, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    out: list[str] = []
+    _write([report_to_dict(r, verbose) for r in reports], "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def render_text(report: Report, verbose: bool = False) -> str:

@@ -12,7 +12,9 @@ unseen: `model` echelons iota with `linalg._echelon`, and `engine` calls
 `model._validate` and finishes copies of the echelons with
 `linalg._back_normalise`.  Outside `linalg`, only `engine._build_j` builds
 a `Submodule`, from those echelons, so every other lattice is a Hermite
-basis from `image`, `kernel` or `intersect`.  The library must parse under
+basis from `image`, `kernel` or `intersect`.  JSON is indented only by
+`report`'s own writer: no module calls `json.dumps` or `json.dump` with
+``indent``, the stdlib's pure-Python path.  The library must parse under
 the oldest Python that pyproject.toml admits, and CI runs the tier-1
 command of ROADMAP.md on each supported version, with the test
 dependencies that pyproject.toml's ``test`` extra lists."""
@@ -325,6 +327,54 @@ def f(m):
     return linalg.Submodule(m), g, image(m), isinstance(a, Submodule), linalg.Submodule
 """
     assert submodule_calls(planted) == ["<module>", "g", "f"]
+
+
+def indenting_dumps(source: str) -> list[str]:
+    """Each call of ``json.dumps`` or ``json.dump`` with an ``indent``
+    keyword in a module's source: by attribute of ``json`` (or a name it is
+    imported as), or by a name imported from ``json``."""
+    tree = ast.parse(source)
+    modules, functions = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "json"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            functions.update({alias.asname or alias.name: alias.name for alias in node.names
+                              if alias.name in ("dump", "dumps")})
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords)):
+            continue
+        if (isinstance(node.func, ast.Attribute) and node.func.attr in ("dump", "dumps")
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in modules):
+            found.append((node.lineno, f"json.{node.func.attr}"))
+        elif isinstance(node.func, ast.Name) and node.func.id in functions:
+            found.append((node.lineno, f"json.{functions[node.func.id]}"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_json_is_indented_by_the_report_writer_alone():
+    # render_json writes the indentation around C-encoded leaves; the
+    # stdlib's indenting encoder is pure Python and must not come back
+    calls = [f"{path.relative_to(LIBRARY)} {call}" for path in sorted(LIBRARY.rglob("*.py"))
+             for call in indenting_dumps(path.read_text())]
+    assert calls == []
+
+
+def test_indent_check_finds_planted_calls():
+    planted = """
+import json
+import json as j
+from json import dumps, dump as put
+
+a = json.dumps(x, sort_keys=True, indent=2)
+b = j.dump(x, f, indent=None)
+c = dumps(x) + json.dumps(x, separators=(",", ":"))
+d = put(x, f, indent=4) + dumps(x, indent="\\t") + other.dumps(x, indent=2)
+"""
+    assert indenting_dumps(planted) == [
+        "line 6: json.dumps", "line 7: json.dump", "line 9: json.dump", "line 9: json.dumps"]
 
 
 def too_new(source: str, version: tuple[int, int]) -> str | None:
