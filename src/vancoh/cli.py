@@ -19,7 +19,7 @@ from . import corpus
 from .engine import InternalDefectError, InvalidConfigurationError, analyze
 from .loader import load_path
 from .model import Violation, validate
-from .report import Report, format_group, render_json, render_text
+from .report import Report, render_json, render_text, report_to_dict
 
 
 def _file_report(path: str, *, strict: bool, costalk_required: bool,
@@ -91,18 +91,20 @@ def _run_corpus(fmt: str, verbose: bool) -> int:
     failures = []
     for (name, path), report in zip(entries, reports):
         expected = corpus.EXPECTED[name]
-        if report.vanishing is None:
-            failures.append(f"{name}: no result ({'defect' if report.defect else 'invalid'})")
+        doc = report_to_dict(report)
+        if "vanishing" not in doc:
+            failures.append(f"{name}: no result ({'defect' if doc.get('defect') else 'invalid'})")
             continue
-        got_group = format_group(report.vanishing.lowest_group)
-        six = report.vanishing.six_term
-        got = {"group": got_group, "domain": six.domain, "codomain": six.codomain,
-               "kernel": six.lowest_pair, "upper": report.vanishing.bounds.upper_lowest}
+        v = doc["vanishing"]
+        six = v["six_term"]
+        got = {"group": v["lowest_group"]["text"], "domain": six["domain"],
+               "codomain": six["codomain"], "kernel": six["lowest_pair"],
+               "upper": v["bounds"]["upper_lowest"]}
         bad = {k: (got[k], expected[k]) for k in expected if got[k] != expected[k]}
         if bad:
             failures.append(f"{name}: mismatch {bad}")
         else:
-            print(f"corpus {name}: ok ({got_group})", file=log)
+            print(f"corpus {name}: ok ({got['group']})", file=log)
     for f in failures:
         print(f"corpus FAILURE {f}", file=log)
     if fmt == "json" or verbose:

@@ -158,7 +158,7 @@ def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
     codomain = sum(q.iota.rows for q in cfg.special_points)
     domain = upper + sum(q.fq_rank_low for q in cfg.special_points)
     data = [[0] * domain for _ in range(codomain)]
-    hermite = [[0] * domain for _ in range(codomain)]
+    hermite = [[0] * (domain - upper) for _ in range(codomain)]
     lows = [[] for _ in comps]
     solved = {}  # (kernel basis, invariant basis) -> coordinates or None
     row0, col0 = 0, upper
@@ -166,7 +166,7 @@ def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
         finished = linalg._back_normalise([(r, c[:]) for r, c in pivots])
         for i, (row, basis_row) in enumerate(zip(q.iota.data, zip(*finished))):
             data[row0 + i][col0:col0 + q.fq_rank_low] = [-x for x in row]
-            hermite[row0 + i][col0:col0 + q.fq_rank_low] = basis_row
+            hermite[row0 + i][col0 - upper:col0 - upper + q.fq_rank_low] = basis_row
         col0 += q.fq_rank_low
         for k, (b, kern) in enumerate(zip(q.branches, kernels)):
             ci, c0 = first_col[b.component_id]
@@ -185,8 +185,8 @@ def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
                 data[row0 + i][c0:c0 + inv.rank] = row
             row0 += kern.rank
     j = IntegerMatrix(codomain, domain, tuple(tuple(r) for r in data))
-    block = tuple(tuple(r[upper:]) for r in hermite)
-    return j, Submodule(IntegerMatrix(codomain, domain - upper, block)), lows
+    block = IntegerMatrix(codomain, domain - upper, tuple(map(tuple, hermite)))
+    return j, Submodule(block), lows
 
 
 def _agree(check: str, one: tuple[str, int], other: tuple[str, int]) -> None:

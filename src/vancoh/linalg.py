@@ -185,10 +185,9 @@ def _echelon(columns: Iterable[Sequence[int]]) -> list[tuple[int, list[int]]]:
             half = p // 2 if p > 0 else -(-p // 2)
             ps = pc[row:]
             for c in active:
-                if c is not pc:
+                if c is not pc:  # |c[row]| >= |p|, so the quotient is never 0
                     q = (c[row] + half) // p
-                    if q:
-                        c[row:] = [x - q * y for x, y in zip(c[row:], ps)]
+                    c[row:] = [x - q * y for x, y in zip(c[row:], ps)]
             active = [c for c in active if c[row]]
         if active:
             pc = active[0]

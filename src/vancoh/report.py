@@ -3,6 +3,8 @@
 Reports are pure data derived from the input bytes alone, so equal inputs
 produce byte-identical serialized reports regardless of file path.
 `six_term`, `bounds` and each group dict carry their dataclass's fields.
+`report_to_dict` is the one reader of a `Report`: `render_json` writes its
+document and `render_text` renders the same document.
 
 `render_json` writes exactly what `json.dumps(reports, sort_keys=True,
 indent=2, ensure_ascii=True)` would, plus a newline, so consumers may hash or
@@ -156,57 +158,53 @@ def render_json(reports: list[Report], verbose: bool = False) -> str:
 
 
 def render_text(report: Report, verbose: bool = False) -> str:
-    lines = [f"configuration {report.configuration_id}"]
-    if report.warnings:
-        for w in report.warnings:
-            lines.append(f"  warning: unknown key {w}")
-    if report.validation:
+    """The lines of `report_to_dict`'s document, for a reader."""
+    doc = report_to_dict(report, verbose)
+    lines = [f"configuration {doc['configuration_id']}"]
+    lines += [f"  warning: unknown key {w}" for w in doc.get("warnings", ())]
+    if doc["validation"]:
         lines.append("  INVALID")
-        for v in report.validation:
-            detail = f": {v.detail}" if v.detail else ""
-            lines.append(f"    {v.code} [{v.subject}]{detail}")
-        return "\n".join(lines) + "\n"
-    if report.defect is not None:
-        lines.append(f"  DEFECT: {report.defect}")
-        return "\n".join(lines) + "\n"
-    v = report.vanishing
-    if v is None:  # validate-only run
+        lines += [f"    {v['code']} [{v['subject']}]" + (f": {v['detail']}" if v["detail"] else "")
+                  for v in doc["validation"]]
+    elif "defect" in doc:
+        lines.append(f"  DEFECT: {doc['defect']}")
+    elif "vanishing" in doc:
+        lines += _vanishing_lines(doc["vanishing"])
+    else:  # validate-only run
         lines.append("  valid")
-        return "\n".join(lines) + "\n"
-    six = v.six_term
-    lines.append(f"  lowest vanishing group (degree {v.lowest_degree} sliced, "
-                 f"{v.original_degree} original): {format_group(v.lowest_group)}")
-    lines.append(f"  decomposition: interaction rank {v.g_rank}"
-                 + (f", branch-free components "
-                    + ", ".join(f"{cid}:{r}" for cid, r in v.i0_contribution)
-                    if v.i0_contribution else ""))
-    for c in v.components:
-        lines.append(f"  component {c.component_id}: invariant rank {c.invariants.rank}, "
-                     f"coker {format_group(c.coker)}, euler {c.euler}")
-    lines.append(f"  euler characteristic of the vanishing neighborhood: {v.euler_total}")
-    lines.append(f"  six-term ranks: lowest {six.lowest_pair}, domain {six.domain}, "
-                 f"codomain {six.codomain}, top {six.top_pair} (torsion undetermined), "
-                 f"middle {six.middle}, branch coker {six.branch_coker}"
-                 f"{' [consistent]' if six.consistent else ' [INCONSISTENT]'}")
-    lower = "absent" if v.bounds.lower_lowest is None else str(v.bounds.lower_lowest)
-    lines.append(f"  bounds: lowest betti in [{lower}, {v.bounds.upper_lowest}], "
-                 f"concentration bound {v.bounds.min_bound}, "
-                 f"next betti <= {v.bounds.betti_high}")
-    for k, b in v.bounds.polar:
-        lines.append(f"  polar bound: b_(n-{k})(F) <= {b}")
-    if v.monodromy is not None:
-        lines.append(f"  char poly divides component product: {v.monodromy.char_poly_divides}")
-        for label, ok in v.monodromy.eigen_dims_ok:
-            lines.append(f"  eigenspace bound at {label}: {ok}")
-        for label, ok in v.monodromy.jordan_sizes_ok:
-            lines.append(f"  jordan bound at {label}: {ok}")
-    if v.shortcut_agrees is not None:
-        lines.append(f"  no-special-point shortcut agrees: {v.shortcut_agrees}")
-    jm = _matrix_entry(v.j_matrix, verbose)
+    return "\n".join(lines) + "\n"
+
+
+def _vanishing_lines(v: dict) -> list[str]:
+    six, bounds = v["six_term"], v["bounds"]
+    i0 = ", ".join(f"{cid}:{r}" for cid, r in v["i0_contribution"])
+    lines = [f"  lowest vanishing group (degree {v['lowest_degree']} sliced, "
+             f"{v['original_degree']} original): {v['lowest_group']['text']}",
+             f"  decomposition: interaction rank {v['g_rank']}"
+             + (f", branch-free components {i0}" if i0 else "")]
+    lines += [f"  component {c['id']}: invariant rank {c['invariant_rank']}, "
+              f"coker {c['coker']['text']}, euler {c['euler']}" for c in v["components"]]
+    lines.append(f"  euler characteristic of the vanishing neighborhood: {v['euler_total']}")
+    lines.append(f"  six-term ranks: lowest {six['lowest_pair']}, domain {six['domain']}, "
+                 f"codomain {six['codomain']}, top {six['top_pair']} (torsion undetermined), "
+                 f"middle {six['middle']}, branch coker {six['branch_coker']}"
+                 f"{' [consistent]' if six['consistent'] else ' [INCONSISTENT]'}")
+    lower = "absent" if bounds["lower_lowest"] is None else bounds["lower_lowest"]
+    lines.append(f"  bounds: lowest betti in [{lower}, {bounds['upper_lowest']}], "
+                 f"concentration bound {bounds['min_bound']}, "
+                 f"next betti <= {bounds['betti_high']}")
+    lines += [f"  polar bound: b_(n-{k})(F) <= {b}" for k, b in bounds["polar"]]
+    if "monodromy_checks" in v:
+        m = v["monodromy_checks"]
+        lines.append(f"  char poly divides component product: {m['char_poly_divides']}")
+        lines += [f"  eigenspace bound at {label}: {ok}" for label, ok in m["eigen_dims"].items()]
+        lines += [f"  jordan bound at {label}: {ok}" for label, ok in m["jordan_sizes"].items()]
+    if v["shortcut_agrees"] is not None:
+        lines.append(f"  no-special-point shortcut agrees: {v['shortcut_agrees']}")
+    jm = v["j_matrix"]
     if isinstance(jm, list):
-        lines.append(f"  j matrix ({v.j_matrix.rows}x{v.j_matrix.cols}):")
-        for row in jm:
-            lines.append("    [" + " ".join(f"{x:3d}" for x in row) + "]")
+        lines.append(f"  j matrix ({six['codomain']}x{six['domain']}):")
+        lines += ["    [" + " ".join(f"{x:3d}" for x in row) + "]" for row in jm]
     else:
         lines.append(f"  j matrix: {jm}")
-    return "\n".join(lines) + "\n"
+    return lines

@@ -588,3 +588,20 @@ class TestCorpusFailures:
         assert "corpus xyz: ok" not in log
         if fmt == "json":
             assert len(json.loads(captured.out)) == 6
+
+
+def test_corpus_checks_the_report_document(monkeypatch, capsys):
+    """The corpus run reads its five fields from `report_to_dict`'s document."""
+    [xyz], _ = run([str(CORPUS["xyz"])])
+
+    def wrong_domain(report, verbose=False):
+        doc = report_to_dict(report, verbose)
+        if report.configuration_id == xyz.configuration_id:
+            doc["vanishing"]["six_term"]["domain"] += 1
+        return doc
+
+    monkeypatch.setattr(vancoh.cli, "report_to_dict", wrong_domain)
+    assert main(["corpus"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("corpus FAILURE xyz: mismatch {'domain': (6, 5)}\n") == 1
+    assert out.count(": ok") == 5

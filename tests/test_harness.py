@@ -12,7 +12,9 @@ unseen: `model` echelons iota with `linalg._echelon`, and `engine` calls
 `model._validate` and finishes copies of the echelons with
 `linalg._back_normalise`.  Outside `linalg`, only `engine._build_j` builds
 a `Submodule`, from those echelons, so every other lattice is a Hermite
-basis from `image`, `kernel` or `intersect`.  JSON is indented only by
+basis from `image`, `kernel` or `intersect`.  A group's text is written
+only by `report._group_dict`, into the report document that the text
+report and the corpus check read.  JSON is indented only by
 `report`'s own writer: no module calls `json.dumps` or `json.dump` with
 ``indent``, the stdlib's pure-Python path.  The library must parse under
 the oldest Python that pyproject.toml admits, and CI runs the tier-1
@@ -283,14 +285,14 @@ x = b._one(cc._two, b.public, b.__dict__, _hidden, public)
     assert private_reads(planted) == ["a reads b._hidden", "a reads b._one", "a reads c._two"]
 
 
-def submodule_calls(source: str) -> list[str]:
+def calls_of(name: str, source: str) -> list[str]:
     """The innermost enclosing function (``<module>`` at top level) of each
-    call of ``Submodule`` in a module's source, in source order: a call by
-    its name, by a name it is imported as, or as a module attribute."""
+    call of ``name`` in a module's source, in source order: a call by the
+    name, by a name it is imported as, or as a module attribute."""
     tree = ast.parse(source)
-    names = {"Submodule"} | {alias.asname for node in ast.walk(tree)
-                             if isinstance(node, ast.ImportFrom) for alias in node.names
-                             if alias.name == "Submodule" and alias.asname}
+    names = {name} | {alias.asname for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) for alias in node.names
+                      if alias.name == name and alias.asname}
     found = []
 
     def visit(node, where):
@@ -298,7 +300,7 @@ def submodule_calls(source: str) -> list[str]:
             if (isinstance(child, ast.Call)
                     and ((isinstance(child.func, ast.Name) and child.func.id in names)
                          or (isinstance(child.func, ast.Attribute)
-                             and child.func.attr == "Submodule"))):
+                             and child.func.attr == name))):
                 found.append(where)
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_def else where)
@@ -310,8 +312,15 @@ def submodule_calls(source: str) -> list[str]:
 def test_submodules_are_built_in_linalg_and_build_j():
     calls = [f"{path.relative_to(LIBRARY).with_suffix('')}.{where}"
              for path in sorted(LIBRARY.rglob("*.py")) if path != LIBRARY / "linalg.py"
-             for where in submodule_calls(path.read_text())]
+             for where in calls_of("Submodule", path.read_text())]
     assert calls == ["engine._build_j"]
+
+
+def test_group_text_is_written_by_the_report_document_alone():
+    calls = [f"{path.relative_to(LIBRARY).with_suffix('')}.{where}"
+             for path in sorted(LIBRARY.rglob("*.py"))
+             for where in calls_of("format_group", path.read_text())]
+    assert calls == ["report._group_dict"]
 
 
 def test_submodule_call_check_finds_planted_calls():
@@ -326,7 +335,7 @@ def f(m):
         return Lattice(m)
     return linalg.Submodule(m), g, image(m), isinstance(a, Submodule), linalg.Submodule
 """
-    assert submodule_calls(planted) == ["<module>", "g", "f"]
+    assert calls_of("Submodule", planted) == ["<module>", "g", "f"]
 
 
 def indenting_dumps(source: str) -> list[str]:

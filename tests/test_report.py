@@ -3,7 +3,8 @@ encoder, which is the oracle here: ``json.dumps(docs, sort_keys=True,
 indent=2, ensure_ascii=True)`` plus a newline.  CI runs these tests on each
 supported Python, so the contract is checked against each version's own
 `json`.  Where `json.dumps` fails the writer fails the same way, and a float
-or any other value no report carries is refused with `json`'s TypeError."""
+or any other value no report carries is refused with `json`'s TypeError.
+`render_text` renders the document that `render_json` writes."""
 
 import json
 import random
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from vancoh import Report, Violation, serialize_configuration
 from vancoh.cli import run
 from vancoh.corpus import bundled
-from vancoh.report import _write, render_json, report_to_dict
+from vancoh.report import _write, render_json, render_text, report_to_dict
 
 from helpers import random_valid_config
 
@@ -97,3 +98,12 @@ def test_other_leaves_raise_type_error(leaf):
     with pytest.raises(TypeError, match=f"^Object of type {type(leaf).__name__} "
                                         "is not JSON serializable$"):
         render_json([report])
+
+
+def test_text_renders_the_report_document(monkeypatch):
+    """`render_text` prints what `report_to_dict`'s document says."""
+    [report], _ = run([str(dict(bundled())["xyz"])])
+    doc = report_to_dict(report)
+    doc["vanishing"]["lowest_group"]["text"] = "Z^7 (planted)"
+    monkeypatch.setattr("vancoh.report.report_to_dict", lambda r, verbose=False: doc)
+    assert "original): Z^7 (planted)\n" in render_text(report)
