@@ -5,7 +5,8 @@ Dense matrices of arbitrary-precision integers, built from row lists by
 kernels, images, cokernels and lattice intersections.  One column echelon
 elimination is the core, and it takes columns only: `rank`,
 `is_unimodular` and `cokernel` pass the rows of m, the columns of its
-transpose, and the Hermite callers the columns of their matrix.  Ranks and
+transpose, and the Hermite callers the columns of their matrix, read off
+its rows by `zip`, so no transposed matrix is built.  Ranks and
 unimodularity read its pivots, and one back-normalisation turns it into
 the column Hermite normal form, the basis of `image(m)`.  Kernels and
 intersections eliminate the stack [A B; I 0], laid out in one function (a
@@ -172,15 +173,21 @@ def _echelon(columns: Iterable[Sequence[int]]) -> list[tuple[int, list[int]]]:
     for row in range(len(live[0]) if live else 0):
         if not live:
             break  # every column holds a pivot: no later row can add one
-        # Euclid on the entries of this row until one active column is left;
-        # ties go to the lowest original column.  Live columns are zero
-        # above this row, so each column operation touches the suffix only.
-        # Quotients round to the nearest integer, which leaves remainders of
-        # at most |p|/2 (Havas-Majewski-Matthews) and needs fewer rounds
-        # than floor quotients.
+        # Euclid on the entries of this row until one active column is left.
+        # The pivot is the first column of least |entry| (ties go to the
+        # lowest original column), found by a plain loop: a key function
+        # would cost a call per column.  Live columns are zero above this
+        # row, so each column operation touches the suffix only.  Quotients
+        # round to the nearest integer, which leaves remainders of at most
+        # |p|/2 (Havas-Majewski-Matthews) and needs fewer rounds than floor
+        # quotients.
         active = [c for c in live if c[row]]
         while len(active) > 1:
-            pc = min(active, key=lambda c: abs(c[row]))
+            pc = active[0]
+            least = abs(pc[row])
+            for c in active:
+                if abs(c[row]) < least:
+                    pc, least = c, abs(c[row])
             p = pc[row]
             half = p // 2 if p > 0 else -(-p // 2)
             ps = pc[row:]
@@ -287,11 +294,12 @@ def kernel(m: IntegerMatrix) -> Submodule:
     """Integer kernel {x : m x = 0} of Z^cols, automatically saturated.
 
     The restricted image with no B, read off [m; I], wrapped as the
-    Submodule of its columns.  m's columns come from its transpose, which
-    keeps them, empty, when m has no rows.
+    Submodule of its columns.  m's columns are read straight off its rows,
+    as empty ones when m has no rows; no transpose is built.
     Saturated: k x in the kernel with k != 0 puts x in it.
     """
-    return Submodule(_from_columns(m.cols, _restricted_image(m.rows, m.transpose().data, ())))
+    columns = tuple(zip(*m.data)) if m.rows else ((),) * m.cols
+    return Submodule(_from_columns(m.cols, _restricted_image(m.rows, columns, ())))
 
 
 def image(m: IntegerMatrix) -> Submodule:

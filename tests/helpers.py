@@ -155,6 +155,52 @@ def rand_unimodular(rng: random.Random, n: int, bound: int = 3) -> IntegerMatrix
     return matrix(m)
 
 
+def rank_deficient(m):
+    """``m`` with its last row replaced by the first plus the second last."""
+    rows = list(m.data[:-1])
+    return matrix(rows + [[x + y for x, y in zip(rows[0], rows[-1])]])
+
+
+def differential_cases():
+    """Seeded random matrices, their unimodular conjugates, unimodular
+    matrices, the empty shapes, an all-zero matrix, and stacks with entries
+    up to 2^64: the [m; I] that kernel eliminates, the [A B; I 0] that
+    intersect eliminates, and [A B; A 0]."""
+    rng = random.Random(43)
+    cases = [IntegerMatrix.zeros(r, c) for r, c in [(0, 0), (0, 1), (0, 5), (1, 0), (6, 0)]]
+    while len(cases) < 240:
+        r, c = rng.randint(1, 12), rng.randint(1, 16)
+        m = rand_matrix(rng, r, c, 9)
+        if r > 1 and rng.random() < 0.3:
+            m = rank_deficient(m)
+        cases.append(m)
+        cases.append(rand_unimodular(rng, r) * m * rand_unimodular(rng, c))
+        if r == c or rng.random() < 0.2:
+            cases.append(rand_unimodular(rng, r))
+    cases.append(IntegerMatrix.zeros(4, 3))
+    rng = random.Random(45)
+    big = 2 ** 64
+    for _ in range(15):
+        m = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 6), big)
+        if m.rows > 1 and rng.random() < 0.4:
+            m = rank_deficient(m)
+        cases.append(vstack([m, IntegerMatrix.identity(m.cols)]))
+    for _ in range(15):
+        r, c = rng.randint(1, 4), rng.randint(1, 4)
+        a, b = rand_matrix(rng, r, c, big), rand_matrix(rng, r, c, big)
+        if r > 1 and rng.random() < 0.5:
+            a = rank_deficient(a)
+        cases.append(vstack([hstack([a, b]), hstack([a, IntegerMatrix.zeros(r, c)])]))
+    for _ in range(15):
+        r, ca, cb = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a, b = rand_matrix(rng, r, ca, big), rand_matrix(rng, r, cb, big)
+        if r > 1 and rng.random() < 0.5:
+            a = rank_deficient(a)
+        cases.append(vstack([hstack([a, b]), hstack([IntegerMatrix.identity(ca),
+                                                     IntegerMatrix.zeros(ca, cb)])]))
+    return cases
+
+
 def exact_inverse(m: IntegerMatrix) -> IntegerMatrix:
     """Inverse of a unimodular matrix, solved over Q column by column and
     checked integral."""

@@ -580,6 +580,15 @@ class TestSinglePass:
         assert (len(validations), len(builds)) == (1, 1)
         assert [c.id for c, _ in comps] == [c.id for c in cfg.components]
 
+    def test_no_transpose_is_built(self, monkeypatch):
+        # kernel and the branch kernels read m's columns straight off its
+        # rows; no pass builds a transposed matrix only to unwrap it
+        cfg = load_corpus("xyzu")
+        transposes = count_calls(monkeypatch, IntegerMatrix, "transpose")
+        analyze(cfg)
+        assert vancoh.model.validate(cfg) == []
+        assert transposes == []
+
     def test_cross_check_eliminates_kernel_stack(self, monkeypatch):
         # the interaction cross-check eliminates [A B; I 0], A the image of
         # smaller rank: n + min(ra, rb) rows

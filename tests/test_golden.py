@@ -3,9 +3,11 @@ a fresh interpreter, must exit 0, and its stdout must hash to the recorded
 digest.  A change to any report, ledger or demo line fails here.  The
 loader digest pins what the parser makes of seeded malformed documents, the
 Smith digests pin the canonical diagonal and cokernel apart from the
-transforms u and v, the cross-check digest pins the canonical bases the
-interaction cross-check intersects, and the pipeline digest pins every
-report the command line makes of a seeded document set."""
+transforms u and v, the echelon digest pins the raw column echelons of the
+elimination core, pivot choice and operation order included, the
+cross-check digest pins the canonical bases the interaction cross-check
+intersects, and the pipeline digest pins every report the command line
+makes of a seeded document set."""
 
 import hashlib
 import json
@@ -23,8 +25,9 @@ from vancoh.corpus import bundled
 from vancoh.linalg import IntegerMatrix, cokernel, smith_normal_form
 from vancoh.report import render_json, render_text
 
-from helpers import (corpus_documents, dense_iota_config, emitted_codes, load_corpus,
-                     mutated_document, pipeline_documents, rand_matrix, random_valid_config)
+from helpers import (corpus_documents, dense_iota_config, differential_cases, emitted_codes,
+                     load_corpus, mutated_document, pipeline_documents, rand_matrix,
+                     random_valid_config)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -110,6 +113,35 @@ def test_smith_transform_digest():
         u, _, v = smith_normal_form(m)
         digest.update(repr((u.data, v.data)).encode())
     assert digest.hexdigest() == SMITH_TRANSFORM_DIGEST
+
+
+BIG = 2 ** 200
+# columns, not rows: each list is one call of `_echelon`
+ECHELON_TIES = [
+    [(3, 1, 0), (-3, 2, 1), (3, 5, -1), (-3, 0, 2)],  # equal |entry|, mixed signs
+    [(0, 4, 1), (0, -4, 3), (0, 4, -2)],  # the same, one row down
+    [(2, 4, 1), (2, 4, 1), (6, 0, 1), (2, 4, 1)],  # duplicate columns
+    [(0, 0, 0), (1, 2, 3), (0, 0, 0), (4, 5, 6), (0, 0, 0)],  # zero columns
+    [(0, 0), (0, 0)],
+    [(-7, 3)], [(6, 1), (-4, 0)], [(0, -5), (0, 10)],  # negative final pivots
+    [(BIG, 1, 0), (BIG - 1, 0, 1), (-BIG + 3, 7, 2)],  # entries near 2^200
+    [(BIG, -BIG), (-BIG, BIG + 1), (BIG + 1, BIG)],
+]
+ECHELON_DIGEST = "7a085d3ef65e9c7afe351feb78a8c514e32223931b91a50d431eaa292f7a5d40"
+
+
+def test_echelon_digest():
+    """The (pivot row, column) pairs `_echelon` returns for the rows and for
+    the columns of each `TestDifferential` case, and for hand-written
+    columns whose pivot search meets ties.  The columns are not canonical:
+    this digest pins which column each pivot search takes and the order of
+    the column operations."""
+    digest = hashlib.sha256()
+    for m in differential_cases():
+        digest.update(repr((linalg._echelon(m.data), linalg._echelon(zip(*m.data)))).encode())
+    for columns in ECHELON_TIES:
+        digest.update(repr(linalg._echelon(columns)).encode())
+    assert digest.hexdigest() == ECHELON_DIGEST
 
 
 CROSS_CHECK_DIGEST = "04ad415e047454bca589be79d3d712ee994be1373786f1162a98c6e348644383"

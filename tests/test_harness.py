@@ -16,8 +16,10 @@ basis from `image`, `kernel` or `intersect`.  A group's text is written
 only by `report._group_dict`, into the report document that the text
 report and the corpus check read.  JSON is indented only by
 `report`'s own writer: no module calls `json.dumps` or `json.dump` with
-``indent``, the stdlib's pure-Python path.  The library must parse under
-the oldest Python that pyproject.toml admits, and CI runs the tier-1
+``indent``, the stdlib's pure-Python path.  The test oracles import the
+standard library alone, so what the differential tests compare the
+elimination core against shares no code with it.  The library must parse
+under the oldest Python that pyproject.toml admits, and CI runs the tier-1
 command of ROADMAP.md on each supported version, with the test
 dependencies that pyproject.toml's ``test`` extra lists."""
 
@@ -25,6 +27,7 @@ import ast
 import importlib
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 LIBRARY = ROOT / "src" / "vancoh"
 README = ROOT / "README.md"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
 MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault", "pop", "popitem",
@@ -384,6 +388,41 @@ d = put(x, f, indent=4) + dumps(x, indent="\\t") + other.dumps(x, indent=2)
 """
     assert indenting_dumps(planted) == [
         "line 6: json.dumps", "line 7: json.dump", "line 9: json.dump", "line 9: json.dumps"]
+
+
+def outside_stdlib(source: str) -> list[str]:
+    """Each module a source imports by ``import`` or ``from ... import``
+    that is not in the standard library; a relative import names its dots."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.lineno, "." * node.level + (node.module or "")))
+    return [f"line {line}: {module}" for line, module in sorted(found)
+            if module.split(".")[0] not in sys.stdlib_module_names]
+
+
+def test_oracles_import_the_standard_library_alone():
+    # the oracles that TestDifferential and the engine tests compare vancoh
+    # against must not reach vancoh, nor helpers, which imports it
+    assert "from fractions import Fraction" in ORACLES.read_text()
+    assert outside_stdlib(ORACLES.read_text()) == []
+
+
+def test_stdlib_check_finds_planted_imports():
+    planted = """
+from __future__ import annotations
+import math, vancoh.linalg as la
+from fractions import Fraction
+from vancoh import matrix
+from . import sibling
+import helpers, json
+from hypothesis import given
+"""
+    assert outside_stdlib(planted) == [
+        "line 3: vancoh.linalg", "line 5: vancoh", "line 6: .", "line 7: helpers",
+        "line 8: hypothesis"]
 
 
 def too_new(source: str, version: tuple[int, int]) -> str | None:

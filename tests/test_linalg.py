@@ -8,8 +8,8 @@ from vancoh.linalg import (FinAbGroup, IntegerMatrix, char_poly, cokernel,
                            smith_normal_form, solve_in_basis)
 
 import oracles
-from helpers import (diagonal_of, exact_inverse, hstack, rand_matrix, rand_unimodular,
-                     record_echelons, scaled, vstack)
+from helpers import (diagonal_of, differential_cases, exact_inverse, hstack, rand_matrix,
+                     rand_unimodular, record_echelons, scaled, vstack)
 
 
 def small_matrices(max_dim=5, bound=9):
@@ -167,6 +167,11 @@ class TestKernelImage:
         for col in zip(*k.basis.data):
             assert sum(col) == 0
         assert k.rank == 3 - oracles.rational_rank([[1, 1, 1]])
+
+    def test_kernel_without_rows(self):
+        # no rows to read columns from: the kernel is all of Z^n
+        for n in range(4):
+            assert kernel(IntegerMatrix.zeros(0, n)) == image(IntegerMatrix.identity(n))
 
     def test_image_full(self):
         assert image(IntegerMatrix.identity(3)).basis == IntegerMatrix.identity(3)
@@ -484,52 +489,6 @@ def snf_intersect(a, b):
     k = snf_kernel(hstack([a.basis, scaled(b.basis, -1)])).basis
     coeffs = IntegerMatrix(a.rank, k.cols, k.data[:a.rank])
     return image(a.basis * coeffs)
-
-
-def rank_deficient(m):
-    """``m`` with its last row replaced by the first plus the second last."""
-    rows = list(m.data[:-1])
-    return matrix(rows + [[x + y for x, y in zip(rows[0], rows[-1])]])
-
-
-def differential_cases():
-    """Seeded random matrices, their unimodular conjugates, unimodular
-    matrices, the empty shapes, an all-zero matrix, and stacks with entries
-    up to 2^64: the [m; I] that kernel eliminates, the [A B; I 0] that
-    intersect eliminates, and [A B; A 0]."""
-    rng = random.Random(43)
-    cases = [IntegerMatrix.zeros(r, c) for r, c in [(0, 0), (0, 1), (0, 5), (1, 0), (6, 0)]]
-    while len(cases) < 240:
-        r, c = rng.randint(1, 12), rng.randint(1, 16)
-        m = rand_matrix(rng, r, c, 9)
-        if r > 1 and rng.random() < 0.3:
-            m = rank_deficient(m)
-        cases.append(m)
-        cases.append(rand_unimodular(rng, r) * m * rand_unimodular(rng, c))
-        if r == c or rng.random() < 0.2:
-            cases.append(rand_unimodular(rng, r))
-    cases.append(IntegerMatrix.zeros(4, 3))
-    rng = random.Random(45)
-    big = 2 ** 64
-    for _ in range(15):
-        m = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 6), big)
-        if m.rows > 1 and rng.random() < 0.4:
-            m = rank_deficient(m)
-        cases.append(vstack([m, IntegerMatrix.identity(m.cols)]))
-    for _ in range(15):
-        r, c = rng.randint(1, 4), rng.randint(1, 4)
-        a, b = rand_matrix(rng, r, c, big), rand_matrix(rng, r, c, big)
-        if r > 1 and rng.random() < 0.5:
-            a = rank_deficient(a)
-        cases.append(vstack([hstack([a, b]), hstack([a, IntegerMatrix.zeros(r, c)])]))
-    for _ in range(15):
-        r, ca, cb = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
-        a, b = rand_matrix(rng, r, ca, big), rand_matrix(rng, r, cb, big)
-        if r > 1 and rng.random() < 0.5:
-            a = rank_deficient(a)
-        cases.append(vstack([hstack([a, b]), hstack([IntegerMatrix.identity(ca),
-                                                     IntegerMatrix.zeros(ca, cb)])]))
-    return cases
 
 
 def snf_image(m):
