@@ -107,9 +107,6 @@ class Violation:
     subject: str
     detail: str = ""
 
-    def as_dict(self) -> dict:
-        return {"code": self.code, "subject": self.subject, "detail": self.detail}
-
 
 # A special point's branch kernels and iota echelon from validation; read, never changed.
 PointRecord = tuple[list[Submodule], list[tuple[int, list[int]]]]

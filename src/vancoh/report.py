@@ -101,7 +101,7 @@ def _vanishing_dict(v: VanishingReport, verbose: bool) -> dict:
 def report_to_dict(report: Report, verbose: bool = False) -> dict:
     out: dict = {
         "configuration_id": report.configuration_id,
-        "validation": [v.as_dict() for v in report.validation],
+        "validation": [{**vars(v)} for v in report.validation],
         "provenance": {"tool": "vancoh", "version": __version__,
                        "input_sha256": report.input_sha256},
     }

@@ -239,6 +239,73 @@ def charpoly_cofactor(rows: list[list[int]]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _width(rows: list[list[int]]) -> int:
+    return len(rows[0]) if rows else 0
+
+
+def _minus_identity(data) -> list[list[int]]:
+    return [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(data)]
+
+
+def _reference_blocks(cfg) -> tuple[tuple[list[list[int]], int], tuple[list[list[int]], int]]:
+    """The invariant and point blocks of j, each as (rows, columns), in the
+    layout README describes, on the configuration's plain fields.
+
+    Columns: each component's invariant basis, kernel_basis of its stacked
+    nu - I rows, in declaration order; then Z^fq_rank_low for each special
+    point.  Rows: each branch's kernel basis, kernel_basis(nu - I), points
+    then branches in declaration order.  An invariant column's coordinates
+    in a branch kernel come from rational_solve, checked integral; the
+    point block is -iota.  Raises ValueError when a component's invariants
+    do not lie in the kernel of one of its branches.
+    """
+    invariants, first_col, upper = {}, {}, 0
+    for c in cfg.components:
+        stacked = [row for nu in c.loop_monodromies for row in _minus_identity(nu.data)]
+        invariants[c.id] = kernel_basis(stacked, c.transversal_rank)
+        first_col[c.id] = upper
+        upper += _width(invariants[c.id])
+    low = sum(q.fq_rank_low for q in cfg.special_points)
+    invariant_rows, point_rows, low0 = [], [], 0
+    for q in cfg.special_points:
+        iota_rows = iter(q.iota.data)
+        for b in q.branches:
+            kern = kernel_basis(_minus_identity(b.monodromy.data), len(b.monodromy.data))
+            coords = [rational_solve(kern, list(col)) for col in zip(*invariants[b.component_id])]
+            if any(x is None or any(f.denominator != 1 for f in x) for x in coords):
+                raise ValueError(f"invariants of {b.component_id!r} outside a branch "
+                                 f"kernel at {q.id!r}")
+            c0 = first_col[b.component_id]
+            for i in range(_width(kern)):
+                row = [0] * upper
+                row[c0:c0 + len(coords)] = [int(x[i]) for x in coords]
+                invariant_rows.append(row)
+                row = [0] * low
+                row[low0:low0 + q.fq_rank_low] = [-x for x in next(iota_rows)]
+                point_rows.append(row)
+        low0 += q.fq_rank_low
+    return (invariant_rows, upper), (point_rows, low)
+
+
+def reference_j(cfg) -> list[list[int]]:
+    """The rows of the comparison map j: the invariant block, then the point block."""
+    (invariant_rows, _), (point_rows, _) = _reference_blocks(cfg)
+    return [a + b for a, b in zip(invariant_rows, point_rows)]
+
+
+def reference_lowest(cfg) -> int:
+    """The rank of the lowest vanishing group, the rational nullity of j."""
+    (invariant_rows, upper), (point_rows, low) = _reference_blocks(cfg)
+    return rational_nullity([a + b for a, b in zip(invariant_rows, point_rows)], upper + low)
+
+
+def reference_interaction(cfg) -> int:
+    """The interaction rank: the rank of the intersection of the column
+    lattices of j's invariant and point blocks."""
+    (invariant_rows, _), (point_rows, _) = _reference_blocks(cfg)
+    return _width(intersection_basis(invariant_rows, point_rows))
+
+
 def euler_direct(cfg) -> int:
     """Euler characteristic of the vanishing neighborhood from the README
     formula: (-1)^n [ sum over components (2 genus + branches - 1) mu

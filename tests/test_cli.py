@@ -396,20 +396,25 @@ class TestReportToDict:
         doc = json.loads(CORPUS["xyz"].read_text())
         doc["polar_data"] = [[1, 0], [0, 1]]
         cfg = parse_configuration(doc).configuration
-        report = Report("xyz", (), analyze(cfg))
-        first = report_to_dict(report, verbose=True)
-        expected = copy.deepcopy(first)
-        containers = list(_containers(first["vanishing"]))
-        assert len(containers) >= 20
-        for c in containers:
-            if isinstance(c, dict):
-                for key in c:
-                    c[key] = "mutated"
-                c["added"] = 1
-            else:
-                c[:] = ["mutated"]
-        assert report_to_dict(report, verbose=True) == expected
-        assert report.vanishing == analyze(cfg)
+        computed = Report("xyz", (), analyze(cfg))
+        invalid = Report("bad", (Violation("negative-rank", "S"),
+                                 Violation("iota-shape", "q", "2x1")), None)
+        for report, section, least in ((computed, "vanishing", 20), (invalid, "validation", 3)):
+            first = report_to_dict(report, verbose=True)
+            expected = copy.deepcopy(first)
+            containers = list(_containers(first[section]))
+            assert len(containers) >= least
+            for c in containers:
+                if isinstance(c, dict):
+                    for key in c:
+                        c[key] = "mutated"
+                    c["added"] = 1
+                else:
+                    c[:] = ["mutated"]
+            assert report_to_dict(report, verbose=True) == expected
+        assert computed.vanishing == analyze(cfg)
+        assert invalid.validation == (Violation("negative-rank", "S"),
+                                      Violation("iota-shape", "q", "2x1"))
 
     def test_violations_and_results_raise(self):
         with pytest.raises(ValueError,
@@ -507,14 +512,19 @@ class TestMainEntry:
         assert len(json.loads(capsys.readouterr().out)) == 1
 
     @pytest.mark.xfail(strict=True, raises=ValueError,
-                       reason="the loop-count detail renders 2*genus + branches, an integer "
-                              "past the interpreter's string conversion limit")
-    def test_derived_integer_in_violation_detail_gets_one_report(self, tmp_path, capsys):
-        # the decoder accepts a 4,300-digit genus; json.dumps could not write it
+                       reason="the loop-count detail renders 2*genus + branches and the "
+                              "dimension-reduction detail original_n - original_s + 2, "
+                              "integers past the interpreter's string conversion limit")
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["components"][0].update(genus="HUGE"),
+        lambda doc: doc.update(original_n="HUGE", original_s=-1),
+    ], ids=["loop-count", "dimension-reduction"])
+    def test_derived_integer_in_violation_detail_gets_one_report(self, tmp_path, capsys, edit):
+        # the decoder accepts a 4,300-digit literal; json.dumps could not write it
         doc = json.loads(Path(CORPUS["xyz"]).read_text())
-        doc["components"][0]["genus"] = "GENUS"
-        path = tmp_path / "huge_genus.json"
-        path.write_text(json.dumps(doc).replace('"GENUS"', "9" * 4300))
+        edit(doc)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc).replace('"HUGE"', "9" * 4300))
         for command in ("validate", "compute"):
             assert main([command, "--format", "json", str(path)]) == 1
             assert len(json.loads(capsys.readouterr().out)) == 1

@@ -11,12 +11,13 @@ from vancoh import (Branch, CurveComponent, FinAbGroup, IntegerMatrix, IsolatedP
 from vancoh.corpus import bundled
 from vancoh.engine import InternalDefectError, InvalidConfigurationError
 from vancoh.linalg import image
+from vancoh.loader import load_bytes
 from vancoh.polynomial import IntPolynomial
 
 import oracles
 from helpers import (conjugate_component, count_calls, dense_iota_config, load_corpus,
-                     permute_config, rand_unimodular, random_valid_config, record_echelons,
-                     report_signature)
+                     permute_config, pipeline_documents, rand_unimodular, random_valid_config,
+                     record_echelons, report_signature)
 
 
 def empty_config(n=3):
@@ -432,6 +433,46 @@ class TestInvariance:
             comp = rng.choice(cfg.components)
             u = rand_unimodular(rng, comp.transversal_rank)
             assert report_signature(analyze(conjugate_component(cfg, comp.id, u))) == base
+
+
+def reference_inputs(source):
+    """The corpus, seeded random or dense-iota draws, or every valid
+    document of the pipeline set."""
+    if source == "corpus":
+        return [load_corpus(name) for name, _ in bundled()]
+    rng = random.Random(7)
+    if source == "random":
+        return [random_valid_config(rng, max_rank=5) for _ in range(300)]
+    if source == "dense-iota":
+        configs = [dense_iota_config(rng, mu, mu - 2, mu - 3, 2) for mu in (6, 8, 10, 12)]
+    else:
+        configs = [load_bytes(raw).configuration for raw in pipeline_documents()]
+    return [cfg for cfg in configs if cfg is not None and not vancoh.validate(cfg)]
+
+
+class TestReference:
+    """`analyze` against the reference in `oracles`, which lays out j from
+    the configuration's plain fields with no engine or linalg code."""
+
+    @pytest.mark.parametrize("source, count", [
+        ("corpus", 6), ("random", 300), ("dense-iota", 4), ("pipeline", 327)])
+    def test_j_lowest_and_interaction(self, source, count):
+        configs = reference_inputs(source)
+        assert len(configs) == count
+        defects = 0
+        for cfg in configs:
+            try:
+                rep = analyze(cfg)
+            except InternalDefectError:
+                with pytest.raises(ValueError, match="outside a branch kernel"):
+                    oracles.reference_j(cfg)
+                defects += 1
+                continue
+            assert rep.j_matrix.tolist() == oracles.reference_j(cfg), cfg
+            assert rep.lowest_group.free_rank == oracles.reference_lowest(cfg), cfg
+            assert rep.g_rank == oracles.reference_interaction(cfg), cfg
+        # the pipeline set holds one document whose monodromies are inconsistent
+        assert defects == (1 if source == "pipeline" else 0)
 
 
 def prefixed(cfg, tag):

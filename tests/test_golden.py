@@ -69,7 +69,7 @@ def test_loader_digest():
     for _ in range(2000):
         result = parse_configuration(mutated_document(rng, docs))
         cfg = result.configuration
-        digest.update(json.dumps([[v.as_dict() for v in result.violations], result.unknown_keys,
+        digest.update(json.dumps([[vars(v) for v in result.violations], result.unknown_keys,
                                   None if cfg is None else serialize_configuration(cfg)],
                                  sort_keys=True).encode())
     assert digest.hexdigest() == LOADER_DIGEST
@@ -132,7 +132,7 @@ ECHELON_DIGEST = "7a085d3ef65e9c7afe351feb78a8c514e32223931b91a50d431eaa292f7a5d
 
 def test_echelon_digest():
     """The (pivot row, column) pairs `_echelon` returns for the rows and for
-    the columns of each `TestDifferential` case, and for hand-written
+    the columns of each `differential_cases()` matrix, and for hand-written
     columns whose pivot search meets ties.  The columns are not canonical:
     this digest pins which column each pivot search takes and the order of
     the column operations."""

@@ -473,7 +473,7 @@ def test_ci_runs_tier1_on_each_supported_version():
     [job] = workflow["jobs"].values()
     versions = job["strategy"]["matrix"]["python-version"]
     assert versions[0] == "%d.%d" % requires_python()
-    assert versions == ["3.10", "3.11", "3.12", "3.13"]
+    assert versions == ["3.10", "3.11", "3.12", "3.13", "3.14"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
     assert runs[-1] == tier1_command()
     # CI installs exactly the test extra, so an install of .[test] runs

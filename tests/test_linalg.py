@@ -297,17 +297,15 @@ class TestIntersect:
             intersect(image(IntegerMatrix.identity(2)), image(IntegerMatrix.identity(3)))
 
     def test_commutative_idempotent(self):
-        rng = random.Random(11)
-        for _ in range(40):
-            n = rng.randint(1, 4)
-            a = image(rand_matrix(rng, n, rng.randint(0, n), 4))
-            b = image(rand_matrix(rng, n, rng.randint(0, n), 4))
-            ab = intersect(a, b)
-            assert ab == intersect(b, a)
-            assert intersect(a, a) == a
-            # the intersection sits inside both lattices
-            assert solve_in_basis(a.basis, ab.basis) is not None or ab.rank == 0
-            assert solve_in_basis(b.basis, ab.basis) is not None or ab.rank == 0
+        for name, (ma, mb) in each(PAIR_SETS):
+            a, b = image(ma), image(mb)
+            got = intersect(a, b)
+            assert got == intersect(b, a), (name, ma, mb)
+            assert intersect(a, a) == a, (name, ma)
+            zero = image(IntegerMatrix.zeros(ma.rows, 0))
+            assert intersect(a, zero) == intersect(zero, a) == zero, (name, ma)
+            for side in (a, b):
+                assert solve_in_basis(side.basis, got.basis) is not None, (name, ma, mb)
 
     def test_index_two_overlap(self):
         # span{(2,0),(0,1)} and span{(1,1)} meet in the even multiples of (1,1)
@@ -333,29 +331,23 @@ class TestIntersect:
     def test_rank_against_rational_oracle(self):
         # rank(A cap B) = rk A + rk B - rk [A B]: any rational point of the
         # span intersection has an integer multiple in the lattice one
-        rng = random.Random(23)
-        for _ in range(60):
-            n = rng.randint(1, 5)
-            ma = rand_matrix(rng, n, rng.randint(0, n + 1), 4)
-            mb = rand_matrix(rng, n, rng.randint(0, n + 1), 4)
-            a, b = image(ma), image(mb)
-            joined = [list(ra) + list(rb) for ra, rb in zip(ma.data, mb.data)]
-            expected_dim = (oracles.rational_rank(ma.tolist()) if ma.cols else 0) \
-                + (oracles.rational_rank(mb.tolist()) if mb.cols else 0) \
-                - (oracles.rational_rank(joined) if ma.cols + mb.cols else 0)
-            assert intersect(a, b).rank == expected_dim
+        for name, (ma, mb) in each(PAIR_SETS):
+            ra, rb, rab = (oracles.rational_rank(m.tolist()) for m in (ma, mb, hstack([ma, mb])))
+            assert intersect(image(ma), image(mb)).rank == ra + rb - rab, (name, ma, mb)
 
 
 class TestHermite:
     def test_canonical_under_column_ops(self):
-        rng = random.Random(5)
-        for _ in range(60):
-            m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), 6)
-            v = rand_unimodular(rng, m.cols)
-            assert image(m) == image(m * v)
+        for name, cases in MATRIX_SETS.items():
+            rng = random.Random(48)
+            for m in cases:
+                v = rand_unimodular(rng, m.cols, bound=9)
+                assert image(m * v).basis == image(m).basis, (name, m)
 
     def test_pivot_shape(self):
-        assert_column_hnf(image(matrix([[0, 2, 4], [1, 1, 1], [3, 0, 2]])).basis)
+        # a pivot row with entries left of its pivot, reduced into [0, 5)
+        assert image(matrix([[0, 2, 4], [1, 1, 1], [3, 0, 2]])).basis \
+            == matrix([[2, 0, 0], [0, 1, 0], [2, 3, 5]])
 
 
 def assert_column_hnf(h):
@@ -412,30 +404,61 @@ def rounding_cases():
     return cases
 
 
-class TestNearestQuotients:
-    """The column echelon form behind image, rank and is_unimodular on
-    the edge cases of its nearest-integer quotients."""
+def random_cases():
+    """60 seeded matrices up to 5x5 with entries up to 6, and one whose
+    column HNF has a pivot row with entries left of its pivot."""
+    rng = random.Random(5)
+    return [rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), 6)
+            for _ in range(60)] + [matrix([[0, 2, 4], [1, 1, 1], [3, 0, 2]])]
 
-    CASES = rounding_cases()
 
-    def test_hnf_canonical_and_shaped(self):
-        rng = random.Random(48)
-        for m in self.CASES:
-            h = image(m).basis
-            assert_column_hnf(h)
-            assert solve_in_basis(h, m) is not None, m
-            assert image(m * rand_unimodular(rng, m.cols, bound=9)).basis == h, m
+def huge_pairs():
+    """12 pairs of matrices with entries up to 2^200; the second holds twice
+    a combination of the first's columns, so most intersections are nonzero."""
+    rng = random.Random(49)
+    big = 2 ** 200
+    pairs = []
+    for _ in range(12):
+        n = rng.randint(2, 6)
+        ma = rand_matrix(rng, n, rng.randint(1, n), big)
+        shared = scaled(ma * rand_matrix(rng, ma.cols, 1, 3), 2)
+        pairs.append((ma, hstack([rand_matrix(rng, n, rng.randint(0, n - 1), big), shared])))
+    return pairs
 
-    def test_rank_matches_rational_oracle(self):
-        for m in self.CASES:
-            assert rank(m) == oracles.rational_rank(m.tolist()), m
 
-    def test_is_unimodular_matches_determinant(self):
-        squares = [m for m in self.CASES if m.is_square]
-        dets = [oracles.bareiss_det(m.tolist()) for m in squares]
-        assert dets.count(2) + dets.count(-2) >= 10
-        for m, det in zip(squares, dets):
-            assert is_unimodular(m) == (det in (1, -1)), m
+def split_pairs(cases):
+    """Each matrix's columns split in two at a seeded point."""
+    rng = random.Random(44)
+    pairs = []
+    for m in cases:
+        split = rng.randint(0, m.cols)
+        pairs.append((IntegerMatrix(m.rows, split, tuple(r[:split] for r in m.data)),
+                      IntegerMatrix(m.rows, m.cols - split, tuple(r[split:] for r in m.data))))
+    return pairs
+
+
+def random_pairs():
+    """40 seeded pairs in Z^1 to Z^4 of at most n columns, and 60 in Z^1 to
+    Z^5 of at most n + 1, with entries up to 4."""
+    pairs = []
+    for seed, count, extra in ((11, 40, 0), (23, 60, 1)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            n = rng.randint(1, 4 + extra)
+            pairs.append(tuple(rand_matrix(rng, n, rng.randint(0, n + extra), 4)
+                               for _ in range(2)))
+    return pairs
+
+
+DIFFERENTIAL, HUGE = differential_cases(), huge_pairs()
+MATRIX_SETS = {"differential": DIFFERENTIAL, "rounding": rounding_cases(),
+               "random": random_cases(), "huge": [m for pair in HUGE for m in pair]}
+PAIR_SETS = {"split": split_pairs(DIFFERENTIAL), "random": random_pairs(), "huge": HUGE}
+
+
+def each(sets):
+    """Every case of every set, beside its set's name for failure messages."""
+    return [(name, case) for name, cases in sets.items() for case in cases]
 
 
 class TestSolveInBasis:
@@ -498,42 +521,72 @@ def snf_image(m):
 
 
 class TestDifferential:
-    """Hermite-route kernels, intersections, images, ranks and unimodularity
-    against the retired Smith route and the rational oracles."""
+    """Every reference on every case set of its kind: the Hermite, kernel
+    and intersection oracles, the rational ranks and determinants, and the
+    retired Smith route.  Each reference's test loops over every set; the
+    image, rank and unimodularity checks are parametrized over the sets."""
 
-    CASES = differential_cases()
-
-    def test_image_matches_smith_route(self):
-        for m in self.CASES:
+    @pytest.mark.parametrize("name", MATRIX_SETS)
+    def test_image(self, name):
+        for m in MATRIX_SETS[name]:
             h = image(m).basis
             assert (h.rows, h.cols) == (m.rows, oracles.rational_rank(m.tolist())), m
             assert_column_hnf(h)
-            assert image(snf_image(m)).basis == h, m
+            assert h * solve_in_basis(h, m) == m, m
+
+    def test_image_matches_hermite_oracle(self):
+        for name, m in each(MATRIX_SETS):
+            assert image(m).basis.tolist() == oracles.hermite_columns(m.tolist()), (name, m)
+
+    def test_image_matches_smith_route(self):
+        for name, m in each(MATRIX_SETS):
+            assert image(snf_image(m)).basis == image(m).basis, (name, m)
+
+    def test_kernel_matches_oracle(self):
+        for name, m in each(MATRIX_SETS):
+            k = kernel(m).basis.tolist()
+            assert k == oracles.kernel_basis(m.tolist(), m.cols), (name, m)
+            assert oracles.is_saturated(k), (name, m)
 
     def test_kernel_matches_smith_route(self):
-        for m in self.CASES:
-            assert kernel(m) == snf_kernel(m), m
+        for name, m in each(MATRIX_SETS):
+            assert kernel(m) == snf_kernel(m), (name, m)
 
-    def test_rank_matches_rational_oracle(self):
-        for m in self.CASES:
+    @pytest.mark.parametrize("name", MATRIX_SETS)
+    def test_rank(self, name):
+        for m in MATRIX_SETS[name]:
             assert rank(m) == oracles.rational_rank(m.tolist()) == rank_by_snf(m), m
 
-    def test_is_unimodular_matches_determinant(self):
-        squares = [m for m in self.CASES if m.is_square]
-        assert sum(is_unimodular(m) for m in squares) >= 20
-        for m in self.CASES:
-            assert is_unimodular(m) == (m.is_square and oracles.bareiss_det(m.tolist())
-                                        in (1, -1)), m
+    @pytest.mark.parametrize("name", MATRIX_SETS)
+    def test_is_unimodular(self, name):
+        dets = [oracles.bareiss_det(m.tolist()) if m.is_square else 0 for m in MATRIX_SETS[name]]
+        for m, det in zip(MATRIX_SETS[name], dets):
+            assert is_unimodular(m) == (det in (1, -1)), m
+        if name == "differential":
+            assert sum(det in (1, -1) for det in dets) >= 20
+        if name == "rounding":
+            assert sum(det in (2, -2) for det in dets) >= 10
+
+    def test_intersect_matches_oracle(self):
+        for name, (ma, mb) in each(PAIR_SETS):
+            a, b = image(ma), image(mb)
+            assert intersect(a, b).basis.tolist() == oracles.intersection_basis(
+                a.basis.tolist(), b.basis.tolist()), (name, ma, mb)
 
     def test_intersect_matches_smith_route(self):
-        rng = random.Random(44)
-        for m in self.CASES:
-            split = rng.randint(0, m.cols)
-            a = image(IntegerMatrix(m.rows, split, tuple(r[:split] for r in m.data)))
-            b = image(IntegerMatrix(m.rows, m.cols - split, tuple(r[split:] for r in m.data)))
-            assert intersect(a, b) == intersect(b, a) == snf_intersect(a, b), m
-            zero = image(IntegerMatrix.zeros(m.rows, 0))
-            assert intersect(a, zero) == intersect(zero, a) == zero
+        for name, (ma, mb) in each(PAIR_SETS):
+            a, b = image(ma), image(mb)
+            assert intersect(a, b) == snf_intersect(a, b), (name, ma, mb)
+
+    def test_intersect_huge_entries(self):
+        # intersect swaps its operands by rank: the pairs with entries up to
+        # 2^200 meet each order with a nonzero intersection
+        orders = set()
+        for ma, mb in PAIR_SETS["huge"]:
+            a, b = image(ma), image(mb)
+            if intersect(a, b).rank:
+                orders.add((a.rank > b.rank) - (a.rank < b.rank))
+        assert orders == {-1, 0, 1}
 
     def test_independent_oracles_on_worked_examples(self):
         assert oracles.hermite_columns([[2, 4], [1, 3]]) == [[2, 0], [0, 1]]
@@ -546,50 +599,6 @@ class TestDifferential:
         assert [oracles.is_saturated(c) for c in (
             [[2], [1]], [[1, 0], [0, 1], [0, 0]], [[], []],
             [[2], [0]], [[1, 1], [1, -1]], [[1, 2], [1, 2]])] == [True] * 3 + [False] * 3
-
-    def test_image_matches_hermite_oracle(self):
-        for m in self.CASES:
-            assert image(m).basis.tolist() == oracles.hermite_columns(m.tolist()), m
-
-    def test_kernel_matches_oracle(self):
-        for m in self.CASES:
-            k = kernel(m).basis.tolist()
-            assert k == oracles.kernel_basis(m.tolist(), m.cols), m
-            assert oracles.is_saturated(k), m
-
-    def test_intersect_matches_oracle(self):
-        rng = random.Random(44)
-        for m in self.CASES:
-            split = rng.randint(0, m.cols)
-            a = image(IntegerMatrix(m.rows, split, tuple(r[:split] for r in m.data)))
-            b = image(IntegerMatrix(m.rows, m.cols - split, tuple(r[split:] for r in m.data)))
-            assert intersect(a, b).basis.tolist() == oracles.intersection_basis(
-                a.basis.tolist(), b.basis.tolist()), m
-
-    def test_intersect_huge_entries(self):
-        # entries up to 2^200; b contains a multiple of a combination of
-        # a's columns, so most intersections are nonzero.  Checked against
-        # the Smith route and the independent oracles, with the image and
-        # kernel of each operand
-        rng = random.Random(49)
-        big = 2 ** 200
-        seen = set()
-        for _ in range(12):
-            n = rng.randint(2, 6)
-            ma = rand_matrix(rng, n, rng.randint(1, n), big)
-            shared = ma * rand_matrix(rng, ma.cols, 1, 3)
-            mb = hstack([rand_matrix(rng, n, rng.randint(0, n - 1), big), scaled(shared, 2)])
-            a, b = image(ma), image(mb)
-            got = intersect(a, b)
-            assert got == intersect(b, a) == snf_intersect(a, b), (ma, mb)
-            assert got.basis.tolist() == oracles.intersection_basis(
-                a.basis.tolist(), b.basis.tolist()), (ma, mb)
-            for m, h in ((ma, a), (mb, b)):
-                assert h.basis.tolist() == oracles.hermite_columns(m.tolist()), m
-                assert kernel(m).basis.tolist() == oracles.kernel_basis(m.tolist(), m.cols), m
-            if got.rank:
-                seen.add((a.rank > b.rank) - (a.rank < b.rank))
-        assert seen == {-1, 0, 1}
 
 
 class TestCharPoly:
