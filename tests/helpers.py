@@ -369,6 +369,8 @@ def report_signature(rep) -> tuple:
     """Everything a basis change or reordering must leave unchanged."""
     return (
         rep.lowest_group,
+        rep.lowest_degree,
+        rep.original_degree,
         rep.g_rank,
         tuple(sorted(rep.i0_contribution)),
         tuple(sorted((c.component_id, c.invariants.rank, c.coker, c.euler)
@@ -378,7 +380,8 @@ def report_signature(rep) -> tuple:
          rep.six_term.top_pair, rep.six_term.middle, rep.six_term.branch_coker,
          rep.six_term.consistent),
         (rep.bounds.upper_lowest, rep.bounds.lower_lowest, rep.bounds.min_bound,
-         rep.bounds.betti_high),
+         rep.bounds.betti_high, rep.bounds.polar),
+        rep.shortcut_agrees,
     )
 
 

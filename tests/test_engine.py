@@ -1,3 +1,4 @@
+import json
 import random
 from copy import deepcopy
 from dataclasses import replace
@@ -6,13 +7,15 @@ import pytest
 
 import vancoh
 from vancoh import (Branch, CurveComponent, FinAbGroup, IntegerMatrix, IsolatedPoint,
-                    MonodromyData, SliceConfiguration, SpecialPoint, analyze,
-                    component_cohomology, matrix)
+                    MonodromyData, Report, SliceConfiguration, SpecialPoint, analyze,
+                    component_cohomology, matrix, parse_configuration,
+                    serialize_configuration)
 from vancoh.corpus import bundled
 from vancoh.engine import InternalDefectError, InvalidConfigurationError
 from vancoh.linalg import image
 from vancoh.loader import load_bytes
 from vancoh.polynomial import IntPolynomial
+from vancoh.report import render_json, report_to_dict
 
 import oracles
 from helpers import (conjugate_component, count_calls, dense_iota_config, load_corpus,
@@ -45,16 +48,6 @@ class TestComponentCohomology:
             assert cc.invariants == image(IntegerMatrix.identity(5))
             assert cc.coker == FinAbGroup(0, ())
             assert cc.euler == (-1) ** (n + 1) * 5
-
-    def test_euler_formula(self):
-        rng = random.Random(31)
-        for _ in range(20):
-            cfg = random_valid_config(rng)
-            for c in cfg.components:
-                cc = component_cohomology(c, cfg.n)
-                tau = sum(b.component_id == c.id for q in cfg.special_points
-                          for b in q.branches)
-                assert cc.euler == (-1) ** cfg.n * (2 * c.genus + tau - 1) * c.transversal_rank
 
 
 class TestBuildJ:
@@ -115,20 +108,6 @@ class TestBuildJ:
         _, _, lows = vancoh.engine._build_j(cfg, comps, vancoh.model._validate(cfg)[1])
         assert lows == [[1, 0], [], [1, 0]]
 
-    def test_handoff_is_read_only(self):
-        # the point block's basis is finished from copies of validation's
-        # iota echelons: the records stay as written, and a second build
-        # on them gives the same result
-        for cfg in (load_corpus("xyz"), dense_iota_config(random.Random(23), 8, 6, 5, 2)):
-            violations, points = vancoh.model._validate(cfg)
-            assert violations == []
-            snapshot = deepcopy(points)
-            comps = tuple(component_cohomology(c, cfg.n) for c in cfg.components)
-            first = vancoh.engine._build_j(cfg, comps, points)
-            second = vancoh.engine._build_j(cfg, comps, points)
-            assert points == snapshot
-            assert first == second
-
     def test_inconsistent_branch_reported_where_the_walk_meets_it(self):
         # T fails before S in the walk, at an earlier point or an earlier
         # branch of one point, though S comes first among components: the
@@ -170,18 +149,6 @@ class TestLowestVanishing:
     def test_corpus_groups(self, name, rank):
         assert analyze(load_corpus(name)).lowest_group == FinAbGroup(rank, ())
 
-    def test_always_free(self):
-        rng = random.Random(32)
-        for _ in range(25):
-            assert analyze(random_valid_config(rng)).lowest_group.torsion == ()
-
-    def test_rank_is_rational_nullity(self):
-        rng = random.Random(33)
-        for _ in range(60):
-            rep = analyze(random_valid_config(rng, max_rank=6))
-            j = rep.j_matrix
-            assert rep.lowest_group.free_rank == oracles.rational_nullity(j.tolist(), j.cols)
-
     def test_dense_iota(self):
         # identity monodromies: the invariants and both branch kernels are the
         # whole Z^mu, so ker j pairs a, b with iota1 a = iota2 b.  The blocks
@@ -212,14 +179,6 @@ class TestDecompose:
     def test_empty(self):
         rep = analyze(empty_config())
         assert (rep.g_rank, rep.i0_contribution) == (0, ())
-
-    def test_structure_identity(self):
-        rng = random.Random(33)
-        for _ in range(25):
-            cfg = random_valid_config(rng)
-            rep = analyze(cfg)
-            assert rep.lowest_group.free_rank == rep.g_rank + sum(
-                r for _, r in rep.i0_contribution)
 
 
 class TestEulerAndSixTerm:
@@ -270,21 +229,8 @@ class TestEulerAndSixTerm:
         assert rep.components[0].euler == 0
         assert component_cohomology(CurveComponent("T", 0, 3, ()), 4).euler == -3
 
-    def test_bookkeeping_matches_euler(self):
-        rng = random.Random(34)
-        for _ in range(40):
-            cfg = random_valid_config(rng)
-            six = analyze(cfg).six_term
-            mu = sum(r.milnor_number for r in cfg.isolated_points)
-            book = (-1) ** (cfg.n - 1) * six.lowest_pair + (-1) ** cfg.n * (six.top_pair + mu)
-            assert book == oracles.euler_direct(cfg)
-
 
 class TestShortcut:
-    def test_corpus(self):
-        for name in ("quadric_power_2_2", "quadric_power_3_2", "quadric_power_2_3"):
-            assert analyze(load_corpus(name)).shortcut_agrees is True
-
     def test_minus_id_component(self):
         cfg = replace(empty_config(), components=(
             CurveComponent("S", 1, 1, (matrix([[-1]]), matrix([[1]]))),))
@@ -298,15 +244,6 @@ class TestShortcut:
         rep = analyze(cfg)
         assert rep.shortcut_agrees is True
         assert rep.lowest_group == FinAbGroup(5, ())
-
-    def test_only_without_special_points(self):
-        assert analyze(load_corpus("xyz")).shortcut_agrees is None
-
-    def test_random_q_empty(self):
-        rng = random.Random(35)
-        for _ in range(25):
-            cfg = random_valid_config(rng, max_points=0)
-            assert analyze(cfg).shortcut_agrees is True
 
 
 class TestBounds:
@@ -334,14 +271,6 @@ class TestBounds:
     ])
     def test_min_bound(self, name, expected):
         assert analyze(load_corpus(name)).bounds.min_bound == expected
-
-    def test_min_bound_is_a_bound(self):
-        rng = random.Random(36)
-        for _ in range(30):
-            rep = analyze(random_valid_config(rng))
-            b = rep.lowest_group.free_rank
-            assert b <= rep.bounds.min_bound
-            assert b <= rep.bounds.upper_lowest
 
     def test_sandwich_with_consistent_costalk(self):
         # Attach costalk ranks that absorb the actual defect of the upper
@@ -393,56 +322,44 @@ class TestAnalyze:
         with pytest.raises(InvalidConfigurationError):
             analyze(cfg)
 
-    def test_report_consistency(self):
-        rng = random.Random(37)
-        for _ in range(15):
-            cfg = random_valid_config(rng, with_costalk=bool(rng.getrandbits(1)))
-            rep = analyze(cfg)
-            assert rep.lowest_group.torsion == ()
-            assert rep.lowest_group.free_rank == rep.g_rank + sum(
-                r for _, r in rep.i0_contribution)
-            assert rep.lowest_degree == cfg.n - 2
-            assert rep.original_degree == cfg.original_n - cfg.original_s
+
+# One table of inputs for every identity of a report (McKeeman, "Differential
+# testing for software", DTJ 1998): each check below runs on every source.
+
+def _empty_points_config():
+    """Special points whose iota blocks are empty: two with fq_rank_low 0
+    on rank-2 S, and one on T whose branch fixes nothing, so its iota has
+    no rows.  They sit before and between points with columns."""
+    ident = IntegerMatrix.identity(2)
+    flip = matrix([[-1]])
+    return SliceConfiguration(
+        n=3, original_n=3, original_s=2,
+        components=(CurveComponent("S", 0, 2, (ident,) * 4),
+                    CurveComponent("T", 0, 1, (flip,))),
+        special_points=(
+            SpecialPoint("q0", (Branch("S", ident),), 0, 0, IntegerMatrix.zeros(2, 0)),
+            SpecialPoint("q1", (Branch("S", ident),), 1, 0, matrix([[2], [3]])),
+            SpecialPoint("q2", (Branch("T", flip),), 0, 1, IntegerMatrix.zeros(0, 0)),
+            SpecialPoint("q3", (Branch("S", ident),), 0, 0, IntegerMatrix.zeros(2, 0)),
+            SpecialPoint("q4", (Branch("S", ident),), 2, 0, matrix([[4, 1], [6, -5]]))),
+        isolated_points=())
 
 
-class TestInvariance:
-    def test_basis_change_keeps_reports(self):
-        rng = random.Random(38)
-        for _ in range(20):
-            cfg = random_valid_config(rng, with_costalk=True)
-            base = report_signature(analyze(cfg))
-            comp = rng.choice(cfg.components)
-            u = rand_unimodular(rng, comp.transversal_rank)
-            changed = conjugate_component(cfg, comp.id, u)
-            assert report_signature(analyze(changed)) == base
-
-    def test_permutation_keeps_reports(self):
-        rng = random.Random(39)
-        for _ in range(20):
-            cfg = random_valid_config(rng, with_costalk=True)
-            base = report_signature(analyze(cfg))
-            shuffled = permute_config(cfg, rng)
-            assert report_signature(analyze(shuffled)) == base
-
-    def test_corpus_invariance(self):
-        rng = random.Random(40)
-        for name in ("xyz", "xyzu"):
-            cfg = load_corpus(name)
-            base = report_signature(analyze(cfg))
-            assert report_signature(analyze(permute_config(cfg, rng))) == base
-            comp = rng.choice(cfg.components)
-            u = rand_unimodular(rng, comp.transversal_rank)
-            assert report_signature(analyze(conjugate_component(cfg, comp.id, u))) == base
+SOURCES = {"corpus": 6, "hand": 3, "random": 300, "dense-iota": 4, "pipeline": 327}
 
 
-def reference_inputs(source):
-    """The corpus, seeded random or dense-iota draws, or every valid
-    document of the pipeline set."""
+def source_configs(source):
+    """The corpus; two empty configurations and one with empty iota blocks;
+    seeded random or dense-iota draws; or every valid document of the
+    pipeline set."""
     if source == "corpus":
         return [load_corpus(name) for name, _ in bundled()]
+    if source == "hand":
+        return [empty_config(3), empty_config(4), _empty_points_config()]
     rng = random.Random(7)
     if source == "random":
-        return [random_valid_config(rng, max_rank=5) for _ in range(300)]
+        return [random_valid_config(rng, max_rank=5, with_costalk=bool(k % 2))
+                for k in range(300)]
     if source == "dense-iota":
         configs = [dense_iota_config(rng, mu, mu - 2, mu - 3, 2) for mu in (6, 8, 10, 12)]
     else:
@@ -450,29 +367,161 @@ def reference_inputs(source):
     return [cfg for cfg in configs if cfg is not None and not vancoh.validate(cfg)]
 
 
-class TestReference:
-    """`analyze` against the reference in `oracles`, which lays out j from
-    the configuration's plain fields with no engine or linalg code."""
-
-    @pytest.mark.parametrize("source, count", [
-        ("corpus", 6), ("random", 300), ("dense-iota", 4), ("pipeline", 327)])
-    def test_j_lowest_and_interaction(self, source, count):
-        configs = reference_inputs(source)
-        assert len(configs) == count
-        defects = 0
+@pytest.fixture(scope="module", params=list(SOURCES))
+def table(request):
+    """The source's name and, per configuration, (cfg, its report or None
+    when `analyze` raises an internal defect, the arguments of each
+    `intersect` call the cross-check made)."""
+    configs = source_configs(request.param)
+    assert len(configs) == SOURCES[request.param]
+    rows = []
+    with pytest.MonkeyPatch.context() as mp:
+        intersections = count_calls(mp, vancoh.linalg, "intersect")
         for cfg in configs:
+            intersections.clear()
             try:
                 rep = analyze(cfg)
             except InternalDefectError:
-                with pytest.raises(ValueError, match="outside a branch kernel"):
-                    oracles.reference_j(cfg)
-                defects += 1
-                continue
-            assert rep.j_matrix.tolist() == oracles.reference_j(cfg), cfg
-            assert rep.lowest_group.free_rank == oracles.reference_lowest(cfg), cfg
-            assert rep.g_rank == oracles.reference_interaction(cfg), cfg
-        # the pipeline set holds one document whose monodromies are inconsistent
-        assert defects == (1 if source == "pipeline" else 0)
+                rep = None
+            rows.append((cfg, rep, intersections[:]))
+    return request.param, rows
+
+
+def reports(table):
+    return [row for row in table[1] if row[1] is not None]
+
+
+def test_matches_reference(table):
+    """`analyze` against the reference in `oracles`, which lays out j from
+    the configuration's plain fields with no engine or linalg code."""
+    source, rows = table
+    defects = 0
+    for cfg, rep, _ in rows:
+        if rep is None:
+            with pytest.raises(ValueError, match="outside a branch kernel"):
+                oracles.reference_j(cfg)
+            defects += 1
+            continue
+        assert rep.j_matrix.tolist() == oracles.reference_j(cfg), cfg
+        assert rep.lowest_group.free_rank == oracles.reference_lowest(cfg), cfg
+        assert rep.g_rank == oracles.reference_interaction(cfg), cfg
+    # the pipeline set holds one document whose monodromies are inconsistent
+    assert defects == (1 if source == "pipeline" else 0)
+
+
+def test_always_free(table):
+    for _, rep, _ in reports(table):
+        assert rep.lowest_group.torsion == ()
+
+
+def test_rank_is_rational_nullity(table):
+    for _, rep, _ in reports(table):
+        j = rep.j_matrix
+        assert rep.lowest_group.free_rank == oracles.rational_nullity(j.tolist(), j.cols)
+
+
+def test_structure_identity(table):
+    for _, rep, _ in reports(table):
+        assert rep.lowest_group.free_rank == rep.g_rank + sum(
+            r for _, r in rep.i0_contribution)
+
+
+def test_degrees(table):
+    for cfg, rep, _ in reports(table):
+        assert (rep.lowest_degree, rep.original_degree) == (
+            cfg.n - 2, cfg.original_n - cfg.original_s)
+
+
+def test_euler_formula(table):
+    for cfg, rep, _ in reports(table):
+        for c, cc in zip(cfg.components, rep.components, strict=True):
+            tau = sum(b.component_id == c.id for q in cfg.special_points for b in q.branches)
+            assert cc.euler == (-1) ** cfg.n * (2 * c.genus + tau - 1) * c.transversal_rank
+
+
+def test_bookkeeping_matches_euler(table):
+    for cfg, rep, _ in reports(table):
+        six = rep.six_term
+        mu = sum(r.milnor_number for r in cfg.isolated_points)
+        book = (-1) ** (cfg.n - 1) * six.lowest_pair + (-1) ** cfg.n * (six.top_pair + mu)
+        assert book == oracles.euler_direct(cfg) == rep.euler_total
+
+
+def test_min_bound_is_a_bound(table):
+    for _, rep, _ in reports(table):
+        rank = rep.lowest_group.free_rank
+        assert rank <= rep.bounds.min_bound and rank <= rep.bounds.upper_lowest
+
+
+def test_shortcut(table):
+    for cfg, rep, _ in reports(table):
+        assert rep.shortcut_agrees is (None if cfg.special_points else True)
+
+
+def test_point_image(table):
+    """The cross-check's basis of j's point block, finished from the iota
+    echelons of validation, is the Hermite basis `image` takes of that
+    block of the report's j."""
+    for _, rep, intersections in reports(table):
+        j = rep.j_matrix
+        upper = sum(cc.invariants.rank for cc in rep.components)
+        [(_, points)] = intersections
+        assert points == image(IntegerMatrix(j.rows, j.cols - upper,
+                                             tuple(r[upper:] for r in j.data)))
+
+
+def test_handoff_read_only(table):
+    # the point block's basis is finished from copies of validation's iota
+    # echelons: the records stay as written, and a second build on them
+    # gives the same result
+    for cfg, rep, _ in reports(table):
+        violations, points = vancoh.model._validate(cfg)
+        assert violations == []
+        # injectivity of iota forces the rank inequality at every point
+        assert all(q.fq_rank_low <= sum(k.rank for k in kernels)
+                   for q, (kernels, _) in zip(cfg.special_points, points, strict=True))
+        snapshot = deepcopy(points)
+        first = vancoh.engine._build_j(cfg, rep.components, points)
+        assert vancoh.engine._build_j(cfg, rep.components, points) == first
+        assert points == snapshot
+
+
+# a reordering and a basis change of one component describe the same
+# geometry, so they leave every scalar of the report unchanged
+
+def test_permutation_keeps_reports(table):
+    rng = random.Random(38)
+    for cfg, rep, _ in reports(table):
+        assert report_signature(analyze(permute_config(cfg, rng))) == report_signature(rep)
+
+
+def test_basis_change_keeps_reports(table):
+    rng = random.Random(38)
+    for cfg, rep, _ in reports(table):
+        if cfg.components:
+            comp = rng.choice(cfg.components)
+            u = rand_unimodular(rng, comp.transversal_rank)
+            changed = conjugate_component(cfg, comp.id, u)
+            assert report_signature(analyze(changed)) == report_signature(rep)
+
+
+def test_round_trip(table):
+    # through actual JSON text, as the command line would see it
+    for cfg, _, _ in table[1]:
+        doc = json.loads(json.dumps(serialize_configuration(cfg)))
+        reparsed = parse_configuration(doc)
+        assert (reparsed.configuration, reparsed.violations, reparsed.unknown_keys) == (
+            cfg, [], [])
+
+
+def test_json_matches_stdlib(table):
+    """`render_json` writes what the standard library's indenting encoder
+    writes for the report document."""
+    wrapped = [Report(f"c{k}", (), rep) for k, (_, rep, _) in enumerate(reports(table))]
+    for verbose in (False, True):
+        docs = [report_to_dict(r, verbose) for r in wrapped]
+        assert render_json(wrapped, verbose) == json.dumps(
+            docs, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
 def prefixed(cfg, tag):
@@ -527,63 +576,6 @@ class TestBlockSum:
             mixed += bool(ru.i0_contribution) and len(ru.i0_contribution) < len(ru.components)
         # branch-free and branched components side by side in one union
         assert mixed >= 20
-
-
-def _empty_points_config():
-    """Special points whose iota blocks are empty: two with fq_rank_low 0
-    on rank-2 S, and one on T whose branch fixes nothing, so its iota has
-    no rows.  They sit before and between points with columns."""
-    ident = IntegerMatrix.identity(2)
-    flip = matrix([[-1]])
-    return SliceConfiguration(
-        n=3, original_n=3, original_s=2,
-        components=(CurveComponent("S", 0, 2, (ident,) * 4),
-                    CurveComponent("T", 0, 1, (flip,))),
-        special_points=(
-            SpecialPoint("q0", (Branch("S", ident),), 0, 0, IntegerMatrix.zeros(2, 0)),
-            SpecialPoint("q1", (Branch("S", ident),), 1, 0, matrix([[2], [3]])),
-            SpecialPoint("q2", (Branch("T", flip),), 0, 1, IntegerMatrix.zeros(0, 0)),
-            SpecialPoint("q3", (Branch("S", ident),), 0, 0, IntegerMatrix.zeros(2, 0)),
-            SpecialPoint("q4", (Branch("S", ident),), 2, 0, matrix([[4, 1], [6, -5]]))),
-        isolated_points=())
-
-
-class TestPointImage:
-    """The cross-check's basis of j's point block, finished from the iota
-    echelons of validation, is the Hermite basis `image` takes of that
-    block of the report's j."""
-
-    @pytest.fixture
-    def intersections(self, monkeypatch):
-        return count_calls(monkeypatch, vancoh.linalg, "intersect")
-
-    @staticmethod
-    def check(cfg, intersections):
-        intersections.clear()
-        rep = analyze(cfg)
-        j = rep.j_matrix
-        upper = sum(cc.invariants.rank for cc in rep.components)
-        [(_, points)] = intersections
-        assert points == image(IntegerMatrix(j.rows, j.cols - upper,
-                                             tuple(r[upper:] for r in j.data)))
-
-    def test_corpus(self, intersections):
-        for name, _ in bundled():
-            self.check(load_corpus(name), intersections)
-
-    def test_random(self, intersections):
-        rng = random.Random(42)
-        for _ in range(200):
-            self.check(random_valid_config(rng), intersections)
-
-    def test_dense_iota(self, intersections):
-        self.check(dense_iota_config(random.Random(34), 16, 10, 9, 4), intersections)
-
-    def test_empty_blocks(self, intersections):
-        cfg = _empty_points_config()
-        assert [(q.fq_rank_low, q.iota.rows) for q in cfg.special_points] == [
-            (0, 2), (1, 2), (0, 0), (0, 2), (2, 2)]
-        self.check(cfg, intersections)
 
 
 class TestSinglePass:

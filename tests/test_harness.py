@@ -471,6 +471,7 @@ def test_ci_runs_tier1_on_each_supported_version():
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     [job] = workflow["jobs"].values()
+    assert job["timeout-minutes"] == 15  # a hung draw stops the job, not GitHub's 360
     versions = job["strategy"]["matrix"]["python-version"]
     assert versions[0] == "%d.%d" % requires_python()
     assert versions == ["3.10", "3.11", "3.12", "3.13", "3.14"]
