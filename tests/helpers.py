@@ -10,9 +10,9 @@ import json
 import random
 from dataclasses import replace
 
-from vancoh import (Branch, CurveComponent, IntegerMatrix, IsolatedPoint,
-                    SliceConfiguration, SpecialPoint, branch_kernel, linalg, matrix, model,
-                    parse_configuration, serialize_configuration, validate)
+from vancoh import (Branch, CurveComponent, EigenvalueData, IntegerMatrix, IntPolynomial,
+                    IsolatedPoint, SliceConfiguration, SpecialPoint, branch_kernel, linalg,
+                    matrix, model, parse_configuration, serialize_configuration, validate)
 from vancoh.corpus import bundled
 from vancoh.linalg import rank as matrix_rank, solve_in_basis
 
@@ -103,6 +103,100 @@ def emitted_codes() -> set[str]:
             else:
                 codes.add(code.value)
     return codes
+
+
+def _with_monodromy(**changes):
+    return lambda cfg: replace(cfg, monodromy_data=replace(cfg.monodromy_data, **changes))
+
+
+def _with_s1(**changes):
+    return lambda cfg: replace(cfg, components=(replace(cfg.components[0], **changes),)
+                               + cfg.components[1:])
+
+
+def _with_q1(**changes):
+    return lambda cfg: replace(cfg, special_points=(replace(cfg.special_points[0], **changes),))
+
+
+def _with_branch0(**changes):
+    def mutate(cfg):
+        q = cfg.special_points[0]
+        branches = (replace(q.branches[0], **changes),) + q.branches[1:]
+        return _with_q1(branches=branches)(cfg)
+    return mutate
+
+
+# One mutation of xyz per row, each giving exactly the one violation listed;
+# together the rows reach every code `validate` can emit.
+SINGLE_FAULTS = {
+    "original_s-range": (lambda cfg: replace(cfg, original_n=2, original_s=1),
+                         [("dimension-range", "original_s")]),
+    "dimension-reduction": (lambda cfg: replace(cfg, n=4), [("dimension-reduction", "n")]),
+    "duplicate-id": (lambda cfg: replace(cfg, isolated_points=(IsolatedPoint("S1", 0),)),
+                     [("duplicate-id", "S1")]),
+    # the branch of S1 is checked against neither rank of a repeated S1
+    "duplicate-component-id": (lambda cfg: replace(cfg, monodromy_data=None, components=(
+                                   *cfg.components,
+                                   CurveComponent("S1", 0, 2, (IntegerMatrix.identity(2),)))),
+                               [("duplicate-id", "S1")]),
+    # nor are the loops of either copy counted against the branches of S1
+    "duplicate-component-id-no-loops": (lambda cfg: replace(cfg, monodromy_data=None, components=(
+                                            *cfg.components, CurveComponent("S1", 0, 2, ()))),
+                                        [("duplicate-id", "S1")]),
+    "negative-genus": (_with_s1(genus=-1), [("negative-genus", "S1")]),
+    "transversal-rank-0": (_with_s1(transversal_rank=0), [("transversal-rank", "S1")]),
+    "transversal-rank-negative": (_with_s1(transversal_rank=-1), [("transversal-rank", "S1")]),
+    "loop-shape": (_with_s1(loop_monodromies=(matrix([[1, 0]]),)),
+                   [("loop-shape", "S1[loop 0]")]),
+    "loop-not-unimodular": (_with_s1(loop_monodromies=(matrix([[2]]),)),
+                            [("loop-not-unimodular", "S1[loop 0]")]),
+    "loop-count": (_with_s1(loop_monodromies=()), [("loop-count", "S1")]),
+    "loop-count-extra": (_with_s1(loop_monodromies=(matrix([[1]]),) * 2),  # its one loop, twice
+                         [("loop-count", "S1")]),
+    "branch-shape": (_with_branch0(monodromy=matrix([[1, 0]])),
+                     [("branch-shape", "q1[branch 0]")]),
+    "branch-not-unimodular": (_with_branch0(monodromy=matrix([[2]])),
+                              [("branch-not-unimodular", "q1[branch 0]")]),
+    "unknown-component": (lambda cfg: _with_branch0(component_id="S9")(
+                              _with_s1(loop_monodromies=())(cfg)),
+                          [("unknown-component", "q1[branch 0]")]),
+    "negative-fq-low": (_with_q1(fq_rank_low=-1), [("negative-rank", "q1")]),
+    "negative-fq-high": (_with_q1(fq_rank_high=-1), [("negative-rank", "q1")]),
+    "negative-costalk": (_with_q1(costalk_rank=-1), [("negative-rank", "q1")]),
+    "iota-shape": (_with_q1(iota=matrix([[1, 0], [-1, 1]])), [("iota-shape", "q1")]),
+    "iota-not-injective": (_with_q1(iota=matrix([[1, 1], [-1, -1], [0, 0]])),
+                           [("iota-not-injective", "q1")]),
+    "negative-milnor": (lambda cfg: replace(cfg, isolated_points=(IsolatedPoint("r1", -1),)),
+                        [("negative-rank", "r1")]),
+    "polar-length": (lambda cfg: replace(cfg, polar_data=((1, 0),) * 3),
+                     [("polar-length", "polar_data")]),
+    "polar-negative": (lambda cfg: replace(cfg, polar_data=((3, -1),)),
+                       [("polar-negative", "polar_data[0]")]),
+    "zero-char-poly": (_with_monodromy(char_poly=IntPolynomial(())),
+                       [("zero-polynomial", "monodromy_data.char_poly")]),
+    "zero-component-char-poly": (
+        _with_monodromy(component_char_polys=(
+            IntPolynomial((-1, 1)), IntPolynomial(()), IntPolynomial((-1, 1)))),
+        [("zero-polynomial", "monodromy_data.component_char_polys[1]")]),
+    "char-poly-count": (_with_monodromy(component_char_polys=(IntPolynomial((-1, 1)),) * 2),
+                        [("char-poly-count", "monodromy_data")]),
+    "negative-eigen-total": (_with_monodromy(eigen_dims=(EigenvalueData("1", -1, (1, 1, 1)),)),
+                             [("negative-rank", "monodromy_data.eigen_dims[1]")]),
+    "negative-jordan-component": (
+        _with_monodromy(jordan_sizes=(EigenvalueData("1", 1, (1, -1, 1)),)),
+        [("negative-rank", "monodromy_data.jordan_sizes[1]")]),
+    "eigenvalue-count": (_with_monodromy(jordan_sizes=(EigenvalueData("1", 1, (1, 1)),)),
+                         [("eigenvalue-count", "monodromy_data.jordan_sizes[1]")]),
+    "duplicate-eigen-label": (
+        _with_monodromy(eigen_dims=(EigenvalueData("1", 9, (1, 1, 1)),
+                                    EigenvalueData("1", 0, (1, 1, 1)))),
+        [("duplicate-eigenvalue", "monodromy_data.eigen_dims[1]")]),
+    "duplicate-jordan-label": (
+        _with_monodromy(jordan_sizes=(EigenvalueData("1", 1, (1, 1, 1)),
+                                      EigenvalueData("-1", 0, (0, 0, 0)),
+                                      EigenvalueData("1", 1, (1, 1, 1)))),
+        [("duplicate-eigenvalue", "monodromy_data.jordan_sizes[1]")]),
+}
 
 
 def diagonal_of(d: IntegerMatrix) -> list[int]:
@@ -445,7 +539,9 @@ def _edit_component(rng: random.Random, doc, repeat: bool) -> None:
 
 
 def pipeline_documents(seed: int = 1200) -> list[bytes]:
-    """The seeded document set of the whole-pipeline digest, as file bytes:
+    """The seeded document set of the command line's document table
+    (`tests/test_cli.py`, source `pipeline`), as file bytes; its valid
+    documents are also a source of the engine's input table.  It holds
     `mutated_document` draws; corpus documents and mutants with one
     integer, string or list edited, with one component's rank set to 0, -1
     or -2, or with one component repeated under its id; and serialized

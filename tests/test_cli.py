@@ -3,16 +3,16 @@ import errno
 import hashlib
 import json
 import os
-import random
 import re
 import shutil
 import subprocess
 import sys
+from collections import Counter, namedtuple
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import vancoh
 from vancoh import (Bounds, FinAbGroup, InternalDefectError, Report, SixTermCheck, Violation,
@@ -23,8 +23,8 @@ from vancoh.corpus import bundled
 from vancoh.loader import ParseResult
 from vancoh.report import render_json, render_text, report_to_dict
 
-from helpers import (corpus_documents, count_calls, document_slots, load_corpus,
-                     mutated_document)
+from helpers import (SINGLE_FAULTS, corpus_documents, count_calls, document_slots,
+                     emitted_codes, load_corpus, pipeline_documents)
 
 
 CORPUS = {name: path for name, path in bundled()}
@@ -51,11 +51,6 @@ class TestFormatGroup:
 
 
 class TestRun:
-    def test_corpus_file(self, tmp_path):
-        reports, status = run([str(copy_corpus(tmp_path, "xyz"))])
-        assert status == 0
-        assert format_group(reports[0].vanishing.lowest_group) == "Z^2"
-
     def test_readme_example(self, tmp_path):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         [block] = re.findall(r"```json\n(.*?)```", readme, re.S)
@@ -65,21 +60,10 @@ class TestRun:
         assert status == 0
         assert reports[0].validation == () and reports[0].vanishing is not None
 
-    def test_validation_failure_exit_1(self, tmp_path):
-        doc = json.loads(CORPUS["xyz"].read_text())
-        doc["components"][0]["loop_monodromies"] = [[[2]]]
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        reports, status = run([str(bad)])
-        assert status == 1
-        assert [v.code for v in reports[0].validation] == ["loop-not-unimodular"]
-        assert reports[0].vanishing is None
-
     def test_mixed_batch(self, tmp_path):
-        good = copy_corpus(tmp_path, "xyzu")
         broken = tmp_path / "broken.json"
         broken.write_text("{not json")
-        reports, status = run([str(good), str(broken)])
+        reports, status = run([str(CORPUS["xyzu"]), str(broken)])
         assert status == 1
         assert len(reports) == 2
         assert reports[0].vanishing is not None
@@ -107,12 +91,12 @@ class TestRun:
         run(paths, **flags)
         assert len(calls) == len(paths)
 
-    def test_unreadable(self, tmp_path):
+    def test_unreadable(self, tmp_path, monkeypatch):
         # the detail is the operating system's reason, and no report names the path
-        where = tmp_path / "distinctive-dir-q7x"
-        where.mkdir()
-        [report], status = run([str(where / "missing.json")])
-        assert status == 1
+        path = str(tmp_path / "distinctive-dir-q7x" / "missing.json")
+        loads = count_calls(monkeypatch, vancoh.cli, "load_path")
+        [report], status = run([path])
+        assert status == 1 and loads == [(path,)]
         assert [(v.code, v.subject, v.detail) for v in report.validation] == [
             ("unreadable-file", "document", os.strerror(errno.ENOENT))]
         for verbose in (False, True):
@@ -126,31 +110,6 @@ class TestRun:
         run(paths)
         assert calls == [(p,) for p in paths]
 
-    def test_defect_exit_2(self, tmp_path):
-        doc = {
-            "n": 3, "original_n": 3, "original_s": 2,
-            "components": [{"id": "S", "genus": 0, "transversal_rank": 1,
-                            "loop_monodromies": [[[1]]]}],
-            "special_points": [{"id": "q",
-                                "branches": [{"component_id": "S", "monodromy": [[-1]]}],
-                                "fq_rank_low": 0, "fq_rank_high": 0, "iota": []}],
-            "isolated_points": [],
-        }
-        path = tmp_path / "defect.json"
-        path.write_text(json.dumps(doc))
-        reports, status = run([str(path)])
-        assert status == 2
-        assert reports[0].defect is not None
-        assert reports[0].validation == ()
-        doc_out = json.loads(render_json(reports))[0]
-        assert doc_out["defect"] == reports[0].defect
-        assert "vanishing" not in doc_out
-        assert f"  DEFECT: {reports[0].defect}\n" in render_text(reports[0])
-        # a missing costalk is reported before the computation that would fail
-        reports, status = run([str(path)], costalk_required=True)
-        assert status == 1
-        assert [v.code for v in reports[0].validation] == ["missing-costalk"]
-
     def test_polar_bounds_rendered(self, tmp_path):
         doc = json.loads(CORPUS["quadric_power_2_2"].read_text())
         doc["polar_data"] = [[3, 1], [0, 0]]
@@ -163,37 +122,24 @@ class TestRun:
         assert json.loads(render_json(reports))[0]["vanishing"]["bounds"]["polar"] \
             == [[0, 4], [1, 0]]
 
-    def test_strict_unknown_keys(self, tmp_path):
-        doc = json.loads(CORPUS["xyz"].read_text())
-        doc["surprise"] = 1
-        path = tmp_path / "extra.json"
-        path.write_text(json.dumps(doc))
-        reports, status = run([str(path)], strict=True)
-        assert status == 1
-        assert reports[0].validation[0].code == "unknown-key"
-        reports, status = run([str(path)], strict=False)
-        assert status == 0
-        assert reports[0].warnings == ("surprise",)
 
-    def test_costalk_required(self, tmp_path):
-        path = copy_corpus(tmp_path, "x2z_y2u")
-        reports, status = run([str(path)], costalk_required=True)
-        assert status == 1
-        assert {v.code for v in reports[0].validation} == {"missing-costalk"}
-        _, status = run([str(path)])
-        assert status == 0
+# the first five do not decode; the last two decode to a non-object
+DECODER = {
+    "bad-utf8": b'{"n": 3, "id": "\xff"}',
+    "invalid-json": b"{not json",
+    "empty": b"",
+    "long-integer": b'{"n": ' + b"7" * 4400 + b"}",  # past the interpreter's int digit limit
+    "deep-nesting": b"[" * 100_000,                  # past the decoder's nesting limit
+    "non-object": b"[1, 2]",
+    "null": b"null",
+}
 
 
 class TestLoader:
     """`load_bytes` gives one `ParseResult` whatever the bytes; `load_path`
     adds only the unreadable file."""
 
-    @pytest.mark.parametrize("raw", [
-        b'{"n": 3, "id": "\xff"}',
-        b"{not json",
-        b'{"n": ' + b"7" * 4400 + b"}",  # past the interpreter's int digit limit
-        b"[" * 100_000,                  # past the decoder's nesting limit
-    ], ids=["bad-utf8", "invalid-json", "long-integer", "deep-nesting"])
+    @pytest.mark.parametrize("raw", list(DECODER.values())[:5], ids=list(DECODER)[:5])
     def test_decoder_failure_is_one_violation(self, raw):
         result = load_bytes(raw)
         assert isinstance(result, ParseResult)
@@ -203,7 +149,7 @@ class TestLoader:
         assert v.detail.startswith("malformed document: ")
 
     def test_non_object_top_level_keeps_its_violation(self):
-        result = load_bytes(b"[1, 2]")
+        result = load_bytes(DECODER["non-object"])
         assert result.configuration is None and result.unknown_keys == []
         assert [(v.code, v.subject, v.detail) for v in result.violations] == [
             ("malformed-document", "", "expected an object")]
@@ -215,8 +161,8 @@ class TestLoader:
 
     @pytest.mark.parametrize("raw", [
         CORPUS["xyzu"].read_bytes(),
-        b"[1, 2]",
-        b'{"n": 3, "id": "\xff"}',
+        DECODER["non-object"],
+        DECODER["bad-utf8"],
     ], ids=["corpus", "non-object", "bad-utf8"])
     def test_load_bytes_hashes_the_bytes(self, raw):
         assert load_bytes(raw).input_sha256 == hashlib.sha256(raw).hexdigest()
@@ -298,15 +244,19 @@ def arbitrary_values(draw):
     return json.dumps(doc).encode()
 
 
+def status_of(report):
+    """The exit status of a run that gives this one report."""
+    return 2 if report.defect is not None else 1 if report.validation else 0
+
+
 def assert_one_report_each(tmp_path, data):
     """``data`` as a file before a valid xyz: one report each, the second
-    clean, an exit status in {0, 1, 2} and both renderers working."""
+    clean, the exit status of the first and both renderers working."""
     path = tmp_path / "mutant.json"
     path.write_bytes(data)
-    good = CORPUS["xyz"]
-    reports, status = run([str(path), str(good)])
-    assert status in (0, 1, 2)
+    reports, status = run([str(path), str(CORPUS["xyz"])])
     assert len(reports) == 2
+    assert status == status_of(reports[0])
     assert reports[1].validation == () and reports[1].defect is None
     assert reports[1].vanishing is not None
     render_json(reports, True)
@@ -328,55 +278,199 @@ def test_raw_bytes_and_arbitrary_values_get_one_report(tmp_path, data):
     assert_one_report_each(tmp_path, data)
 
 
-@settings(max_examples=400, deadline=None)
-@given(corpus_mutants())
-def test_parsed_mutants_round_trip(mutant):
-    """Every configuration a mutant parses to, valid or not, survives
-    serialize -> JSON -> parse unchanged."""
-    cfg = load_bytes(mutant).configuration
-    if cfg is not None:
-        again = parse_configuration(json.loads(json.dumps(serialize_configuration(cfg))))
-        assert (again.configuration, again.violations, again.unknown_keys) == (cfg, [], [])
+# The document table: each source's documents run through `cli.run` under six
+# settings, and each rule of the command line is one check on every source.
+FLAGS = {"default": {}, "strict": {"strict": True}, "costalk": {"costalk_required": True}}
+SETTINGS = [(command, flag) for command in ("compute", "validate") for flag in FLAGS]
+SOURCES = {"corpus": (6, {0, 1}), "filled": (6, {0, 1}), "faults": (31, {1}),
+           "decoder": (7, {1}), "pipeline": (1155, {0, 1, 2})}  # documents, exit statuses
+DIRECTORY = "table-dir-q7x"
+# a run's first report and status, its calls of `model._validate` and
+# `cli.load_path`, and the verbose JSON of its reports and text of the first
+Run = namedtuple("Run", "report status validations loads json text")
+# `renamed` is the verbose JSON of a default compute run on a copy of `raw`
+Document = namedtuple("Document", "raw parsed runs renamed")
 
 
-RANK_DOCUMENTS = corpus_documents()
+def source_documents(source):
+    """The bundled files; the filled corpus documents with an unknown key;
+    xyz under each `SINGLE_FAULTS` row; `DECODER`; or the pipeline set."""
+    if source == "corpus":
+        return [path.read_bytes() for path in CORPUS.values()]
+    if source == "filled":
+        return [json.dumps(dict(doc, surprise=1)).encode() for doc in corpus_documents()[6:]]
+    if source == "faults":
+        return [json.dumps(serialize_configuration(mutate(load_corpus("xyz")))).encode()
+                for mutate, _ in SINGLE_FAULTS.values()]
+    return list(DECODER.values()) if source == "decoder" else pipeline_documents()
 
 
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.integers(0, 7), st.sampled_from((0, -1, -2)))
-def test_nonpositive_rank_gives_one_violation(tmp_path, seed, mutate, pick, rank):
-    """A corpus document or a `mutated_document` mutant with one component's
-    transversal rank set to 0, -1 or -2: one report each, and when the
-    document parses, one `transversal-rank` violation for that component
-    and no `branch-shape` violation at its branches."""
-    rng = random.Random(seed)
-    doc = mutated_document(rng, RANK_DOCUMENTS) if mutate else copy.deepcopy(
-        rng.choice(RANK_DOCUMENTS))
-    components = doc.get("components") if isinstance(doc, dict) else None
-    assume(isinstance(components, list))
-    candidates = [c for c in components if isinstance(c, dict) and isinstance(c.get("id"), str)]
-    assume(candidates)
-    target = candidates[pick % len(candidates)]
-    target["transversal_rank"] = rank
-    cid = target["id"]
-    # another component of this id with a rank below 1 is reported under it too
-    assume(all(type(c.get("transversal_rank")) is int and c["transversal_rank"] >= 1
-               for c in candidates if c is not target and c["id"] == cid))
-    path = tmp_path / "rank.json"
-    raw = json.dumps(doc).encode()
-    path.write_bytes(raw)
-    cfg = load_bytes(raw).configuration
-    for compute in (True, False):
-        reports, status = run([str(path)], compute=compute)
-        assert len(reports) == 1 and status in (0, 1, 2)
+@pytest.fixture(scope="module", params=list(SOURCES))
+def table(request, tmp_path_factory):
+    """The source's name and its `Document`s."""
+    count, statuses = SOURCES[request.param]
+    raws = source_documents(request.param)
+    assert len(raws) == count
+    where = tmp_path_factory.mktemp(DIRECTORY)
+    path, renamed = where / "document.json", where / "another name.json"
+    documents = []
+    with pytest.MonkeyPatch.context() as mp:
+        validations = count_calls(mp, vancoh.model, "_validate")
+        loads = count_calls(mp, vancoh.cli, "load_path")
+        for raw in raws:
+            path.write_bytes(raw)
+            renamed.write_bytes(raw)
+            runs = {}
+            for command, flag in SETTINGS:
+                del validations[:], loads[:]
+                reports, status = run([str(path)], compute=command == "compute", **FLAGS[flag])
+                runs[command, flag] = Run(reports[0], status, len(validations), len(loads),
+                                          render_json(reports, True),
+                                          render_text(reports[0], True))
+            documents.append(Document(raw, load_bytes(raw), runs,
+                                      render_json(run([str(renamed)])[0], True)))
+    # the statuses the reports call for; `test_one_report_each` checks each run's
+    assert {status_of(r.report) for d in documents for r in d.runs.values()} == statuses
+    return request.param, documents
+
+
+def test_one_report_each(table):
+    """One report per run, whose exit status, JSON and verdict line agree;
+    no rendering names the file's directory."""
+    for doc in table[1]:
+        for (command, _), r in doc.runs.items():
+            [out] = json.loads(r.json)
+            assert r.status == status_of(r.report)
+            assert ("defect" in out, "vanishing" in out) == (
+                r.status == 2, command == "compute" and r.status == 0)
+            verdict = r.text.splitlines()[1 + len(r.report.warnings)]
+            if "vanishing" in out:
+                assert verdict.startswith("  lowest vanishing group (")
+                assert verdict.endswith(": " + out["vanishing"]["lowest_group"]["text"])
+            else:
+                assert verdict.startswith({2: "  DEFECT:", 1: "  INVALID", 0: "  valid"}[r.status])
+            assert DIRECTORY not in r.json + r.text
+
+
+def test_reports_name_the_bytes(table):
+    """Reports carry the bytes' sha256, and its first 12 hex digits as the
+    id, whatever the file is called."""
+    for doc in table[1]:
+        digest = hashlib.sha256(doc.raw).hexdigest()
+        for r in doc.runs.values():
+            assert (r.report.input_sha256, r.report.configuration_id) == (digest, digest[:12])
+        assert doc.renamed == doc.runs["compute", "default"].json
+
+
+def test_read_and_validated_once(table):
+    """Each run reads its file once, and validates once when the document
+    assembles and strict mode does not stop it on unknown keys."""
+    for doc in table[1]:
+        for (_, flag), r in doc.runs.items():
+            stopped = flag == "strict" and bool(doc.parsed.unknown_keys)
+            assert (r.loads, r.validations) == (
+                1, int(doc.parsed.configuration is not None and not stopped))
+
+
+def test_compute_agrees_with_validate(table):
+    """Under equal flags compute gives validate's violations and warnings,
+    and status 0 or 2 exactly where validate gives 0."""
+    for doc in table[1]:
+        for flag in FLAGS:
+            c, v = doc.runs["compute", flag], doc.runs["validate", flag]
+            assert (c.report.validation, c.report.warnings) == (
+                v.report.validation, v.report.warnings)
+            assert (c.status in (0, 2)) == (v.status == 0)
+
+
+def test_unknown_keys(table):
+    """Unknown keys are warnings by default; strict mode reports them after
+    the loader's violations, and no warnings."""
+    for doc in table[1]:
+        keys = doc.parsed.unknown_keys
+        for command in ("compute", "validate"):
+            default, strict = doc.runs[command, "default"], doc.runs[command, "strict"]
+            assert (default.report.warnings, strict.report.warnings) == (tuple(keys), ())
+            if keys:
+                assert list(strict.report.validation) == doc.parsed.violations + [
+                    Violation("unknown-key", key, "unknown key in strict mode") for key in keys]
+            else:
+                assert (strict.status, strict.json) == (default.status, default.json)
+
+
+def test_costalk_required(table):
+    """A valid document gets one `missing-costalk` per point without a
+    costalk, in order; any other document its default report."""
+    for doc in table[1]:
+        valid = doc.runs["validate", "default"].status == 0
+        missing = [("missing-costalk", q.id) for q in doc.parsed.configuration.special_points
+                   if q.costalk_rank is None] if valid else []
+        for command in ("compute", "validate"):
+            default, required = doc.runs[command, "default"], doc.runs[command, "costalk"]
+            if missing:
+                assert [(v.code, v.subject) for v in required.report.validation] == missing
+            else:
+                assert (required.status, required.json) == (default.status, default.json)
+
+
+def test_round_trip(table):
+    """Every configuration assembled, valid or not, survives serialize, JSON and parse."""
+    for doc in table[1]:
+        cfg = doc.parsed.configuration
+        if cfg is not None:
+            again = parse_configuration(json.loads(json.dumps(serialize_configuration(cfg))))
+            assert (again.configuration, again.violations, again.unknown_keys) == (cfg, [], [])
+
+
+def test_rank_rule(table):
+    """A component of rank below 1 gets one `transversal-rank` violation and
+    none at its loops; no loop count or branch is checked against an id that
+    is repeated or of rank below 1."""
+    for doc in table[1]:
+        cfg = doc.parsed.configuration
         if cfg is None:
             continue
-        codes = [(v.code, v.subject) for v in reports[0].validation]
-        assert codes.count(("transversal-rank", cid)) == 1
-        own = {f"{q.id}[branch {k}]" for q in cfg.special_points
-               for k, b in enumerate(q.branches) if b.component_id == cid}
-        assert not [s for code, s in codes if code == "branch-shape" and s in own]
+        found = [(v.code, v.subject) for v in doc.runs["validate", "default"].report.validation]
+        ids = Counter(c.id for c in cfg.components)
+        low = Counter(c.id for c in cfg.components if c.transversal_rank < 1)
+        for cid, k in low.items():
+            assert found.count(("transversal-rank", cid)) == k
+            if k == ids[cid]:  # no copy of this id has loops to check
+                assert not [s for _, s in found if s.startswith(f"{cid}[loop ")]
+        unranked = {cid for cid in ids if ids[cid] > 1 or cid in low}
+        # a repeated point id gives one subject to several branches
+        owners = [(f"{q.id}[branch {k}]", b.component_id)
+                  for q in cfg.special_points for k, b in enumerate(q.branches)]
+        assert all(s not in unranked for code, s in found if code == "loop-count")
+        assert all(any(s == t and cid not in unranked for t, cid in owners)
+                   for code, s in found if code.startswith("branch-"))
+
+
+# sha256 of each run's status, verbose JSON and verbose text, in order; the
+# decoder's own message after "malformed document: " is the interpreter's,
+# so it is left out
+DIGESTS = {
+    "corpus": "3e122fad0afa18840edbef7b5a47d69cb59706750eabb2f9e06ef6e698faafa1",
+    "filled": "130f3c13d5c8fdcd637932056bc308f410460a1804b7d5a7771c2bfe859f3ab6",
+    "faults": "89b4add09c32c9d1f7c193b7d5f8f6ca09a5cba467c9d0c7f9c3f53a003c28cf",
+    "decoder": "f6c4b3374694d169503185894fab2c3af78f0381e4341cba50d2c24812eb488a",
+    "pipeline": "0dc029d89e070eead057bab9e795885fa49dd44d880581a1eed001ca5a97b6f6",
+}
+DECODER_MESSAGE = re.compile(r"(malformed document: )[^\"\n]*")
+
+
+def test_digest(table):
+    """Every report of the source is pinned; the faults and the pipeline set
+    reach every code validation can emit."""
+    source, documents = table
+    digest, codes = hashlib.sha256(), set()
+    for doc in documents:
+        for r in doc.runs.values():
+            digest.update(DECODER_MESSAGE.sub(r"\1", f"{r.status}\n{r.json}{r.text}").encode())
+            codes.update(v.code for v in r.report.validation)
+    if source in ("faults", "pipeline"):
+        assert emitted_codes() <= codes
+    assert digest.hexdigest() == DIGESTS[source]
 
 
 def _containers(value):
@@ -428,13 +522,13 @@ class TestReportToDict:
         assert set(v["bounds"]) == {f.name for f in fields(Bounds)}
 
 
-def test_one_version(tmp_path):
+def test_one_version():
     # reports carry vancoh.__version__ as their provenance; the packaging
     # metadata states the version separately, and the two must agree
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     assert tomllib.loads(pyproject.read_text())["project"]["version"] == vancoh.__version__
-    [report] = run([str(copy_corpus(tmp_path, "xyz"))])[0]
+    [report] = run([str(CORPUS["xyz"])])[0]
     assert report_to_dict(report)["provenance"]["version"] == vancoh.__version__
 
 
@@ -455,28 +549,25 @@ class TestDeterminism:
 
 
 class TestMainEntry:
-    def test_compute_text(self, tmp_path, capsys):
-        path = copy_corpus(tmp_path, "xyz")
-        assert main(["compute", str(path)]) == 0
+    def test_compute_text(self, capsys):
+        assert main(["compute", str(CORPUS["xyz"])]) == 0
         out = capsys.readouterr().out
         assert "Z^2" in out
         assert "lowest vanishing group" in out
 
-    def test_compute_json(self, tmp_path, capsys):
-        path = copy_corpus(tmp_path, "xyzu")
-        assert main(["compute", "--format", "json", str(path)]) == 0
+    def test_compute_json(self, capsys):
+        assert main(["compute", "--format", "json", str(CORPUS["xyzu"])]) == 0
         docs = json.loads(capsys.readouterr().out)
         assert docs[0]["vanishing"]["lowest_group"]["text"] == "Z^3"
         assert docs[0]["vanishing"]["six_term"]["domain"] == 14
 
-    def test_validate_subcommand(self, tmp_path, capsys):
-        path = copy_corpus(tmp_path, "xyz")
-        assert main(["validate", str(path)]) == 0
+    def test_validate_subcommand(self, capsys):
+        assert main(["validate", str(CORPUS["xyz"])]) == 0
         out = capsys.readouterr().out
         assert "lowest vanishing" not in out
 
-    def test_validate_costalk_required(self, tmp_path, capsys):
-        path = copy_corpus(tmp_path, "x2z_y2u")
+    def test_validate_costalk_required(self, capsys):
+        path = CORPUS["x2z_y2u"]
         assert main(["validate", "--costalk-required", str(path)]) == 1
         assert "missing-costalk" in capsys.readouterr().out
         assert main(["validate", str(path)]) == 0
@@ -529,8 +620,8 @@ class TestMainEntry:
             assert main([command, "--format", "json", str(path)]) == 1
             assert len(json.loads(capsys.readouterr().out)) == 1
 
-    def test_matrix_suppression(self, tmp_path, capsys):
-        path = copy_corpus(tmp_path, "xyzu")  # j matrix is 12x14
+    def test_matrix_suppression(self, capsys):
+        path = CORPUS["xyzu"]  # j matrix is 12x14
         assert main(["compute", str(path)]) == 0
         out = capsys.readouterr().out
         assert "suppressed" in out

@@ -4,10 +4,9 @@ digest.  A change to any report, ledger or demo line fails here.  The
 loader digest pins what the parser makes of seeded malformed documents, the
 Smith digests pin the canonical diagonal and cokernel apart from the
 transforms u and v, the echelon digest pins the raw column echelons of the
-elimination core, pivot choice and operation order included, the
+elimination core, pivot choice and operation order included, and the
 cross-check digest pins the canonical bases the interaction cross-check
-intersects, and the pipeline digest pins every report the command line
-makes of a seeded document set."""
+intersects.  `test_cli.py`'s document table pins every report of `cli.run`."""
 
 import hashlib
 import json
@@ -20,14 +19,11 @@ from pathlib import Path
 import pytest
 
 from vancoh import analyze, linalg, parse_configuration, serialize_configuration
-from vancoh.cli import run
 from vancoh.corpus import bundled
 from vancoh.linalg import IntegerMatrix, cokernel, smith_normal_form
-from vancoh.report import render_json, render_text
 
-from helpers import (corpus_documents, dense_iota_config, differential_cases, emitted_codes,
-                     load_corpus, mutated_document, pipeline_documents, rand_matrix,
-                     random_valid_config)
+from helpers import (corpus_documents, dense_iota_config, differential_cases, load_corpus,
+                     mutated_document, rand_matrix, random_valid_config)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -169,28 +165,3 @@ def test_cross_check_digest(monkeypatch):
     for cfg in configs:
         analyze(cfg)
     assert digest.hexdigest() == CROSS_CHECK_DIGEST
-
-
-PIPELINE_DIGEST = "0dc029d89e070eead057bab9e795885fa49dd44d880581a1eed001ca5a97b6f6"
-
-
-def test_pipeline_digest(tmp_path):
-    """Status, verbose JSON and verbose text of `cli.run` on each document of
-    `pipeline_documents`, under compute and validate, each with the default,
-    `strict` and `costalk_required` settings; the set reaches every code
-    validation can emit and every exit status."""
-    settings = [dict(compute=compute, **flags) for compute in (True, False)
-                for flags in ({}, {"strict": True}, {"costalk_required": True})]
-    digest = hashlib.sha256()
-    codes, statuses = set(), set()
-    for k, raw in enumerate(pipeline_documents()):
-        path = tmp_path / f"{k}.json"
-        path.write_bytes(raw)
-        for flags in settings:
-            reports, status = run([str(path)], **flags)
-            digest.update(f"{status}\n{render_json(reports, True)}"
-                          f"{render_text(reports[0], True)}".encode())
-            codes.update(v.code for v in reports[0].validation)
-            statuses.add(status)
-    assert emitted_codes() <= codes and statuses == {0, 1, 2}
-    assert digest.hexdigest() == PIPELINE_DIGEST

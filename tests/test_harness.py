@@ -470,6 +470,8 @@ def tier1_command() -> str:
 def test_ci_runs_tier1_on_each_supported_version():
     yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    assert workflow["concurrency"] == {"group": "tier1-${{ github.ref }}",
+                                       "cancel-in-progress": True}
     [job] = workflow["jobs"].values()
     assert job["timeout-minutes"] == 15  # a hung draw stops the job, not GitHub's 360
     versions = job["strategy"]["matrix"]["python-version"]
