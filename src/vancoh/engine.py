@@ -27,7 +27,7 @@ points, both compare the lowest rank with `upper`, the invariant ranks' sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg, model
 from .linalg import FinAbGroup, IntegerMatrix, Submodule
@@ -50,8 +50,7 @@ class InvalidConfigurationError(ValueError):
         self.violations = list(violations)
 
 
-@dataclass(frozen=True)
-class ComponentCohomology:
+class ComponentCohomology(NamedTuple):
     """Invariant submodule, monodromy cokernel and Euler number of one curve."""
 
     component_id: str
@@ -60,8 +59,7 @@ class ComponentCohomology:
     euler: int
 
 
-@dataclass(frozen=True)
-class SixTermCheck:
+class SixTermCheck(NamedTuple):
     """Ranks of the six-term exact sequence, with the top rank solved from
     exactness.  `consistent` is False when the input data force a negative
     rank, i.e. the supplied Betti numbers are mutually contradictory."""
@@ -75,8 +73,7 @@ class SixTermCheck:
     consistent: bool
 
 
-@dataclass(frozen=True)
-class MonodromyChecks:
+class MonodromyChecks(NamedTuple):
     """Outcomes of the divisibility and eigenvalue/Jordan predicates."""
 
     char_poly_divides: bool
@@ -84,8 +81,7 @@ class MonodromyChecks:
     jordan_sizes_ok: tuple[tuple[str, bool], ...] = ()
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(NamedTuple):
     upper_lowest: int
     lower_lowest: int | None
     min_bound: int
@@ -93,8 +89,7 @@ class Bounds:
     polar: tuple[tuple[int, int], ...] = ()
 
 
-@dataclass(frozen=True)
-class VanishingReport:
+class VanishingReport(NamedTuple):
     """Everything the engine computes for one valid configuration."""
 
     lowest_group: FinAbGroup

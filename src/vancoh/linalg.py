@@ -26,21 +26,26 @@ inputs always produce identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .polynomial import IntPolynomial
+from .record import CheckedRecord
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(CheckedRecord, namedtuple("IntegerMatrix", "rows cols data")):
     """Immutable dense integer matrix (row-major tuples of Python ints)."""
 
-    rows: int
-    cols: int
-    data: tuple[tuple[int, ...], ...]
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, data: tuple[tuple[int, ...], ...]):
+        if rows < 0 or cols < 0:
+            raise ValueError("negative matrix dimension")
+        if len(data) != rows or any(len(r) != cols for r in data):
+            raise ValueError("matrix data does not match declared shape")
+        return tuple.__new__(cls, (rows, cols, data))
 
     @staticmethod
     def identity(n: int) -> "IntegerMatrix":
@@ -49,12 +54,6 @@ class IntegerMatrix:
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntegerMatrix":
         return IntegerMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix dimension")
-        if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
-            raise ValueError("matrix data does not match declared shape")
 
     @property
     def is_square(self) -> bool:
@@ -247,8 +246,7 @@ def is_unimodular(m: IntegerMatrix) -> bool:
     return len(pivots) == m.rows and all(c[row] == 1 for row, c in pivots)
 
 
-@dataclass(frozen=True)
-class Submodule:
+class Submodule(NamedTuple):
     """Sublattice of Z^ambient_rank, held as its canonical column-HNF basis.
 
     Canonicality turns submodule equality into plain matrix equality.  In
@@ -314,24 +312,22 @@ def image(m: IntegerMatrix) -> Submodule:
     return Submodule(_from_columns(m.rows, _back_normalise(_echelon(zip(*m.data)))))
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+class FinAbGroup(CheckedRecord, namedtuple("FinAbGroup", "free_rank torsion")):
     """Finitely generated abelian group: free rank plus invariant factors.
 
     ``torsion`` lists the invariant factors d1 | d2 | ... (each >= 2).
     """
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __new__(cls, free_rank: int, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        if any(d < 2 for d in self.torsion):
+        if any(d < 2 for d in torsion):
             raise ValueError("torsion invariant below 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
-            if b % a:
-                raise ValueError("torsion invariants must form a divisibility chain")
+        if any(b % a for a, b in zip(torsion, torsion[1:])):
+            raise ValueError("torsion invariants must form a divisibility chain")
+        return tuple.__new__(cls, (free_rank, torsion))
 
     @property
     def is_trivial(self) -> bool:

@@ -2,7 +2,7 @@
 
 A configuration is one JSON document.  The record tables below are the
 single statement of its format: each lists one record's keys, which are the
-field names of its `model` dataclass, in the order they are checked, with
+field names of its `model` record type, in the order they are checked, with
 the kind of value each holds; a key is optional exactly when its field has
 a default.  `parse_configuration` and `serialize_configuration` both walk
 them.  Leaves, lists and records are each read one way wherever they sit,
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import MISSING, dataclass, fields
 
 from .linalg import IntegerMatrix, matrix
 from .model import (Branch, CurveComponent, EigenvalueData, IsolatedPoint, MonodromyData,
@@ -30,12 +29,14 @@ from .model import (Branch, CurveComponent, EigenvalueData, IsolatedPoint, Monod
 from .polynomial import IntPolynomial
 
 
-@dataclass
 class ParseResult:
-    configuration: SliceConfiguration | None
-    violations: list[Violation]
-    unknown_keys: list[str]
-    input_sha256: str = ""  # of the raw bytes; "" for a decoded document
+    def __init__(self, configuration: SliceConfiguration | None, violations: list[Violation],
+                 unknown_keys: list[str], input_sha256: str = ""):
+        self.configuration, self.violations = configuration, violations
+        self.unknown_keys, self.input_sha256 = unknown_keys, input_sha256
+
+    def __eq__(self, other):  # by value; parsing fills the fields in as it goes
+        return type(other) is ParseResult and vars(self) == vars(other)
 
 
 def _bad(r: ParseResult, path: str, detail: str) -> None:
@@ -104,12 +105,15 @@ class _ListOf:
         return [self.item.write(x) for x in values]
 
 
+_REQUIRED = object()  # the default of a field that has none
+
+
 class _Record:
-    """A JSON object holding one `cls` dataclass, whose ``(key, kind)`` pairs
+    """A JSON object holding one `cls` record, whose ``(key, kind)`` pairs
     are `table`; a key may be omitted when its field has a default."""
 
     def __init__(self, cls, *table):
-        defaults = {f.name: f.default for f in fields(cls)}
+        defaults = {**dict.fromkeys(cls._fields, _REQUIRED), **cls._field_defaults}
         self.cls = cls
         self.fields = [(key, kind, defaults[key]) for key, kind in table]
         self.keys = frozenset(key for key, _ in table)
@@ -126,7 +130,7 @@ class _Record:
         for key, kind, default in self.fields:
             if key in value:
                 args[key] = kind.read(r, value[key], prefix + key)
-            elif default is MISSING:
+            elif default is _REQUIRED:
                 _bad(r, prefix + key, "missing required key")
                 args[key] = None
             else:
@@ -137,7 +141,7 @@ class _Record:
         out = {}
         for key, kind, default in self.fields:
             value = getattr(obj, key)
-            if default is MISSING or value != default:
+            if default is _REQUIRED or value != default:
                 out[key] = kind.write(value)
         return out
 

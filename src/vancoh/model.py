@@ -13,23 +13,21 @@ Configurations are immutable; `validate` returns violations as data.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .linalg import IntegerMatrix, Submodule
 from .polynomial import IntPolynomial
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """Local branch of a curve component at a special point."""
 
     component_id: str
     monodromy: IntegerMatrix
 
 
-@dataclass(frozen=True)
-class CurveComponent:
+class CurveComponent(NamedTuple):
     """Irreducible curve of the sliced locus.
 
     `transversal_rank` is the rank of the middle cohomology of the
@@ -44,8 +42,7 @@ class CurveComponent:
     loop_monodromies: tuple[IntegerMatrix, ...]
 
 
-@dataclass(frozen=True)
-class SpecialPoint:
+class SpecialPoint(NamedTuple):
     """Intersection point of the sliced curve with a 1-dimensional stratum.
 
     `iota` is the matrix of the injection of the local Milnor fiber's lower
@@ -62,14 +59,12 @@ class SpecialPoint:
     costalk_rank: int | None = None
 
 
-@dataclass(frozen=True)
-class IsolatedPoint:
+class IsolatedPoint(NamedTuple):
     id: str
     milnor_number: int
 
 
-@dataclass(frozen=True)
-class EigenvalueData:
+class EigenvalueData(NamedTuple):
     """Per-eigenvalue integers for the monodromy predicates (label is opaque)."""
 
     eigenvalue: str
@@ -77,16 +72,14 @@ class EigenvalueData:
     components: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MonodromyData:
+class MonodromyData(NamedTuple):
     char_poly: IntPolynomial
     component_char_polys: tuple[IntPolynomial, ...]
     eigen_dims: tuple[EigenvalueData, ...] = ()
     jordan_sizes: tuple[EigenvalueData, ...] = ()
 
 
-@dataclass(frozen=True)
-class SliceConfiguration:
+class SliceConfiguration(NamedTuple):
     """Complete validated input; root of every engine computation."""
 
     n: int
@@ -99,8 +92,7 @@ class SliceConfiguration:
     monodromy_data: MonodromyData | None = None
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One violated invariant: machine-readable code plus the offending id."""
 
     code: str

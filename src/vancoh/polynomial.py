@@ -5,14 +5,20 @@ Coefficients are stored in ascending order: ``coeffs[k]`` multiplies t^k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
+from .record import CheckedRecord
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    coeffs: tuple[int, ...]
+
+class IntPolynomial(CheckedRecord, namedtuple("IntPolynomial", "coeffs")):
+    __slots__ = ()
+
+    def __new__(cls, coeffs: tuple[int, ...]):
+        if coeffs and coeffs[-1] == 0:
+            raise ValueError("polynomial coefficients not normalized (trailing zero)")
+        return tuple.__new__(cls, (coeffs,))
 
     @staticmethod
     def from_coeffs(coeffs: Sequence[int]) -> "IntPolynomial":
@@ -23,10 +29,6 @@ class IntPolynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         return IntPolynomial(tuple(cs))
-
-    def __post_init__(self):
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("polynomial coefficients not normalized (trailing zero)")
 
     @property
     def is_zero(self) -> bool:

@@ -2,7 +2,7 @@
 
 Reports are pure data derived from the input bytes alone, so equal inputs
 produce byte-identical serialized reports regardless of file path.
-`six_term`, `bounds` and each group dict carry their dataclass's fields.
+`six_term`, `bounds` and each group dict carry their record's fields.
 `report_to_dict` is the one reader of a `Report`: `render_json` writes its
 document and `render_text` renders the same document.
 
@@ -14,13 +14,14 @@ indentation is written around the leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .engine import VanishingReport
 from .linalg import FinAbGroup, IntegerMatrix
 from .model import Violation
+from .record import CheckedRecord
 
 MATRIX_PRINT_LIMIT = 12  # larger literals are suppressed unless verbose
 _LITERALS = {True: "true", False: "false", None: "null"}
@@ -41,24 +42,23 @@ def format_group(g: FinAbGroup) -> str:
     return " (+) ".join(parts)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(CheckedRecord, namedtuple(
+        "Report", "configuration_id validation vanishing defect warnings input_sha256")):
     """Outcome for one configuration document."""
 
-    configuration_id: str
-    validation: tuple[Violation, ...]
-    vanishing: VanishingReport | None
-    defect: str | None = None
-    warnings: tuple[str, ...] = ()
-    input_sha256: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.validation and self.vanishing is not None:
+    def __new__(cls, configuration_id: str, validation: tuple[Violation, ...],
+                vanishing: VanishingReport | None, defect: str | None = None,
+                warnings: tuple[str, ...] = (), input_sha256: str = ""):
+        if validation and vanishing is not None:
             raise ValueError("a report with violations must not carry results")
+        return tuple.__new__(cls, (configuration_id, validation, vanishing, defect, warnings,
+                                   input_sha256))
 
 
 def _group_dict(g: FinAbGroup) -> dict:
-    return {**vars(g), "text": format_group(g)}
+    return {**g._asdict(), "text": format_group(g)}
 
 
 def _matrix_entry(m: IntegerMatrix, verbose: bool):
@@ -68,7 +68,7 @@ def _matrix_entry(m: IntegerMatrix, verbose: bool):
 
 
 def _vanishing_dict(v: VanishingReport, verbose: bool) -> dict:
-    # each section is a fresh dict: a dataclass's own __dict__ must not leak
+    # each record becomes a dict: `_write` would write a leaked record as a list
     out = {
         "lowest_group": _group_dict(v.lowest_group),
         "lowest_degree": v.lowest_degree,
@@ -86,8 +86,8 @@ def _vanishing_dict(v: VanishingReport, verbose: bool) -> dict:
             for c in v.components
         ],
         "euler_total": v.euler_total,
-        "six_term": {**vars(v.six_term), "top_pair_torsion": "undetermined extension"},
-        "bounds": {**vars(v.bounds)},
+        "six_term": {**v.six_term._asdict(), "top_pair_torsion": "undetermined extension"},
+        "bounds": v.bounds._asdict(),
         "j_matrix": _matrix_entry(v.j_matrix, verbose),
         "shortcut_agrees": v.shortcut_agrees,
     }
@@ -101,7 +101,7 @@ def _vanishing_dict(v: VanishingReport, verbose: bool) -> dict:
 def report_to_dict(report: Report, verbose: bool = False) -> dict:
     out: dict = {
         "configuration_id": report.configuration_id,
-        "validation": [{**vars(v)} for v in report.validation],
+        "validation": [v._asdict() for v in report.validation],
         "provenance": {"tool": "vancoh", "version": __version__,
                        "input_sha256": report.input_sha256},
     }

@@ -8,7 +8,6 @@ import copy
 import inspect
 import json
 import random
-from dataclasses import replace
 
 from vancoh import (Branch, CurveComponent, EigenvalueData, IntegerMatrix, IntPolynomial,
                     IsolatedPoint, SliceConfiguration, SpecialPoint, branch_kernel, linalg,
@@ -106,22 +105,22 @@ def emitted_codes() -> set[str]:
 
 
 def _with_monodromy(**changes):
-    return lambda cfg: replace(cfg, monodromy_data=replace(cfg.monodromy_data, **changes))
+    return lambda cfg: cfg._replace(monodromy_data=cfg.monodromy_data._replace(**changes))
 
 
 def _with_s1(**changes):
-    return lambda cfg: replace(cfg, components=(replace(cfg.components[0], **changes),)
-                               + cfg.components[1:])
+    return lambda cfg: cfg._replace(components=(cfg.components[0]._replace(**changes),)
+                                    + cfg.components[1:])
 
 
 def _with_q1(**changes):
-    return lambda cfg: replace(cfg, special_points=(replace(cfg.special_points[0], **changes),))
+    return lambda cfg: cfg._replace(special_points=(cfg.special_points[0]._replace(**changes),))
 
 
 def _with_branch0(**changes):
     def mutate(cfg):
         q = cfg.special_points[0]
-        branches = (replace(q.branches[0], **changes),) + q.branches[1:]
+        branches = (q.branches[0]._replace(**changes),) + q.branches[1:]
         return _with_q1(branches=branches)(cfg)
     return mutate
 
@@ -129,18 +128,18 @@ def _with_branch0(**changes):
 # One mutation of xyz per row, each giving exactly the one violation listed;
 # together the rows reach every code `validate` can emit.
 SINGLE_FAULTS = {
-    "original_s-range": (lambda cfg: replace(cfg, original_n=2, original_s=1),
+    "original_s-range": (lambda cfg: cfg._replace(original_n=2, original_s=1),
                          [("dimension-range", "original_s")]),
-    "dimension-reduction": (lambda cfg: replace(cfg, n=4), [("dimension-reduction", "n")]),
-    "duplicate-id": (lambda cfg: replace(cfg, isolated_points=(IsolatedPoint("S1", 0),)),
+    "dimension-reduction": (lambda cfg: cfg._replace(n=4), [("dimension-reduction", "n")]),
+    "duplicate-id": (lambda cfg: cfg._replace(isolated_points=(IsolatedPoint("S1", 0),)),
                      [("duplicate-id", "S1")]),
     # the branch of S1 is checked against neither rank of a repeated S1
-    "duplicate-component-id": (lambda cfg: replace(cfg, monodromy_data=None, components=(
+    "duplicate-component-id": (lambda cfg: cfg._replace(monodromy_data=None, components=(
                                    *cfg.components,
                                    CurveComponent("S1", 0, 2, (IntegerMatrix.identity(2),)))),
                                [("duplicate-id", "S1")]),
     # nor are the loops of either copy counted against the branches of S1
-    "duplicate-component-id-no-loops": (lambda cfg: replace(cfg, monodromy_data=None, components=(
+    "duplicate-component-id-no-loops": (lambda cfg: cfg._replace(monodromy_data=None, components=(
                                             *cfg.components, CurveComponent("S1", 0, 2, ()))),
                                         [("duplicate-id", "S1")]),
     "negative-genus": (_with_s1(genus=-1), [("negative-genus", "S1")]),
@@ -166,11 +165,11 @@ SINGLE_FAULTS = {
     "iota-shape": (_with_q1(iota=matrix([[1, 0], [-1, 1]])), [("iota-shape", "q1")]),
     "iota-not-injective": (_with_q1(iota=matrix([[1, 1], [-1, -1], [0, 0]])),
                            [("iota-not-injective", "q1")]),
-    "negative-milnor": (lambda cfg: replace(cfg, isolated_points=(IsolatedPoint("r1", -1),)),
+    "negative-milnor": (lambda cfg: cfg._replace(isolated_points=(IsolatedPoint("r1", -1),)),
                         [("negative-rank", "r1")]),
-    "polar-length": (lambda cfg: replace(cfg, polar_data=((1, 0),) * 3),
+    "polar-length": (lambda cfg: cfg._replace(polar_data=((1, 0),) * 3),
                      [("polar-length", "polar_data")]),
-    "polar-negative": (lambda cfg: replace(cfg, polar_data=((3, -1),)),
+    "polar-negative": (lambda cfg: cfg._replace(polar_data=((3, -1),)),
                        [("polar-negative", "polar_data[0]")]),
     "zero-char-poly": (_with_monodromy(char_poly=IntPolynomial(())),
                        [("zero-polynomial", "monodromy_data.char_poly")]),
@@ -407,7 +406,7 @@ def conjugate_component(cfg: SliceConfiguration, component_id: str,
     """
     u_inv = exact_inverse(u)
     components = tuple(
-        replace(c, loop_monodromies=tuple(u * nu * u_inv for nu in c.loop_monodromies))
+        c._replace(loop_monodromies=tuple(u * nu * u_inv for nu in c.loop_monodromies))
         if c.id == component_id else c
         for c in cfg.components)
 
@@ -430,8 +429,8 @@ def conjugate_component(cfg: SliceConfiguration, component_id: str,
             new_iota = vstack(new_blocks)
         else:
             new_iota = IntegerMatrix.zeros(0, q.fq_rank_low)
-        points.append(replace(q, branches=tuple(new_branches), iota=new_iota))
-    return replace(cfg, components=components, special_points=tuple(points))
+        points.append(q._replace(branches=tuple(new_branches), iota=new_iota))
+    return cfg._replace(components=components, special_points=tuple(points))
 
 
 def permute_config(cfg: SliceConfiguration, rng: random.Random) -> SliceConfiguration:
@@ -449,14 +448,14 @@ def permute_config(cfg: SliceConfiguration, rng: random.Random) -> SliceConfigur
             iota = vstack([blk for _, blk in blocks])
         else:
             iota = IntegerMatrix.zeros(0, q.fq_rank_low)
-        points.append(replace(q, branches=branches, iota=iota))
+        points.append(q._replace(branches=branches, iota=iota))
     rng.shuffle(points)
 
     isolated = list(cfg.isolated_points)
     rng.shuffle(isolated)
 
-    return replace(cfg, components=tuple(components), special_points=tuple(points),
-                   isolated_points=tuple(isolated))
+    return cfg._replace(components=tuple(components), special_points=tuple(points),
+                        isolated_points=tuple(isolated))
 
 
 def report_signature(rep) -> tuple:

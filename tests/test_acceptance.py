@@ -6,7 +6,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 
 import random
 import time
-from dataclasses import replace
 
 from vancoh import FinAbGroup, analyze
 from vancoh.corpus import bundled
@@ -51,8 +50,8 @@ def test_criterion_3_x2z_y2u():
     forced = True
     for idx in range(2):
         points = list(cfg.special_points)
-        points[idx] = replace(points[idx], fq_rank_low=1)
-        bad = replace(cfg, special_points=tuple(points))
+        points[idx] = points[idx]._replace(fq_rank_low=1)
+        bad = cfg._replace(special_points=tuple(points))
         forced = forced and any(v.code in ("iota-shape", "iota-not-injective")
                                 for v in validate(bad))
     _line(trivial and forced,

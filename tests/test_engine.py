@@ -1,7 +1,6 @@
 import json
 import random
 from copy import deepcopy
-from dataclasses import replace
 
 import pytest
 
@@ -191,7 +190,7 @@ class TestEulerAndSixTerm:
         assert six.consistent
 
     def test_isolated_only(self):
-        cfg = replace(empty_config(), isolated_points=(
+        cfg = empty_config()._replace(isolated_points=(
             IsolatedPoint("r1", 2), IsolatedPoint("r2", 3)))
         assert analyze(cfg).euler_total == -5
 
@@ -208,7 +207,7 @@ class TestEulerAndSixTerm:
         cfg = load_corpus("xyz")
         rep = analyze(cfg)
         assert rep.bounds.betti_high == 1  # tight for the torus fiber
-        with_r = replace(cfg, isolated_points=(IsolatedPoint("r1", 4),))
+        with_r = cfg._replace(isolated_points=(IsolatedPoint("r1", 4),))
         assert analyze(with_r).bounds.betti_high == 1 + 4
 
     def test_even_dimension_signs(self):
@@ -232,14 +231,14 @@ class TestEulerAndSixTerm:
 
 class TestShortcut:
     def test_minus_id_component(self):
-        cfg = replace(empty_config(), components=(
+        cfg = empty_config()._replace(components=(
             CurveComponent("S", 1, 1, (matrix([[-1]]), matrix([[1]]))),))
         rep = analyze(cfg)
         assert rep.shortcut_agrees is True
         assert rep.lowest_group == FinAbGroup(0, ())
 
     def test_two_components(self):
-        cfg = replace(empty_config(), components=(
+        cfg = empty_config()._replace(components=(
             CurveComponent("A", 0, 2, ()), CurveComponent("B", 0, 3, ())))
         rep = analyze(cfg)
         assert rep.shortcut_agrees is True
@@ -257,11 +256,11 @@ class TestBounds:
         cfg = load_corpus("xyz")
         bounds = analyze(cfg).bounds
         assert bounds.lower_lowest == 2  # tight: equals the true rank
-        no_costalk = replace(cfg, special_points=tuple(
-            replace(q, costalk_rank=None) for q in cfg.special_points))
+        no_costalk = cfg._replace(special_points=tuple(
+            q._replace(costalk_rank=None) for q in cfg.special_points))
         assert analyze(no_costalk).bounds.lower_lowest is None
-        zero_costalk = replace(cfg, special_points=tuple(
-            replace(q, costalk_rank=0) for q in cfg.special_points))
+        zero_costalk = cfg._replace(special_points=tuple(
+            q._replace(costalk_rank=0) for q in cfg.special_points))
         assert analyze(zero_costalk).bounds.lower_lowest == bounds.upper_lowest
 
     @pytest.mark.parametrize("name,expected", [
@@ -283,10 +282,10 @@ class TestBounds:
             defect = rep.bounds.upper_lowest - b
             if cfg.special_points:
                 points = list(cfg.special_points)
-                points[0] = replace(points[0], costalk_rank=defect + rng.randrange(0, 2))
-                points[1:] = [replace(q, costalk_rank=rng.randrange(0, 2))
+                points[0] = points[0]._replace(costalk_rank=defect + rng.randrange(0, 2))
+                points[1:] = [q._replace(costalk_rank=rng.randrange(0, 2))
                               for q in points[1:]]
-                cfg = replace(cfg, special_points=tuple(points))
+                cfg = cfg._replace(special_points=tuple(points))
             else:
                 assert defect == 0
             bounds = analyze(cfg).bounds
@@ -294,7 +293,7 @@ class TestBounds:
             assert bounds.lower_lowest <= b <= min(bounds.upper_lowest, bounds.min_bound)
 
     def test_polar(self):
-        cfg = replace(empty_config(), polar_data=((4, 0), (2, 1)))
+        cfg = empty_config()._replace(polar_data=((4, 0), (2, 1)))
         assert analyze(cfg).bounds.polar == ((0, 4), (1, 3))
         assert analyze(empty_config()).bounds.polar == ()
 
@@ -309,7 +308,7 @@ class TestMonodromyChecks:
     def test_divisibility_failure(self):
         md = MonodromyData(IntPolynomial((1, 0, 1)),
                            (IntPolynomial((-1, 1)),) * 3)
-        cfg = replace(load_corpus("xyz"), monodromy_data=md)
+        cfg = load_corpus("xyz")._replace(monodromy_data=md)
         assert not analyze(cfg).monodromy.char_poly_divides
 
     def test_absent_without_data(self):
@@ -318,7 +317,7 @@ class TestMonodromyChecks:
 
 class TestAnalyze:
     def test_rejects_invalid(self):
-        cfg = replace(load_corpus("xyz"), n=4)
+        cfg = load_corpus("xyz")._replace(n=4)
         with pytest.raises(InvalidConfigurationError):
             analyze(cfg)
 
@@ -526,13 +525,12 @@ def test_json_matches_stdlib(table):
 
 def prefixed(cfg, tag):
     """`cfg` with every component, point and isolated id prefixed by `tag`."""
-    return replace(
-        cfg,
-        components=tuple(replace(c, id=tag + c.id) for c in cfg.components),
-        special_points=tuple(replace(q, id=tag + q.id, branches=tuple(
-            replace(b, component_id=tag + b.component_id) for b in q.branches))
+    return cfg._replace(
+        components=tuple(c._replace(id=tag + c.id) for c in cfg.components),
+        special_points=tuple(q._replace(id=tag + q.id, branches=tuple(
+            b._replace(component_id=tag + b.component_id) for b in q.branches))
             for q in cfg.special_points),
-        isolated_points=tuple(replace(r, id=tag + r.id) for r in cfg.isolated_points))
+        isolated_points=tuple(r._replace(id=tag + r.id) for r in cfg.isolated_points))
 
 
 class TestBlockSum:
@@ -552,12 +550,13 @@ class TestBlockSum:
         for _ in range(40):
             a = random_valid_config(rng, with_costalk=bool(rng.getrandbits(1)))
             b = random_valid_config(rng, with_costalk=bool(rng.getrandbits(1)))
-            a, b = (replace(prefixed(cfg, tag), n=a.n, original_n=a.original_n,
-                            original_s=a.original_s, polar_data=None, monodromy_data=None)
+            a, b = (prefixed(cfg, tag)._replace(n=a.n, original_n=a.original_n,
+                                                original_s=a.original_s, polar_data=None,
+                                                monodromy_data=None)
                     for cfg, tag in ((a, "a"), (b, "b")))
-            union = replace(a, components=a.components + b.components,
-                            special_points=a.special_points + b.special_points,
-                            isolated_points=a.isolated_points + b.isolated_points)
+            union = a._replace(components=a.components + b.components,
+                               special_points=a.special_points + b.special_points,
+                               isolated_points=a.isolated_points + b.isolated_points)
             ra, rb, ru = analyze(a), analyze(b), analyze(union)
 
             assert ranks(ru) == tuple(x + y for x, y in zip(ranks(ra), ranks(rb)))
@@ -712,8 +711,8 @@ class TestSinglePass:
 
     def test_euler_bookkeeping_fires(self, monkeypatch):
         original = vancoh.engine.component_cohomology
-        monkeypatch.setattr(vancoh.engine, "component_cohomology", lambda c, n: replace(
-            original(c, n), coker=FinAbGroup(0, ())))  # Z^1 for xyz
+        monkeypatch.setattr(vancoh.engine, "component_cohomology", lambda c, n: (
+            original(c, n)._replace(coker=FinAbGroup(0, ()))))  # Z^1 for xyz
         with pytest.raises(InternalDefectError) as info:
             analyze(load_corpus("xyz"))
         assert str(info.value) == (

@@ -65,7 +65,7 @@ def test_loader_digest():
     for _ in range(2000):
         result = parse_configuration(mutated_document(rng, docs))
         cfg = result.configuration
-        digest.update(json.dumps([[vars(v) for v in result.violations], result.unknown_keys,
+        digest.update(json.dumps([[v._asdict() for v in result.violations], result.unknown_keys,
                                   None if cfg is None else serialize_configuration(cfg)],
                                  sort_keys=True).encode())
     assert digest.hexdigest() == LOADER_DIGEST

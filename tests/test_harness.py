@@ -19,14 +19,20 @@ report and the corpus check read.  JSON is indented only by
 ``indent``, the stdlib's pure-Python path.  The test oracles import the
 standard library alone, so what the differential tests compare the
 elimination core against shares no code with it.  The library must parse
-under the oldest Python that pyproject.toml admits, and CI runs the tier-1
+under the oldest Python that pyproject.toml admits.  Its record types
+are built without generated code, which took about a third of
+``import vancoh.cli``: no library module imports `dataclasses`, and a
+fresh interpreter importing the command line loads neither `dataclasses`
+nor `inspect` beyond what `importlib.resources` loads.  CI runs the tier-1
 command of ROADMAP.md on each supported version, with the test
 dependencies that pyproject.toml's ``test`` extra lists."""
 
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -390,16 +396,21 @@ d = put(x, f, indent=4) + dumps(x, indent="\\t") + other.dumps(x, indent=2)
         "line 6: json.dumps", "line 7: json.dump", "line 9: json.dump", "line 9: json.dumps"]
 
 
-def outside_stdlib(source: str) -> list[str]:
-    """Each module a source imports by ``import`` or ``from ... import``
-    that is not in the standard library; a relative import names its dots."""
+def imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) for each module a source imports by ``import`` or
+    ``from ... import``, in order; a relative import names its dots."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found += [(node.lineno, alias.name) for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             found.append((node.lineno, "." * node.level + (node.module or "")))
-    return [f"line {line}: {module}" for line, module in sorted(found)
+    return sorted(found)
+
+
+def outside_stdlib(source: str) -> list[str]:
+    """Each module a source imports that is not in the standard library."""
+    return [f"line {line}: {module}" for line, module in imports(source)
             if module.split(".")[0] not in sys.stdlib_module_names]
 
 
@@ -423,6 +434,64 @@ from hypothesis import given
     assert outside_stdlib(planted) == [
         "line 3: vancoh.linalg", "line 5: vancoh", "line 6: .", "line 7: helpers",
         "line 8: hypothesis"]
+
+
+def imports_of(package: str, source: str) -> list[str]:
+    """Each import in a source of the top-level module `package` or of one
+    of its submodules; a relative import is a sibling's, not one of these."""
+    return [f"line {line}: {module}" for line, module in imports(source)
+            if module.split(".")[0] == package]
+
+
+def test_library_never_imports_dataclasses():
+    for path in LIBRARY.glob("**/*.py"):
+        assert imports_of("dataclasses", path.read_text()) == [], path.name
+
+
+def test_dataclasses_check_finds_planted_imports():
+    planted = """
+import dataclasses
+from dataclasses import dataclass, field
+import json, dataclasses as dc
+from . import dataclasses
+from .dataclasses import dataclass
+import dataclasses_json
+def f():
+    from dataclasses import replace
+"""
+    assert imports_of("dataclasses", planted) == [
+        "line 2: dataclasses", "line 3: dataclasses", "line 4: dataclasses",
+        "line 9: dataclasses"]
+
+
+# generated-code machinery that `import vancoh.cli` must not load
+MACHINERY = ("dataclasses", "inspect")
+
+
+def machinery_loaded(module: str, path: Path) -> list[str]:
+    """Those of MACHINERY that importing `module` from `path` loads in a
+    fresh interpreter, started with -S so that no site .pth file loads or
+    hides one.  `importlib.resources`, which `vancoh.corpus` reads and which
+    imports inspect itself from Python 3.12 on, is imported first, and what
+    it loads is not counted."""
+    code = ("import sys, importlib.resources; before = set(sys.modules); "
+            f"import {module}; print(*sorted(set({MACHINERY!r}).intersection(sys.modules) "
+            "- before))")
+    return subprocess.run([sys.executable, "-S", "-c", code], check=True, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(path)}).stdout.split()
+
+
+def test_cli_import_loads_no_generated_code_machinery():
+    assert machinery_loaded("vancoh.cli", LIBRARY.parent) == []
+
+
+def test_machinery_check_finds_planted_imports(tmp_path):
+    (tmp_path / "plain.py").write_text("import json, collections\n")
+    (tmp_path / "records.py").write_text("from dataclasses import dataclass\n")
+    assert machinery_loaded("plain", tmp_path) == []
+    # dataclasses imports inspect, which from 3.12 on is loaded beforehand
+    assert machinery_loaded("records", tmp_path) == (
+        ["dataclasses", "inspect"] if sys.version_info < (3, 12) else ["dataclasses"])
 
 
 def too_new(source: str, version: tuple[int, int]) -> str | None:

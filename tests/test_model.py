@@ -1,8 +1,8 @@
 import json
-from dataclasses import fields, replace
 
 import pytest
 
+import vancoh
 from vancoh import (Branch, CurveComponent, IsolatedPoint, SliceConfiguration, SpecialPoint,
                     branch_kernel, image, matrix, parse_configuration, serialize_configuration,
                     validate)
@@ -43,7 +43,7 @@ class TestValidate:
         bad = cfg.components[0]
         comps = (CurveComponent(bad.id, bad.genus, bad.transversal_rank,
                                 (matrix([[2]]),)),) + cfg.components[1:]
-        violations = validate(replace(cfg, components=comps))
+        violations = validate(cfg._replace(components=comps))
         assert [v.code for v in violations] == ["loop-not-unimodular"]
 
     def test_repeated_fault_reported_at_each_occurrence(self):
@@ -51,11 +51,10 @@ class TestValidate:
         # matrix is reported at each of them, in declaration order
         cfg = load_corpus("xyzu")
         two = matrix([[2]])
-        bad = replace(
-            cfg,
-            components=tuple(replace(c, loop_monodromies=(two,) * len(c.loop_monodromies))
+        bad = cfg._replace(
+            components=tuple(c._replace(loop_monodromies=(two,) * len(c.loop_monodromies))
                              for c in cfg.components),
-            special_points=tuple(replace(q, branches=tuple(replace(b, monodromy=two)
+            special_points=tuple(q._replace(branches=tuple(b._replace(monodromy=two)
                                                            for b in q.branches))
                                  for q in cfg.special_points))
         expected = ([("loop-not-unimodular", f"{c.id}[loop {w}]")
@@ -69,8 +68,8 @@ class TestValidate:
         # one 2x2 matrix under components of rank 2, 1 and 2: only the
         # rank-1 component's loop and branch have the wrong shape
         ident = IntegerMatrix.identity(2)
-        cfg = replace(
-            load_corpus("xyz"), monodromy_data=None, polar_data=None, isolated_points=(),
+        cfg = load_corpus("xyz")._replace(
+            monodromy_data=None, polar_data=None, isolated_points=(),
             components=(CurveComponent("S", 0, 2, (ident,)), CurveComponent("T", 0, 1, (ident,)),
                         CurveComponent("U", 0, 2, (ident,))),
             special_points=(
@@ -86,12 +85,12 @@ class TestValidate:
         repeated = matrix([[1, 1], [-1, -1], [0, 0]])  # rank 1 < fq_rank_low
         points = (SpecialPoint(q.id, q.branches, q.fq_rank_low, q.fq_rank_high,
                                repeated, q.costalk_rank),)
-        violations = validate(replace(cfg, special_points=points))
+        violations = validate(cfg._replace(special_points=points))
         assert [v.code for v in violations] == ["iota-not-injective"]
 
     def test_dimension_reduction(self):
         cfg = load_corpus("xyz")
-        broken = replace(cfg, n=4)
+        broken = cfg._replace(n=4)
         assert "dimension-reduction" in [v.code for v in validate(broken)]
 
     def test_duplicate_and_unknown_ids(self):
@@ -101,18 +100,18 @@ class TestValidate:
                                q.fq_rank_low, q.fq_rank_high, q.iota, q.costalk_rank),)
         comps = cfg.components[:2] + (CurveComponent(
             cfg.components[0].id, 0, 1, (matrix([[1]]),)),)
-        codes = [v.code for v in validate(replace(
-            cfg, components=comps, special_points=points, isolated_points=()))]
+        codes = [v.code for v in validate(cfg._replace(
+            components=comps, special_points=points, isolated_points=()))]
         assert "duplicate-id" in codes
         assert "unknown-component" in codes
 
     def test_polar_data_checks(self):
         cfg = load_corpus("quadric_power_2_2")
-        assert validate(replace(cfg, polar_data=((3, 1), (0, 0)))) == []
-        assert [v.code for v in validate(replace(cfg, polar_data=((3, -1),)))] \
+        assert validate(cfg._replace(polar_data=((3, 1), (0, 0)))) == []
+        assert [v.code for v in validate(cfg._replace(polar_data=((3, -1),)))] \
             == ["polar-negative"]
         too_long = ((1, 0),) * 3  # original_s = 2 allows k = 0, 1 only
-        assert [v.code for v in validate(replace(cfg, polar_data=too_long))] \
+        assert [v.code for v in validate(cfg._replace(polar_data=too_long))] \
             == ["polar-length"]
 
     def test_idempotent(self):
@@ -245,7 +244,7 @@ class TestRoundTrip:
 
     def test_isolated_points_required(self):
         cfg = load_corpus("xyz")
-        kept = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "isolated_points"}
+        kept = {f: getattr(cfg, f) for f in cfg._fields if f != "isolated_points"}
         with pytest.raises(TypeError):
             SliceConfiguration(**kept)
         doc = serialize_configuration(cfg)
@@ -267,3 +266,54 @@ class TestRoundTrip:
     def test_empty_iota_shapes(self):
         cfg = load_corpus("x2z_y2u")
         assert cfg.special_points[0].iota == IntegerMatrix.zeros(0, 0)
+
+
+# Every public class that is not an exception is an immutable record type.
+# The checked ones reject bad values however they are built, and are not
+# concatenated or repeated as the tuples they are.
+RECORD_TYPES = sorted(name for name in vancoh.__all__ if isinstance(getattr(vancoh, name), type)
+                      and not issubclass(getattr(vancoh, name), Exception))
+CHECKED = {"IntegerMatrix": {"rows": -1}, "FinAbGroup": {"torsion": (2, 3)},
+           "IntPolynomial": {"coeffs": (1, 0)},
+           "Report": {"validation": (vancoh.Violation("negative-rank", "S"),)}}
+
+
+def record_samples() -> dict:
+    """A fresh instance of each public record type, by name, most of them
+    from xyz."""
+    cfg = load_corpus("xyz")
+    v = vancoh.analyze(cfg)
+    q = cfg.special_points[0]
+    md = cfg.monodromy_data
+    return {"IntegerMatrix": q.iota, "FinAbGroup": vancoh.FinAbGroup(1, (2, 4)),
+            "Submodule": v.components[0].invariants, "IntPolynomial": md.char_poly,
+            "Branch": q.branches[0], "CurveComponent": cfg.components[0], "SpecialPoint": q,
+            "IsolatedPoint": IsolatedPoint("r1", 4), "EigenvalueData": md.eigen_dims[0],
+            "MonodromyData": md, "SliceConfiguration": cfg,
+            "Violation": vancoh.Violation("negative-rank", "S", "detail"),
+            "Bounds": v.bounds, "ComponentCohomology": v.components[0],
+            "MonodromyChecks": v.monodromy, "SixTermCheck": v.six_term, "VanishingReport": v,
+            "Report": vancoh.Report("xyz", (), v)}
+
+
+@pytest.mark.parametrize("name", RECORD_TYPES)
+def test_record_contract(name):
+    one, other = record_samples()[name], record_samples()[name]
+    cls = getattr(vancoh, name)
+    assert type(one) is cls and one is not other
+    assert one == other and hash(one) == hash(other)
+    for attribute in (cls._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(one, attribute, None)
+    assert type(one._replace()) is cls and one._replace() == one
+    bad = CHECKED.get(name)
+    if bad is not None:
+        values = {**one._asdict(), **bad}
+        for build in (lambda: cls(**values), lambda: one._replace(**bad),
+                      lambda: cls._make(values.values())):
+            with pytest.raises(ValueError):
+                build()
+        with pytest.raises(TypeError):
+            one + one
+        with pytest.raises(TypeError):
+            2 * one
