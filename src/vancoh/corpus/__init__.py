@@ -7,8 +7,6 @@ invariant upper bound.
 
 from __future__ import annotations
 
-from importlib import resources
-
 EXPECTED: dict[str, dict] = {
     # f = xyz on C^4: three planes meeting along a line; sliced to three
     # lines through one triple point; the lowest group is Z^2.
@@ -28,6 +26,12 @@ EXPECTED: dict[str, dict] = {
 
 
 def bundled():
-    """(name, path) pairs of the corpus files, in their canonical order."""
+    """(name, path) pairs of the corpus files, in their canonical order.
+
+    `importlib.resources` is imported here, not with the module: only the
+    corpus command reads the files, and the import is a large share of the
+    command line's start-up."""
+    from importlib import resources
+
     root = resources.files(__package__)
     return [(name, root / f"{name}.json") for name in EXPECTED]

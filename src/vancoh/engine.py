@@ -27,7 +27,7 @@ points, both compare the lowest rank with `upper`, the invariant ranks' sum.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import linalg, model
 from .linalg import FinAbGroup, IntegerMatrix, Submodule
@@ -50,60 +50,53 @@ class InvalidConfigurationError(ValueError):
         self.violations = list(violations)
 
 
-class ComponentCohomology(NamedTuple):
+class ComponentCohomology(namedtuple("ComponentCohomology",
+                                     "component_id invariants coker euler")):
     """Invariant submodule, monodromy cokernel and Euler number of one curve."""
 
-    component_id: str
-    invariants: Submodule
-    coker: FinAbGroup
-    euler: int
+    __slots__ = ()
 
 
-class SixTermCheck(NamedTuple):
+class SixTermCheck(namedtuple("SixTermCheck", "lowest_pair domain codomain top_pair middle "
+                              "branch_coker consistent")):
     """Ranks of the six-term exact sequence, with the top rank solved from
     exactness.  `consistent` is False when the input data force a negative
-    rank, i.e. the supplied Betti numbers are mutually contradictory."""
+    rank, i.e. the supplied Betti numbers are mutually contradictory.
 
-    lowest_pair: int      # rank of the lowest pair group (= rank ker j)
-    domain: int           # invariants plus special-point lower ranks
-    codomain: int         # sum of branch-kernel ranks
-    top_pair: int         # rank of the top pair group, solved from exactness
-    middle: int           # component cokernel free ranks plus upper ranks
-    branch_coker: int     # branch cokernel free ranks
-    consistent: bool
+    `lowest_pair` is the rank of the lowest pair group (= rank ker j);
+    `domain` counts the invariants plus the special points' lower ranks;
+    `codomain` is the sum of the branch-kernel ranks; `top_pair` is the
+    rank of the top pair group, solved from exactness; `middle` counts the
+    component cokernels' free ranks plus the upper ranks; `branch_coker`
+    counts the branch cokernels' free ranks.
+    """
+
+    __slots__ = ()
 
 
-class MonodromyChecks(NamedTuple):
+class MonodromyChecks(namedtuple("MonodromyChecks", "char_poly_divides eigen_dims_ok "
+                                 "jordan_sizes_ok", defaults=((), ()))):
     """Outcomes of the divisibility and eigenvalue/Jordan predicates."""
 
-    char_poly_divides: bool
-    eigen_dims_ok: tuple[tuple[str, bool], ...] = ()
-    jordan_sizes_ok: tuple[tuple[str, bool], ...] = ()
+    __slots__ = ()
 
 
-class Bounds(NamedTuple):
-    upper_lowest: int
-    lower_lowest: int | None
-    min_bound: int
-    betti_high: int
-    polar: tuple[tuple[int, int], ...] = ()
+class Bounds(namedtuple("Bounds", "upper_lowest lower_lowest min_bound betti_high polar",
+                        defaults=((),))):
+    __slots__ = ()
 
 
-class VanishingReport(NamedTuple):
-    """Everything the engine computes for one valid configuration."""
+class VanishingReport(namedtuple("VanishingReport", "lowest_group lowest_degree "
+                                 "original_degree g_rank i0_contribution components euler_total "
+                                 "six_term bounds monodromy shortcut_agrees j_matrix")):
+    """Everything the engine computes for one valid configuration.
 
-    lowest_group: FinAbGroup
-    lowest_degree: int            # degree n-2 in the sliced germ
-    original_degree: int          # degree original_n - original_s upstairs
-    g_rank: int
-    i0_contribution: tuple[tuple[str, int], ...]
-    components: tuple[ComponentCohomology, ...]
-    euler_total: int
-    six_term: SixTermCheck
-    bounds: Bounds
-    monodromy: MonodromyChecks | None
-    shortcut_agrees: bool | None  # only set when there are no special points
-    j_matrix: IntegerMatrix
+    `lowest_degree` is the degree n-2 in the sliced germ, `original_degree`
+    the degree original_n - original_s upstairs; `shortcut_agrees` is only
+    set when there are no special points.
+    """
+
+    __slots__ = ()
 
 
 def component_cohomology(c: CurveComponent, n: int) -> ComponentCohomology:

@@ -27,9 +27,9 @@ inputs always produce identical outputs.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence
 
 from .polynomial import IntPolynomial
 from .record import CheckedRecord
@@ -107,10 +107,8 @@ def matrix(rows: Sequence[Sequence[int]]) -> IntegerMatrix:
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-class SNFResult(NamedTuple):
-    u: IntegerMatrix
-    d: IntegerMatrix
-    v: IntegerMatrix
+class SNFResult(namedtuple("SNFResult", "u d v")):
+    __slots__ = ()
 
 
 def smith_normal_form(m: IntegerMatrix) -> SNFResult:
@@ -246,7 +244,7 @@ def is_unimodular(m: IntegerMatrix) -> bool:
     return len(pivots) == m.rows and all(c[row] == 1 for row, c in pivots)
 
 
-class Submodule(NamedTuple):
+class Submodule(namedtuple("Submodule", "basis")):
     """Sublattice of Z^ambient_rank, held as its canonical column-HNF basis.
 
     Canonicality turns submodule equality into plain matrix equality.  In
@@ -255,7 +253,7 @@ class Submodule(NamedTuple):
     always in Hermite form.
     """
 
-    basis: IntegerMatrix
+    __slots__ = ()
 
     @property
     def ambient_rank(self) -> int:

@@ -12,22 +12,19 @@ Configurations are immutable; `validate` returns violations as data.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import NamedTuple
+from collections import Counter, namedtuple
 
 from . import linalg
 from .linalg import IntegerMatrix, Submodule
-from .polynomial import IntPolynomial
 
 
-class Branch(NamedTuple):
+class Branch(namedtuple("Branch", "component_id monodromy")):
     """Local branch of a curve component at a special point."""
 
-    component_id: str
-    monodromy: IntegerMatrix
+    __slots__ = ()
 
 
-class CurveComponent(NamedTuple):
+class CurveComponent(namedtuple("CurveComponent", "id genus transversal_rank loop_monodromies")):
     """Irreducible curve of the sliced locus.
 
     `transversal_rank` is the rank of the middle cohomology of the
@@ -36,13 +33,11 @@ class CurveComponent(NamedTuple):
     (2*genus + total branch count, enforced at configuration level).
     """
 
-    id: str
-    genus: int
-    transversal_rank: int
-    loop_monodromies: tuple[IntegerMatrix, ...]
+    __slots__ = ()
 
 
-class SpecialPoint(NamedTuple):
+class SpecialPoint(namedtuple("SpecialPoint", "id branches fq_rank_low fq_rank_high iota "
+                              "costalk_rank", defaults=(None,))):
     """Intersection point of the sliced curve with a 1-dimensional stratum.
 
     `iota` is the matrix of the injection of the local Milnor fiber's lower
@@ -51,53 +46,36 @@ class SpecialPoint(NamedTuple):
     in declaration order.
     """
 
-    id: str
-    branches: tuple[Branch, ...]
-    fq_rank_low: int
-    fq_rank_high: int
-    iota: IntegerMatrix
-    costalk_rank: int | None = None
+    __slots__ = ()
 
 
-class IsolatedPoint(NamedTuple):
-    id: str
-    milnor_number: int
+class IsolatedPoint(namedtuple("IsolatedPoint", "id milnor_number")):
+    __slots__ = ()
 
 
-class EigenvalueData(NamedTuple):
+class EigenvalueData(namedtuple("EigenvalueData", "eigenvalue total components")):
     """Per-eigenvalue integers for the monodromy predicates (label is opaque)."""
 
-    eigenvalue: str
-    total: int
-    components: tuple[int, ...]
+    __slots__ = ()
 
 
-class MonodromyData(NamedTuple):
-    char_poly: IntPolynomial
-    component_char_polys: tuple[IntPolynomial, ...]
-    eigen_dims: tuple[EigenvalueData, ...] = ()
-    jordan_sizes: tuple[EigenvalueData, ...] = ()
+class MonodromyData(namedtuple("MonodromyData", "char_poly component_char_polys eigen_dims "
+                               "jordan_sizes", defaults=((), ()))):
+    __slots__ = ()
 
 
-class SliceConfiguration(NamedTuple):
+class SliceConfiguration(namedtuple("SliceConfiguration", "n original_n original_s components "
+                                    "special_points isolated_points polar_data monodromy_data",
+                                    defaults=(None, None))):
     """Complete validated input; root of every engine computation."""
 
-    n: int
-    original_n: int
-    original_s: int
-    components: tuple[CurveComponent, ...]
-    special_points: tuple[SpecialPoint, ...]
-    isolated_points: tuple[IsolatedPoint, ...]
-    polar_data: tuple[tuple[int, int], ...] | None = None
-    monodromy_data: MonodromyData | None = None
+    __slots__ = ()
 
 
-class Violation(NamedTuple):
+class Violation(namedtuple("Violation", "code subject detail", defaults=("",))):
     """One violated invariant: machine-readable code plus the offending id."""
 
-    code: str
-    subject: str
-    detail: str = ""
+    __slots__ = ()
 
 
 # A special point's branch kernels and iota echelon from validation; read, never changed.

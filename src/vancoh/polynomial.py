@@ -1,4 +1,5 @@
-"""Integer polynomials in one variable, with exact divisibility over Q[t].
+"""Integer polynomials in one variable, with exact divisibility over Q[t]
+decided in integer arithmetic.
 
 Coefficients are stored in ascending order: ``coeffs[k]`` multiplies t^k.
 """
@@ -6,8 +7,8 @@ Coefficients are stored in ascending order: ``coeffs[k]`` multiplies t^k.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
-from typing import Sequence
+from collections.abc import Sequence
+from math import gcd
 
 from .record import CheckedRecord
 
@@ -83,10 +84,13 @@ def poly_product(polys: Sequence[IntPolynomial]) -> IntPolynomial:
 
 
 def poly_divides(p: IntPolynomial, q: IntPolynomial) -> bool:
-    """True iff p divides q in Q[t] (long division over the rationals).
+    """True iff p divides q in Q[t], decided in Z[t].
 
-    For monic p this coincides with divisibility in Z[t], which is the case
-    of interest: characteristic polynomials of monodromies are monic.
+    By Gauss's lemma, p divides q in Q[t] exactly when the primitive part
+    of p (p over the gcd of its coefficients) divides q in Z[t], so the
+    long division by it stays in the integers: each quotient step must
+    divide exactly, or p does not divide q.  For monic p, the case of
+    interest for characteristic polynomials, this is divisibility in Z[t].
     Raises ValueError when q is zero.
     """
     if q.is_zero:
@@ -95,12 +99,15 @@ def poly_divides(p: IntPolynomial, q: IntPolynomial) -> bool:
         return False
     if p.degree > q.degree:
         return False
-    rem = [Fraction(c) for c in q.coeffs]
-    div = [Fraction(c) for c in p.coeffs]
+    g = gcd(*p.coeffs)
+    div = [c // g for c in p.coeffs]
+    rem = list(q.coeffs)
     lead = div[-1]
     for k in range(len(rem) - len(div), -1, -1):
-        factor = rem[k + len(div) - 1] / lead
+        factor, r = divmod(rem[k + len(div) - 1], lead)
+        if r:
+            return False
         if factor:
             for i, d in enumerate(div):
                 rem[k + i] -= factor * d
-    return all(c == 0 for c in rem)
+    return not any(rem)

@@ -8,6 +8,7 @@ import copy
 import inspect
 import json
 import random
+from itertools import combinations
 
 from vancoh import (Branch, CurveComponent, EigenvalueData, IntegerMatrix, IntPolynomial,
                     IsolatedPoint, SliceConfiguration, SpecialPoint, branch_kernel, linalg,
@@ -382,6 +383,51 @@ def dense_iota_config(rng: random.Random, mu: int, f1: int, f2: int, shared: int
             SpecialPoint(f"q{k}", (Branch("S", ident),), iota.cols, 0, iota)
             for k, iota in enumerate((iota1, iota2))),
         isolated_points=())
+
+
+def arrangement_document(m: int) -> dict:
+    """The configuration document of m >= 3 planes in general position
+    through a line of C^4, sliced to m generic lines S_i_j (the pairwise
+    intersections, transversal type A1, genus 0, one loop [[1]] per
+    point on them) meeting three at a time in the triple points q_i_j_k,
+    each locally xyz = 0.  Its lowest group is Z^(m-1), the first Betti
+    number of the Milnor fiber of a generic arrangement (Orlik and
+    Randell, "The Milnor fiber of a generic arrangement", 1993); m = 3 and
+    m = 4 are the corpus germs xyz and xyzu.
+
+    The sign pattern of iota is derived, not chosen.  Orient the vanishing
+    circle of S_a_b, a < b, as the loop on which x_a turns once forwards
+    and x_b once backwards; the branch monodromies are trivial, so this
+    is one orientation along the whole line.  At q_i_j_k, with i < j < k,
+    the Milnor fiber x_i x_j x_k = 1 is a 2-torus with H_1 spanned by the
+    loops g_i and g_j on which x_i or x_j turns and x_k compensates.  The
+    circles of S_i_j, S_i_k and S_j_k are g_i - g_j, g_i and g_j, so the
+    restriction to the three branches maps H^1 onto {a - b + c = 0},
+    which the columns of [[1, 0], [1, 1], [0, 1]] span.  A pattern that
+    no orientation of the lines produces gives wrong answers: xyz's own
+    iota at every point gives Z^0 from m = 5 on.
+
+    Built as plain JSON data: nothing here reaches vancoh."""
+    lines = list(combinations(range(1, m + 1), 2))
+    return {
+        "n": 3, "original_n": 3, "original_s": 2,
+        "components": [{"id": f"S_{a}_{b}", "genus": 0, "transversal_rank": 1,
+                        "loop_monodromies": [[[1]]] * (m - 2)} for a, b in lines],
+        "special_points": [
+            {"id": f"q_{i}_{j}_{k}",
+             "branches": [{"component_id": f"S_{a}_{b}", "monodromy": [[1]]}
+                          for a, b in ((i, j), (i, k), (j, k))],
+             "fq_rank_low": 2, "fq_rank_high": 1, "costalk_rank": 1,
+             "iota": [[1, 0], [1, 1], [0, 1]]}
+            for i, j, k in combinations(range(1, m + 1), 3)],
+        "isolated_points": [],
+    }
+
+
+def arrangement_config(m: int) -> SliceConfiguration:
+    result = parse_configuration(arrangement_document(m))
+    assert result.configuration is not None and not result.violations
+    return result.configuration
 
 
 def _iota_blocks(q: SpecialPoint) -> list[tuple[Branch, IntegerMatrix]]:

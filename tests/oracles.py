@@ -137,7 +137,9 @@ def is_saturated(rows: list[list[int]]) -> bool:
 
 
 def rational_rank(rows: list[list[int]]) -> int:
-    """Rank over Q by straightforward Gaussian elimination."""
+    """Rank over Q by straightforward Gaussian elimination: each pivot row,
+    scaled to a leading 1, is subtracted from the rows below it at its
+    nonzero entries only, which keeps large sparse matrices cheap."""
     a = [[Fraction(x) for x in r] for r in rows]
     nrows = len(a)
     ncols = len(a[0]) if a else 0
@@ -147,12 +149,12 @@ def rational_rank(rows: list[list[int]]) -> int:
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        entries = [(c, y / a[r][col]) for c, y in enumerate(a[r]) if y]
+        for row in a[r + 1:]:
+            f = row[col]
+            if f:
+                for c, y in entries:
+                    row[c] -= f * y
         r += 1
         if r == nrows:
             break
@@ -209,6 +211,20 @@ def _poly_mul(p, q):
 
 def _poly_scale(p, c):
     return tuple(c * x for x in p)
+
+
+def rational_divides(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
+    """True iff p divides the nonzero q in Q[t], coefficients ascending, by
+    long division over the rationals; a zero p divides nothing."""
+    if not any(p) or len(p) > len(q):
+        return False
+    rem = [Fraction(c) for c in q]
+    div = [Fraction(c) for c in p]
+    for k in range(len(rem) - len(div), -1, -1):
+        factor = rem[k + len(div) - 1] / div[-1]
+        for i, d in enumerate(div):
+            rem[k + i] -= factor * d
+    return not any(rem)
 
 
 def charpoly_cofactor(rows: list[list[int]]) -> tuple[int, ...]:

@@ -9,17 +9,17 @@ from vancoh import (Branch, CurveComponent, FinAbGroup, IntegerMatrix, IsolatedP
                     MonodromyData, Report, SliceConfiguration, SpecialPoint, analyze,
                     component_cohomology, matrix, parse_configuration,
                     serialize_configuration)
-from vancoh.corpus import bundled
+from vancoh.corpus import EXPECTED, bundled
 from vancoh.engine import InternalDefectError, InvalidConfigurationError
 from vancoh.linalg import image
 from vancoh.loader import load_bytes
 from vancoh.polynomial import IntPolynomial
-from vancoh.report import render_json, report_to_dict
+from vancoh.report import format_group, render_json, report_to_dict
 
 import oracles
-from helpers import (conjugate_component, count_calls, dense_iota_config, load_corpus,
-                     permute_config, pipeline_documents, rand_unimodular, random_valid_config,
-                     record_echelons, report_signature)
+from helpers import (arrangement_config, conjugate_component, count_calls, dense_iota_config,
+                     load_corpus, permute_config, pipeline_documents, rand_unimodular,
+                     random_valid_config, record_echelons, report_signature)
 
 
 def empty_config(n=3):
@@ -344,17 +344,21 @@ def _empty_points_config():
         isolated_points=())
 
 
-SOURCES = {"corpus": 6, "hand": 3, "random": 300, "dense-iota": 4, "pipeline": 327}
+SOURCES = {"corpus": 6, "hand": 3, "arrangement": 6, "random": 300, "dense-iota": 4,
+           "pipeline": 327}
+ARRANGEMENT_SIZES = range(3, 9)
 
 
 def source_configs(source):
     """The corpus; two empty configurations and one with empty iota blocks;
-    seeded random or dense-iota draws; or every valid document of the
-    pipeline set."""
+    generic arrangements of 3 to 8 planes; seeded random or dense-iota
+    draws; or every valid document of the pipeline set."""
     if source == "corpus":
         return [load_corpus(name) for name, _ in bundled()]
     if source == "hand":
         return [empty_config(3), empty_config(4), _empty_points_config()]
+    if source == "arrangement":
+        return [arrangement_config(m) for m in ARRANGEMENT_SIZES]
     rng = random.Random(7)
     if source == "random":
         return [random_valid_config(rng, max_rank=5, with_costalk=bool(k % 2))
@@ -406,6 +410,22 @@ def test_matches_reference(table):
         assert rep.g_rank == oracles.reference_interaction(cfg), cfg
     # the pipeline set holds one document whose monodromies are inconsistent
     assert defects == (1 if source == "pipeline" else 0)
+
+
+def test_arrangement_answer():
+    """m planes in general position give Z^(m-1), by `analyze` and by the
+    reference alike."""
+    for m, cfg in zip(ARRANGEMENT_SIZES, source_configs("arrangement"), strict=True):
+        assert analyze(cfg).lowest_group == FinAbGroup(m - 1, ()), m
+        assert oracles.reference_lowest(cfg) == m - 1, m
+
+
+@pytest.mark.parametrize("m,name", [(3, "xyz"), (4, "xyzu")])
+def test_arrangement_matches_corpus(m, name):
+    rep = analyze(arrangement_config(m))
+    assert {"group": format_group(rep.lowest_group), "domain": rep.six_term.domain,
+            "codomain": rep.six_term.codomain, "kernel": rep.six_term.lowest_pair,
+            "upper": rep.bounds.upper_lowest} == EXPECTED[name]
 
 
 def test_always_free(table):

@@ -20,11 +20,14 @@ report and the corpus check read.  JSON is indented only by
 standard library alone, so what the differential tests compare the
 elimination core against shares no code with it.  The library must parse
 under the oldest Python that pyproject.toml admits.  Its record types
-are built without generated code, which took about a third of
-``import vancoh.cli``: no library module imports `dataclasses`, and a
-fresh interpreter importing the command line loads neither `dataclasses`
-nor `inspect` beyond what `importlib.resources` loads.  CI runs the tier-1
-command of ROADMAP.md on each supported version, with the test
+are plain `collections.namedtuple` subclasses and its arithmetic stays in
+the integers, so that ``import vancoh.cli`` loads only what the command
+line needs: no library module imports `dataclasses`, `typing` or
+`fractions`, and a fresh interpreter importing the command line loads
+none of `dataclasses`, `inspect`, `typing`, `fractions`, `decimal` or
+`importlib.resources`; the corpus command, the one reader of the bundled
+files, imports the last itself, and runs without `site`.  CI runs the
+tier-1 command of ROADMAP.md on each supported version, with the test
 dependencies that pyproject.toml's ``test`` extra lists."""
 
 import ast
@@ -443,9 +446,10 @@ def imports_of(package: str, source: str) -> list[str]:
             if module.split(".")[0] == package]
 
 
-def test_library_never_imports_dataclasses():
+def test_library_never_imports_dataclasses_typing_or_fractions():
     for path in LIBRARY.glob("**/*.py"):
-        assert imports_of("dataclasses", path.read_text()) == [], path.name
+        for package in ("dataclasses", "typing", "fractions"):
+            assert imports_of(package, path.read_text()) == [], (path.name, package)
 
 
 def test_dataclasses_check_finds_planted_imports():
@@ -464,19 +468,17 @@ def f():
         "line 9: dataclasses"]
 
 
-# generated-code machinery that `import vancoh.cli` must not load
-MACHINERY = ("dataclasses", "inspect")
+# what `import vancoh.cli` must not load: generated-code machinery, `typing`,
+# the rational number tower, and `importlib.resources`
+MACHINERY = ("dataclasses", "inspect", "typing", "importlib.resources", "fractions", "decimal")
 
 
 def machinery_loaded(module: str, path: Path) -> list[str]:
     """Those of MACHINERY that importing `module` from `path` loads in a
     fresh interpreter, started with -S so that no site .pth file loads or
-    hides one.  `importlib.resources`, which `vancoh.corpus` reads and which
-    imports inspect itself from Python 3.12 on, is imported first, and what
-    it loads is not counted."""
-    code = ("import sys, importlib.resources; before = set(sys.modules); "
-            f"import {module}; print(*sorted(set({MACHINERY!r}).intersection(sys.modules) "
-            "- before))")
+    hides one."""
+    code = (f"import sys; import {module}; "
+            f"print(*sorted(set({MACHINERY!r}).intersection(sys.modules)))")
     return subprocess.run([sys.executable, "-S", "-c", code], check=True, capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(path)}).stdout.split()
 
@@ -486,12 +488,29 @@ def test_cli_import_loads_no_generated_code_machinery():
 
 
 def test_machinery_check_finds_planted_imports(tmp_path):
-    (tmp_path / "plain.py").write_text("import json, collections\n")
-    (tmp_path / "records.py").write_text("from dataclasses import dataclass\n")
+    planted = {"plain": "import json, collections, collections.abc, math\n",
+               "records": "from dataclasses import dataclass\n",
+               "typed": "import typing\n",
+               "rational": "from fractions import Fraction\n",
+               "bundled": "from importlib import resources\n"}
+    for name, source in planted.items():
+        (tmp_path / f"{name}.py").write_text(source)
     assert machinery_loaded("plain", tmp_path) == []
-    # dataclasses imports inspect, which from 3.12 on is loaded beforehand
-    assert machinery_loaded("records", tmp_path) == (
-        ["dataclasses", "inspect"] if sys.version_info < (3, 12) else ["dataclasses"])
+    # each planted import is caught, with whatever it loads in turn
+    assert {"dataclasses", "inspect"} <= set(machinery_loaded("records", tmp_path))
+    assert "typing" in machinery_loaded("typed", tmp_path)
+    assert "fractions" in machinery_loaded("rational", tmp_path)
+    assert "importlib.resources" in machinery_loaded("bundled", tmp_path)
+
+
+def test_corpus_command_runs_without_site():
+    # the corpus command imports importlib.resources itself, under -S too
+    done = subprocess.run([sys.executable, "-S", "-m", "vancoh.cli", "corpus"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(LIBRARY.parent)})
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 6 and all(re.fullmatch(r"corpus \w+: ok \(.*\)", x) for x in lines)
 
 
 def too_new(source: str, version: tuple[int, int]) -> str | None:

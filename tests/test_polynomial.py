@@ -1,7 +1,11 @@
+from itertools import zip_longest
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vancoh.polynomial import IntPolynomial, poly_divides, poly_product
+
+import oracles
 
 
 def P(*coeffs):
@@ -95,3 +99,31 @@ def test_property_division_evaluation(q, p):
         for t in range(-4, 5):
             if pp(t) != 0:
                 assert (lead ** k * pq(t)) % pp(t) == 0
+
+
+COEFFS = st.one_of(st.integers(-6, 6), st.integers(-2 ** 200, 2 ** 200))
+POLYS = st.lists(COEFFS, min_size=1, max_size=4).map(IntPolynomial.from_coeffs)
+SCALARS = st.sampled_from([1, -1, 2, -2, 6, -(2 ** 200)])
+
+
+def plus(p, q):
+    return IntPolynomial.from_coeffs([a + b for a, b in zip_longest(p.coeffs, q.coeffs,
+                                                                  fillvalue=0)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(POLYS, POLYS, st.one_of(st.just(P()), POLYS), SCALARS, SCALARS)
+@example(P(-1, 1), P(1, 1), P(), 2, 1)    # 2t - 2 divides t^2 - 1 over Q, not over Z
+@example(P(1, -1), P(1, 1), P(), -3, 2)   # negative leading coefficient
+@example(P(1), P(0, 1), P(1), 7, 1)       # a constant divides everything
+@example(P(-1, 1), P(1, 1), P(1), 2, 1)   # 2t - 2 does not divide t^2
+def test_property_divides_matches_rational_reference(base, cofactor, offset, c1, c2):
+    """`poly_divides` equals long division over Q for the divisor
+    c1 * base, non-monic, non-primitive or with a negative leading
+    coefficient as c1 and base fall, and the dividend
+    c2 * base * cofactor + offset, a product whenever offset is 0."""
+    p = base * P(c1)
+    q = plus(base * cofactor * P(c2), offset)
+    if q.is_zero:
+        return
+    assert poly_divides(p, q) == oracles.rational_divides(p.coeffs, q.coeffs)
