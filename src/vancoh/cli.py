@@ -30,17 +30,16 @@ def _file_report(path: str, *, strict: bool, costalk_required: bool,
     if result is None:
         return Report("unreadable", (Violation("unreadable-file", "document", error),), None)
     digest = result.input_sha256
-    violations = list(result.violations)
-    warnings: tuple[str, ...] = ()
+    violations, warnings = result.violations, ()
     if result.unknown_keys:
         if strict:
-            violations.extend(Violation("unknown-key", key, "unknown key in strict mode")
-                              for key in result.unknown_keys)
+            violations += tuple(Violation("unknown-key", key, "unknown key in strict mode")
+                                for key in result.unknown_keys)
         else:
-            warnings = tuple(result.unknown_keys)
+            warnings = result.unknown_keys
     report = partial(Report, digest[:12], warnings=warnings, input_sha256=digest)
     if violations:
-        return report(tuple(violations), None)
+        return report(violations, None)
     # A document without structural violations always assembles.
     cfg = result.configuration
     missing = [Violation("missing-costalk", q.id,

@@ -74,15 +74,14 @@ class SixTermCheck(namedtuple("SixTermCheck", "lowest_pair domain codomain top_p
     __slots__ = ()
 
 
-class MonodromyChecks(namedtuple("MonodromyChecks", "char_poly_divides eigen_dims_ok "
-                                 "jordan_sizes_ok", defaults=((), ()))):
+class MonodromyChecks(namedtuple("MonodromyChecks",
+                                 "char_poly_divides eigen_dims_ok jordan_sizes_ok")):
     """Outcomes of the divisibility and eigenvalue/Jordan predicates."""
 
     __slots__ = ()
 
 
-class Bounds(namedtuple("Bounds", "upper_lowest lower_lowest min_bound betti_high polar",
-                        defaults=((),))):
+class Bounds(namedtuple("Bounds", "upper_lowest lower_lowest min_bound betti_high polar")):
     __slots__ = ()
 
 

@@ -14,14 +14,16 @@ Parsing never throws on bad content, from the raw bytes on: problems come
 back as violations, one per malformed position or one for a document that
 does not decode, so a batch run can keep going on the other inputs.
 Unknown keys are collected separately; strict mode turns them into
-violations.  `load_path` is the one reader of a file, and `load_bytes` of
-a document's bytes, which it hashes.
+violations.  `parse_configuration` builds one immutable `ParseResult` from
+what the readers append; `load_path` is the one reader of a file, and
+`load_bytes` of a document's bytes, which it hashes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import namedtuple
 
 from .linalg import IntegerMatrix, matrix
 from .model import (Branch, CurveComponent, EigenvalueData, IsolatedPoint, MonodromyData,
@@ -29,24 +31,22 @@ from .model import (Branch, CurveComponent, EigenvalueData, IsolatedPoint, Monod
 from .polynomial import IntPolynomial
 
 
-class ParseResult:
-    def __init__(self, configuration: SliceConfiguration | None, violations: list[Violation],
-                 unknown_keys: list[str], input_sha256: str = ""):
-        self.configuration, self.violations = configuration, violations
-        self.unknown_keys, self.input_sha256 = unknown_keys, input_sha256
+class ParseResult(namedtuple("ParseResult", "configuration violations unknown_keys input_sha256",
+                             defaults=("",))):
+    """A parsed document; `violations` and `unknown_keys` are tuples."""
 
-    def __eq__(self, other):  # by value; parsing fills the fields in as it goes
-        return type(other) is ParseResult and vars(self) == vars(other)
+    __slots__ = ()
 
 
-def _bad(r: ParseResult, path: str, detail: str) -> None:
-    r.violations.append(Violation("malformed-document", path, detail))
+def _bad(found, path: str, detail: str) -> None:
+    found[0].append(Violation("malformed-document", path, detail))
 
 
-# Kinds of value.  `read(r, value, path)` returns the parsed value, or
-# reports each malformed position in `r` and returns None; a configuration
-# is only assembled from a document with no violations, so those Nones are
-# never seen.  `write(parsed)` gives the plain JSON form back.
+# Kinds of value.  `read(found, value, path)` returns the parsed value, or
+# appends each malformed position to `found`, the (violations, unknown key
+# paths) pair of lists, and returns None; a configuration is only assembled
+# from a document with no violations, so those Nones are never seen.
+# `write(parsed)` gives the plain JSON form back.
 
 def _is_int_list(value) -> bool:
     return isinstance(value, list) and all(type(x) is int for x in value)
@@ -62,14 +62,14 @@ class _Leaf:
     def __init__(self, detail: str, ok, build=_same, write=_same):
         self.detail, self.ok, self.build, self.write = detail, ok, build, write
 
-    def read(self, r: ParseResult, value, path: str):
+    def read(self, found, value, path: str):
         try:
             if self.ok(value):
                 return self.build(value)
             detail = self.detail
         except ValueError as exc:
             detail = str(exc)
-        _bad(r, path, detail)
+        _bad(found, path, detail)
         return None
 
 
@@ -94,12 +94,12 @@ class _ListOf:
     def __init__(self, item, detail: str):
         self.item, self.detail = item, detail
 
-    def read(self, r: ParseResult, value, path: str):
+    def read(self, found, value, path: str):
         if not isinstance(value, list):
-            _bad(r, path, self.detail)
+            _bad(found, path, self.detail)
             return None
         read = self.item.read
-        return tuple([read(r, x, f"{path}[{i}]") for i, x in enumerate(value)])
+        return tuple([read(found, x, f"{path}[{i}]") for i, x in enumerate(value)])
 
     def write(self, values) -> list:
         return [self.item.write(x) for x in values]
@@ -118,20 +118,20 @@ class _Record:
         self.fields = [(key, kind, defaults[key]) for key, kind in table]
         self.keys = frozenset(key for key, _ in table)
 
-    def read(self, r: ParseResult, value, path: str):
+    def read(self, found, value, path: str):
         if not isinstance(value, dict):
-            _bad(r, path, "expected an object")
+            _bad(found, path, "expected an object")
             return None
         prefix = f"{path}." if path else ""
         keys = self.keys
         if not keys.issuperset(value):
-            r.unknown_keys.extend(f"{prefix}{key}" for key in value if key not in keys)
+            found[1].extend(f"{prefix}{key}" for key in value if key not in keys)
         args = {}
         for key, kind, default in self.fields:
             if key in value:
-                args[key] = kind.read(r, value[key], prefix + key)
+                args[key] = kind.read(found, value[key], prefix + key)
             elif default is _REQUIRED:
-                _bad(r, prefix + key, "missing required key")
+                _bad(found, prefix + key, "missing required key")
                 args[key] = None
             else:
                 args[key] = default
@@ -186,13 +186,12 @@ def parse_configuration(doc) -> ParseResult:
     """Build a configuration from a decoded document.
 
     Returns the configuration (or None if it could not be assembled), the
-    structural violations, and the list of unknown key paths.
+    structural violations and the unknown key paths, built once as tuples
+    from the two lists the readers append to.
     """
-    result = ParseResult(None, [], [])
-    cfg = _CONFIGURATION.read(result, doc, "")
-    if not result.violations:
-        result.configuration = cfg
-    return result
+    violations, unknown_keys = found = [], []
+    cfg = _CONFIGURATION.read(found, doc, "")
+    return ParseResult(None if violations else cfg, tuple(violations), tuple(unknown_keys))
 
 
 def serialize_configuration(cfg: SliceConfiguration) -> dict:
@@ -218,18 +217,18 @@ def load_path(path) -> tuple[ParseResult | None, str | None]:
 def load_bytes(raw: bytes) -> ParseResult:
     """Hash, decode and parse a document's bytes.
 
-    The result carries the bytes' sha256 hex digest, also when they do not
-    decode.  A decoder failure is the result's one `malformed-document`
-    violation at `document`, never an exception: bad UTF-8 or JSON and
-    integer literals past the interpreter's digit limit (all ValueError),
-    and nesting too deep for the decoder (RecursionError).
+    The result, built once, is copied once with the bytes' sha256 hex
+    digest, also when they do not decode.  A decoder failure is the
+    result's one `malformed-document` violation at `document`, never an
+    exception: bad UTF-8 or JSON and integer literals past the
+    interpreter's digit limit (all ValueError), and nesting too deep for
+    the decoder (RecursionError).
     """
     try:
         doc = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
-        result = ParseResult(None, [], [])
-        _bad(result, "document", f"malformed document: {exc}")
+        result = ParseResult(None, (Violation("malformed-document", "document",
+                                              f"malformed document: {exc}"),), ())
     else:
         result = parse_configuration(doc)
-    result.input_sha256 = hashlib.sha256(raw).hexdigest()
-    return result
+    return result._replace(input_sha256=hashlib.sha256(raw).hexdigest())

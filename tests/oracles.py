@@ -87,21 +87,25 @@ def hermite_columns(rows: list[list[int]]) -> list[list[int]]:
     for row in range(nrows):
         if done == len(cols):
             break
+        # Every column from `done` on is zero above `row`: each earlier row
+        # either got a pivot, whose step zeroed the later columns there, or
+        # was zero in all of them.  So only the entries from `row` down move.
         head = cols[done]
-        for j in range(done + 1, len(cols)):
-            a, b = head[row], cols[j][row]
+        for other in cols[done + 1:]:
+            a, b = head[row], other[row]
             if b:
                 g, x, y = _ext_gcd(a, b)
-                other = cols[j]
-                head, cols[j] = ([x * u + y * v for u, v in zip(head, other)],
-                                 [(a // g) * v - (b // g) * u for u, v in zip(head, other)])
+                h, o = head[row:], other[row:]
+                head[row:] = [x * u + y * v for u, v in zip(h, o)]
+                other[row:] = [(a // g) * v - (b // g) * u for u, v in zip(h, o)]
         if head[row] < 0:
-            head = [-u for u in head]
-        cols[done] = head
+            head[row:] = [-u for u in head[row:]]
         if head[row]:
-            for i in range(done):
-                q = cols[i][row] // head[row]
-                cols[i] = [u - q * v for u, v in zip(cols[i], head)]
+            pivot, tail = head[row], head[row:]
+            for c in cols[:done]:
+                q = c[row] // pivot
+                if q:
+                    c[row:] = [u - q * v for u, v in zip(c[row:], tail)]
             done += 1
     return [[c[i] for c in cols[:done]] for i in range(nrows)]
 

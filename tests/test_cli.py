@@ -142,14 +142,14 @@ class TestLoader:
     def test_decoder_failure_is_one_violation(self, raw):
         result = load_bytes(raw)
         assert isinstance(result, ParseResult)
-        assert result.configuration is None and result.unknown_keys == []
+        assert result.configuration is None and result.unknown_keys == ()
         [v] = result.violations
         assert (v.code, v.subject) == ("malformed-document", "document")
         assert v.detail.startswith("malformed document: ")
 
     def test_non_object_top_level_keeps_its_violation(self):
         result = load_bytes(DECODER["non-object"])
-        assert result.configuration is None and result.unknown_keys == []
+        assert result.configuration is None and result.unknown_keys == ()
         assert [(v.code, v.subject, v.detail) for v in result.violations] == [
             ("malformed-document", "", "expected an object")]
 
@@ -391,7 +391,7 @@ def test_unknown_keys(table):
             default, strict = doc.runs[command, "default"], doc.runs[command, "strict"]
             assert (default.report.warnings, strict.report.warnings) == (tuple(keys), ())
             if keys:
-                assert list(strict.report.validation) == doc.parsed.violations + [
+                assert list(strict.report.validation) == list(doc.parsed.violations) + [
                     Violation("unknown-key", key, "unknown key in strict mode") for key in keys]
             else:
                 assert (strict.status, strict.json) == (default.status, default.json)
@@ -418,7 +418,7 @@ def test_round_trip(table):
         cfg = doc.parsed.configuration
         if cfg is not None:
             again = parse_configuration(json.loads(json.dumps(serialize_configuration(cfg))))
-            assert (again.configuration, again.violations, again.unknown_keys) == (cfg, [], [])
+            assert (again.configuration, again.violations, again.unknown_keys) == (cfg, (), ())
 
 
 def test_rank_rule(table):

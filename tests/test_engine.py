@@ -344,14 +344,14 @@ def _empty_points_config():
         isolated_points=())
 
 
-SOURCES = {"corpus": 6, "hand": 3, "arrangement": 6, "random": 300, "dense-iota": 4,
+SOURCES = {"corpus": 6, "hand": 3, "arrangement": 7, "random": 300, "dense-iota": 4,
            "pipeline": 327}
-ARRANGEMENT_SIZES = range(3, 9)
+ARRANGEMENT_SIZES = range(3, 10)
 
 
 def source_configs(source):
     """The corpus; two empty configurations and one with empty iota blocks;
-    generic arrangements of 3 to 8 planes; seeded random or dense-iota
+    generic arrangements of 3 to 9 planes; seeded random or dense-iota
     draws; or every valid document of the pipeline set."""
     if source == "corpus":
         return [load_corpus(name) for name, _ in bundled()]
@@ -530,7 +530,7 @@ def test_round_trip(table):
         doc = json.loads(json.dumps(serialize_configuration(cfg)))
         reparsed = parse_configuration(doc)
         assert (reparsed.configuration, reparsed.violations, reparsed.unknown_keys) == (
-            cfg, [], [])
+            cfg, (), ())
 
 
 def test_json_matches_stdlib(table):

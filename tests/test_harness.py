@@ -567,6 +567,12 @@ def test_ci_runs_tier1_on_each_supported_version():
     assert versions == ["3.10", "3.11", "3.12", "3.13", "3.14"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
     assert runs[-1] == tier1_command()
+    # the benchmark's known answers are checked once, on 3.11, just before
+    # tier-1, and fail the job unless every record of the last line is correct
+    [bench] = [step for step in job["steps"] if "bench/run.py" in step.get("run", "")]
+    assert bench["if"] == "matrix.python-version == '3.11'" and runs[-2] == bench["run"]
+    assert "python bench/run.py --workload all --seed 23 --seconds 1 | tail -n 1" in bench["run"]
+    assert "all(r['correct'] for r in records)" in bench["run"]
     # CI installs exactly the test extra, so an install of .[test] runs
     # every test CI runs
     [install] = [run.split("pip install", 1)[1].split() for run in runs if "pip install" in run]

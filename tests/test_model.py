@@ -6,7 +6,7 @@ import vancoh
 from vancoh import (Branch, CurveComponent, IsolatedPoint, SliceConfiguration, SpecialPoint,
                     branch_kernel, image, matrix, parse_configuration, serialize_configuration,
                     validate)
-from vancoh import loader
+from vancoh import linalg, loader
 from vancoh.corpus import bundled
 from vancoh.linalg import IntegerMatrix
 
@@ -217,19 +217,19 @@ class TestRoundTrip:
         ]
         assert [(v.code, v.subject, v.detail) for v in result.violations] \
             == [("malformed-document", path, detail) for path, detail in expected]
-        assert result.unknown_keys == [
+        assert result.unknown_keys == (
             "surprise", "components[0].colour", "special_points[0].branches[0].twist",
             "isolated_points[0].depth", "monodromy_data.note",
             "monodromy_data.eigen_dims[1].extra", "monodromy_data.eigen_dims[2].weight",
-            "monodromy_data.jordan_sizes[0].weight"]
+            "monodromy_data.jordan_sizes[0].weight")
         result = parse_configuration(dict(doc, monodromy_data=[]))
         assert [(v.subject, v.detail) for v in result.violations] \
             == [(path, detail) for path, detail in expected
                 if not path.startswith("monodromy_data")] \
             + [("monodromy_data", "expected an object")]
-        assert result.unknown_keys == [
+        assert result.unknown_keys == (
             "surprise", "components[0].colour", "special_points[0].branches[0].twist",
-            "isolated_points[0].depth"]
+            "isolated_points[0].depth")
 
     def test_non_object_record_reported_at_its_index(self):
         # the other items of the list are still read
@@ -260,7 +260,7 @@ class TestRoundTrip:
         doc = serialize_configuration(load_corpus("xyz"))
         doc["special_points"][0]["costalk_rank"] = None
         result = parse_configuration(doc)
-        assert result.violations == []
+        assert result.violations == ()
         assert result.configuration.special_points[0].costalk_rank is None
 
     def test_empty_iota_shapes(self):
@@ -268,11 +268,15 @@ class TestRoundTrip:
         assert cfg.special_points[0].iota == IntegerMatrix.zeros(0, 0)
 
 
-# Every public class that is not an exception is an immutable record type.
-# The checked ones reject bad values however they are built, and are not
-# concatenated or repeated as the tuples they are.
-RECORD_TYPES = sorted(name for name in vancoh.__all__ if isinstance(getattr(vancoh, name), type)
-                      and not issubclass(getattr(vancoh, name), Exception))
+# Every record type that a public function returns is immutable: each public
+# class that is not an exception, and the results of `load_bytes` and
+# `smith_normal_form`.  The checked ones reject bad values however they are
+# built, and are not concatenated or repeated as the tuples they are.
+RECORDS = {name: getattr(vancoh, name) for name in vancoh.__all__
+           if isinstance(getattr(vancoh, name), type)
+           and not issubclass(getattr(vancoh, name), Exception)}
+RECORDS.update(ParseResult=loader.ParseResult, SNFResult=linalg.SNFResult)
+RECORD_TYPES = sorted(RECORDS)
 CHECKED = {"IntegerMatrix": {"rows": -1}, "FinAbGroup": {"torsion": (2, 3)},
            "IntPolynomial": {"coeffs": (1, 0)},
            "Report": {"validation": (vancoh.Violation("negative-rank", "S"),)}}
@@ -293,13 +297,15 @@ def record_samples() -> dict:
             "Violation": vancoh.Violation("negative-rank", "S", "detail"),
             "Bounds": v.bounds, "ComponentCohomology": v.components[0],
             "MonodromyChecks": v.monodromy, "SixTermCheck": v.six_term, "VanishingReport": v,
-            "Report": vancoh.Report("xyz", (), v)}
+            "Report": vancoh.Report("xyz", (), v),
+            "ParseResult": vancoh.load_bytes(dict(bundled())["xyz"].read_bytes()),
+            "SNFResult": vancoh.smith_normal_form(q.iota)}
 
 
 @pytest.mark.parametrize("name", RECORD_TYPES)
 def test_record_contract(name):
     one, other = record_samples()[name], record_samples()[name]
-    cls = getattr(vancoh, name)
+    cls = RECORDS[name]
     assert type(one) is cls and one is not other
     assert one == other and hash(one) == hash(other)
     for attribute in (cls._fields[0], "extra"):
