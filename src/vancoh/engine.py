@@ -5,17 +5,11 @@ locus, this module assembles the matrix of the Mayer-Vietoris comparison
 map j from component invariants and special-point cohomology into the
 branch kernels.  The lowest group is ker j, a free group, so only its rank
 is computed, by rank-nullity from the rank of j; no kernel basis is built.
-`linalg.rank` reads that rank from the column echelon of j's transpose:
-it hands j's rows to the elimination as its columns, so the echelon
-walks j's columns in layout order: the invariant columns, which hold
-small coordinates in the rows of their component's branches only, pivot
-before the dense -iota columns, whereas the echelon of j meets a dense
--iota row in every row of j and needs more column operations.
 From it follow the Euler-characteristic bookkeeping, the six-term exactness
 ranks, the Betti bounds, and the monodromy divisibility predicates.  The
 interaction rank is cross-checked by intersecting the images of j's
 invariant and point blocks; `_build_j` finishes the point block's Hermite
-basis from copies of validation's iota echelons.  `analyze` runs it all in
+basis from validation's iota echelons as they are.  `analyze` runs it all in
 one pass, and each of its three cross-checks compares two routes to one
 number through `_agree`, which raises naming both routes and both values.
 The Euler bookkeeping never reads the lowest rank: per component, it
@@ -82,6 +76,8 @@ class MonodromyChecks(namedtuple("MonodromyChecks",
 
 
 class Bounds(namedtuple("Bounds", "upper_lowest lower_lowest min_bound betti_high polar")):
+    """Upper, lower and concentration bounds on the lowest rank; next-degree and polar bounds."""
+
     __slots__ = ()
 
 
@@ -132,13 +128,11 @@ def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
     -iota spans the lattice of iota, so the point block's Hermite basis is
     the block diagonal of the back-normalised iota echelons, whose rows the
     walk lays beside the -iota rows: pivot rows still increase, and no pivot
-    row holds an entry of an earlier point's column.  It back-normalises
-    copies, so the records stay as validation wrote them, and solves each
-    distinct (kernel, invariants) pair once; an inconsistent one raises
-    where the walk meets it.
+    row holds an entry of an earlier point's column.  The records stay as
+    validation wrote them.  Each distinct (kernel, invariants) pair is
+    solved once; an inconsistent one raises where the walk meets it.
     """
-    first_col = {}
-    upper = 0
+    first_col, upper = {}, 0
     for ci, cc in enumerate(comps):
         first_col[cc.component_id] = ci, upper
         upper += cc.invariants.rank
@@ -150,7 +144,7 @@ def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
     solved = {}  # (kernel basis, invariant basis) -> coordinates or None
     row0, col0 = 0, upper
     for q, (kernels, pivots) in zip(cfg.special_points, points):
-        finished = linalg._back_normalise([(r, c[:]) for r, c in pivots])
+        finished = linalg._back_normalise(pivots)
         for i, (row, basis_row) in enumerate(zip(q.iota.data, zip(*finished))):
             data[row0 + i][col0:col0 + q.fq_rank_low] = [-x for x in row]
             hermite[row0 + i][col0 - upper:col0 - upper + q.fq_rank_low] = basis_row
@@ -199,9 +193,9 @@ def analyze(cfg: SliceConfiguration) -> VanishingReport:
     comps = tuple(component_cohomology(c, cfg.n) for c in cfg.components)
     j, point_image, lows = _build_j(cfg, comps, points)
     # The integer kernel is saturated, so its rank is the rational nullity.
-    # rank walks the rows of the raw j (see the module docstring); the
-    # interaction cross-check eliminates other matrices, so the two routes
-    # stay independent.
+    # rank echelons the rows of the raw j, so it walks j's sparse invariant
+    # columns before its dense -iota ones; the interaction cross-check
+    # eliminates other matrices, so the two routes stay independent.
     lowest = FinAbGroup(j.cols - linalg.rank(j), ())
     upper = sum(cc.invariants.rank for cc in comps)
 

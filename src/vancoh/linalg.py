@@ -7,15 +7,12 @@ elimination is the core, and it takes columns only: `rank`,
 `is_unimodular` and `cokernel` pass the rows of m, the columns of its
 transpose, and the Hermite callers the columns of their matrix, read off
 its rows by `zip`, so no transposed matrix is built.  Ranks and
-unimodularity read its pivots, and one back-normalisation turns it into
-the column Hermite normal form, the basis of `image(m)`.  Kernels and
-intersections eliminate the stack [A B; I 0], laid out in one function (a
-kernel has no B), and back-normalise only the columns with pivots below
-the top block; that reads only later pivots, so these equal the columns of
-the full Hermite form.  An intersection maps its columns by A, which keeps
-them in echelon form, and back-normalises once more.  A `Submodule` is
-nothing but its Hermite basis, so `image`, `kernel` and `intersect` are the
-public ways to get one (`engine._build_j` also finishes one from
+unimodularity read its pivots, and one back-normalisation, which writes
+into none of its input, turns it into the column Hermite normal form, the
+basis of `image(m)`.  Kernels and intersections eliminate the stack
+[A B; I 0] and back-normalise only the columns they return.  A `Submodule`
+is nothing but its Hermite basis, so `image`, `kernel` and `intersect` are
+the public ways to get one (`engine._build_j` also finishes one from
 validation's iota echelons).  Smith forms alternate echelon passes over
 rows and columns (Kannan-Bachem): `cokernel` stops after m's rows when
 every pivot is 1, and `smith_normal_form` extends each row by its row of u
@@ -108,6 +105,8 @@ def matrix(rows: Sequence[Sequence[int]]) -> IntegerMatrix:
 # ---------------------------------------------------------------------------
 
 class SNFResult(namedtuple("SNFResult", "u d v")):
+    """Smith form d = u * m * v of a matrix m, with u and v unimodular."""
+
     __slots__ = ()
 
 
@@ -203,20 +202,22 @@ def _echelon(columns: Iterable[Sequence[int]]) -> list[tuple[int, list[int]]]:
 
 
 def _back_normalise(pivots: list[tuple[int, list[int]]]) -> list[list[int]]:
-    """Finish the Hermite form of the echelon ``pivots``, in place.
+    """The Hermite columns of the echelon ``pivots``, which is left as it is.
 
     Brings each column's entries in the later pivot rows into [0, pivot),
-    last column first: reducing by columns that are already final keeps
-    the entries small.  Column k reads only columns k+1..., so a suffix of
-    an echelon comes out as the same columns as in the full Hermite form.
+    last column first, by columns already final, which keeps the entries
+    small; a reduced column is a new list, an unreduced one the given list.
+    Column k reads only columns k+1..., so a suffix of an echelon comes out
+    as the same columns as in the full Hermite form.
     """
-    for k in range(len(pivots) - 2, -1, -1):
-        c = pivots[k][1]
-        for row, pc in pivots[k + 1:]:
+    done: list[tuple[int, list[int]]] = []
+    for pivot_row, c in reversed(pivots):
+        for row, pc in reversed(done):
             q = c[row] // pc[row]
             if q:
-                c[row:] = [x - q * y for x, y in zip(c[row:], pc[row:])]
-    return [c for _, c in pivots]
+                c = c[:row] + [x - q * y for x, y in zip(c[row:], pc[row:])]
+        done.append((pivot_row, c))
+    return [c for _, c in reversed(done)]
 
 
 def _from_columns(rows: int, columns: Sequence[Sequence[int]]) -> IntegerMatrix:

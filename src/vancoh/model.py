@@ -50,6 +50,8 @@ class SpecialPoint(namedtuple("SpecialPoint", "id branches fq_rank_low fq_rank_h
 
 
 class IsolatedPoint(namedtuple("IsolatedPoint", "id milnor_number")):
+    """Isolated singular point of the slice, with its Milnor number."""
+
     __slots__ = ()
 
 
@@ -61,6 +63,8 @@ class EigenvalueData(namedtuple("EigenvalueData", "eigenvalue total components")
 
 class MonodromyData(namedtuple("MonodromyData", "char_poly component_char_polys eigen_dims "
                                "jordan_sizes", defaults=((), ()))):
+    """Supplied monodromy polynomials and eigenvalue data the predicates check."""
+
     __slots__ = ()
 
 
@@ -78,7 +82,7 @@ class Violation(namedtuple("Violation", "code subject detail", defaults=("",))):
     __slots__ = ()
 
 
-# A special point's branch kernels and iota echelon from validation; read, never changed.
+# A special point's branch kernels and iota echelon from validation; nothing writes into them.
 PointRecord = tuple[list[Submodule], list[tuple[int, list[int]]]]
 
 
@@ -124,11 +128,10 @@ def _validate(cfg: SliceConfiguration) -> tuple[list[Violation], list[PointRecor
     monodromy is checked for unimodularity, and each distinct branch
     monodromy's kernel built, once per call; shapes, which depend on the
     component, and faults are checked and reported at each occurrence.
-    Injectivity of iota is read off its column echelon pivots, which are
-    handed on as they are: back-normalising them here would cost the
-    validate path, which never reads them, and `engine._build_j` finishes
-    copies of them into j's point-block basis.  The records are read and
-    never changed.  Without violations there is one record per point.
+    Injectivity of iota is read off its column echelon pivots, handed on as
+    they are for `engine._build_j` to finish into j's point-block basis:
+    back-normalising them here would cost the validate path, which never
+    reads them.  Without violations there is one record per point.
     """
     out: list[Violation] = []
     points: list[PointRecord] = []

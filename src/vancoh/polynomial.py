@@ -14,6 +14,8 @@ from .record import CheckedRecord
 
 
 class IntPolynomial(CheckedRecord, namedtuple("IntPolynomial", "coeffs")):
+    """Integer polynomial, coefficients ascending, with no trailing zero."""
+
     __slots__ = ()
 
     def __new__(cls, coeffs: tuple[int, ...]):

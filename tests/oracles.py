@@ -143,8 +143,9 @@ def is_saturated(rows: list[list[int]]) -> bool:
 def rational_rank(rows: list[list[int]]) -> int:
     """Rank over Q by straightforward Gaussian elimination: each pivot row,
     scaled to a leading 1, is subtracted from the rows below it at its
-    nonzero entries only, which keeps large sparse matrices cheap."""
-    a = [[Fraction(x) for x in r] for r in rows]
+    nonzero entries only, which keeps large sparse matrices cheap.  Entries
+    stay integers until elimination reaches them."""
+    a = [list(r) for r in rows]
     nrows = len(a)
     ncols = len(a[0]) if a else 0
     r = 0
@@ -153,7 +154,7 @@ def rational_rank(rows: list[list[int]]) -> int:
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        entries = [(c, y / a[r][col]) for c, y in enumerate(a[r]) if y]
+        entries = [(c, Fraction(y) / a[r][col]) for c, y in enumerate(a[r]) if y]
         for row in a[r + 1:]:
             f = row[col]
             if f:
@@ -166,8 +167,6 @@ def rational_rank(rows: list[list[int]]) -> int:
 
 
 def rational_nullity(rows: list[list[int]], ncols: int) -> int:
-    if not rows:
-        return ncols
     return ncols - rational_rank(rows)
 
 
@@ -307,23 +306,15 @@ def _reference_blocks(cfg) -> tuple[tuple[list[list[int]], int], tuple[list[list
     return (invariant_rows, upper), (point_rows, low)
 
 
-def reference_j(cfg) -> list[list[int]]:
-    """The rows of the comparison map j: the invariant block, then the point block."""
-    (invariant_rows, _), (point_rows, _) = _reference_blocks(cfg)
-    return [a + b for a, b in zip(invariant_rows, point_rows)]
-
-
-def reference_lowest(cfg) -> int:
-    """The rank of the lowest vanishing group, the rational nullity of j."""
+def reference(cfg) -> tuple[list[list[int]], int, int]:
+    """The rows of the comparison map j (the invariant block, then the point
+    block), the rank of the lowest vanishing group, which is the rational
+    nullity of j, and the interaction rank: the rank of the intersection of
+    the column lattices of j's invariant and point blocks."""
     (invariant_rows, upper), (point_rows, low) = _reference_blocks(cfg)
-    return rational_nullity([a + b for a, b in zip(invariant_rows, point_rows)], upper + low)
-
-
-def reference_interaction(cfg) -> int:
-    """The interaction rank: the rank of the intersection of the column
-    lattices of j's invariant and point blocks."""
-    (invariant_rows, _), (point_rows, _) = _reference_blocks(cfg)
-    return _width(intersection_basis(invariant_rows, point_rows))
+    rows = [a + b for a, b in zip(invariant_rows, point_rows)]
+    return (rows, rational_nullity(rows, upper + low),
+            _width(intersection_basis(invariant_rows, point_rows)))
 
 
 def euler_direct(cfg) -> int:

@@ -9,7 +9,7 @@ import vancoh by name too, and must keep importing.  Inside the library,
 modules read each other's private names only at the one handoff of iota
 echelons from validation to the engine, so that coupling cannot spread
 unseen: `model` echelons iota with `linalg._echelon`, and `engine` calls
-`model._validate` and finishes copies of the echelons with
+`model._validate` and finishes the echelons, unchanged, with
 `linalg._back_normalise`.  Outside `linalg`, only `engine._build_j` builds
 a `Submodule`, from those echelons, so every other lattice is a Hermite
 basis from `image`, `kernel` or `intersect`.  A group's text is written

@@ -1,8 +1,10 @@
 import random
+from copy import deepcopy
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from vancoh import linalg
 from vancoh.linalg import (FinAbGroup, IntegerMatrix, char_poly, cokernel,
                            image, intersect, is_unimodular, kernel, matrix, rank,
                            smith_normal_form, solve_in_basis)
@@ -533,6 +535,16 @@ class TestDifferential:
             assert (h.rows, h.cols) == (m.rows, oracles.rational_rank(m.tolist())), m
             assert_column_hnf(h)
             assert h * solve_in_basis(h, m) == m, m
+
+    @pytest.mark.parametrize("name", MATRIX_SETS)
+    def test_back_normalise_keeps_its_echelon(self, name):
+        # the engine finishes validation's iota echelons as they are
+        for m in MATRIX_SETS[name]:
+            pivots = linalg._echelon(zip(*m.data))
+            snapshot = deepcopy(pivots)
+            finished = linalg._back_normalise(pivots)
+            assert pivots == snapshot, m
+            assert finished == [list(c) for c in zip(*image(m).basis.data)], m
 
     def test_image_matches_hermite_oracle(self):
         for name, m in each(MATRIX_SETS):

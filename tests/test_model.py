@@ -306,6 +306,7 @@ def record_samples() -> dict:
 def test_record_contract(name):
     one, other = record_samples()[name], record_samples()[name]
     cls = RECORDS[name]
+    assert cls.__doc__
     assert type(one) is cls and one is not other
     assert one == other and hash(one) == hash(other)
     for attribute in (cls._fields[0], "extra"):
