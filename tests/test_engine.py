@@ -396,11 +396,10 @@ def reports(table):
 
 def test_matches_reference(table):
     """`analyze` against the reference in `oracles`, which lays out j from
-    the configuration's plain fields with no engine or linalg code; both
-    give Z^(m-1) for m planes in general position."""
+    the configuration's plain fields with no engine or linalg code."""
     source, rows = table
     defects = 0
-    for k, (cfg, rep, _) in enumerate(rows):
+    for cfg, rep, _ in rows:
         if rep is None:
             with pytest.raises(ValueError, match="outside a branch kernel"):
                 oracles.reference(cfg)
@@ -409,10 +408,16 @@ def test_matches_reference(table):
         j, lowest, interaction = oracles.reference(cfg)
         assert rep.j_matrix.tolist() == j and rep.g_rank == interaction, cfg
         assert rep.lowest_group == FinAbGroup(lowest, ()), cfg
-        if source == "arrangement":
-            assert lowest == ARRANGEMENT_SIZES[k] - 1, cfg
     # the pipeline set holds one document whose monodromies are inconsistent
     assert defects == (1 if source == "pipeline" else 0)
+
+
+def test_arrangement_answer():
+    """m planes in general position give Z^(m-1), by `analyze` and by the
+    reference alike."""
+    for m, cfg in zip(ARRANGEMENT_SIZES, source_configs("arrangement"), strict=True):
+        assert analyze(cfg).lowest_group == FinAbGroup(m - 1, ()), m
+        assert oracles.reference(cfg)[1] == m - 1, m
 
 
 @pytest.mark.parametrize("m,name", [(3, "xyz"), (4, "xyzu")])
