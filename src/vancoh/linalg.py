@@ -3,22 +3,23 @@
 Dense matrices of arbitrary-precision integers, built from row lists by
 `matrix`, the one checked constructor; Smith and Hermite normal forms,
 kernels, images, cokernels and lattice intersections.  One column echelon
-elimination is the core, and it takes columns only: `rank`,
-`is_unimodular` and `cokernel` pass the rows of m, the columns of its
-transpose, and the Hermite callers the columns of their matrix, read off
-its rows by `zip`, so no transposed matrix is built.  Ranks and
-unimodularity read its pivots, and one back-normalisation, which writes
-into none of its input, turns it into the column Hermite normal form, the
-basis of `image(m)`.  Kernels and intersections eliminate the stack
-[A B; I 0] and back-normalise only the columns they return.  A `Submodule`
-is nothing but its Hermite basis, so `image`, `kernel` and `intersect` are
-the public ways to get one (`engine._build_j` also finishes one from
-validation's iota echelons).  Smith forms alternate echelon passes over
-rows and columns (Kannan-Bachem): `cokernel` stops after m's rows when
-every pivot is 1, and `smith_normal_form` extends each row by its row of u
-and each column by its column of v.  Everything is pure and exact: no
-floats, no modular shortcuts, and every normal form is canonical, so equal
-inputs always produce identical outputs.
+elimination is the core, touching only the pivot column's nonzero entries,
+and it takes columns only: `rank`, `is_unimodular` and `cokernel` pass the
+rows of m, the columns of its transpose, and the Hermite callers the
+columns of their matrix, read off its rows by `zip`, so no transposed
+matrix is built.  Ranks and unimodularity read its pivots, and one
+back-normalisation, which writes into none of its input, turns it into the
+column Hermite normal form, the basis of `image(m)`.  Kernels and
+intersections eliminate the stack [A B; I 0] and back-normalise only the
+columns they return.  A `Submodule` is nothing but its Hermite basis, so
+`image`, `kernel` and `intersect` are the public ways to get one
+(`engine._build_j` also finishes one from validation's iota echelons).
+Smith forms alternate echelon passes over rows and columns
+(Kannan-Bachem): `cokernel` stops after m's rows when every pivot is 1,
+and `smith_normal_form` extends each row by its row of u and each column
+by its column of v.  Everything is pure and exact: no floats, no modular
+shortcuts, and every normal form is canonical, so equal inputs always
+produce identical outputs.
 """
 
 from __future__ import annotations
@@ -173,7 +174,8 @@ def _echelon(columns: Iterable[Sequence[int]]) -> list[tuple[int, list[int]]]:
         # The pivot is the first column of least |entry| (ties go to the
         # lowest original column), found by a plain loop: a key function
         # would cost a call per column.  Live columns are zero above this
-        # row, so each column operation touches the suffix only.  Quotients
+        # row, so each column operation touches only the pivot column's
+        # nonzero suffix entries, listed once per pivot choice.  Quotients
         # round to the nearest integer, which leaves remainders of at most
         # |p|/2 (Havas-Majewski-Matthews) and needs fewer rounds than floor
         # quotients.
@@ -186,11 +188,12 @@ def _echelon(columns: Iterable[Sequence[int]]) -> list[tuple[int, list[int]]]:
                     pc, least = c, abs(c[row])
             p = pc[row]
             half = p // 2 if p > 0 else -(-p // 2)
-            ps = pc[row:]
+            nz = [i for i in range(row, len(pc)) if pc[i]]
             for c in active:
                 if c is not pc:  # |c[row]| >= |p|, so the quotient is never 0
                     q = (c[row] + half) // p
-                    c[row:] = [x - q * y for x, y in zip(c[row:], ps)]
+                    for i in nz:
+                        c[i] -= q * pc[i]
             active = [c for c in active if c[row]]
         if active:
             pc = active[0]
@@ -206,16 +209,20 @@ def _back_normalise(pivots: list[tuple[int, list[int]]]) -> list[list[int]]:
 
     Brings each column's entries in the later pivot rows into [0, pivot),
     last column first, by columns already final, which keeps the entries
-    small; a reduced column is a new list, an unreduced one the given list.
+    small; a reduced column is copied once, at its first reduction, and
+    updated in place after that, and an unreduced one is the given list.
     Column k reads only columns k+1..., so a suffix of an echelon comes out
     as the same columns as in the full Hermite form.
     """
     done: list[tuple[int, list[int]]] = []
-    for pivot_row, c in reversed(pivots):
+    for pivot_row, given in reversed(pivots):
+        c = given
         for row, pc in reversed(done):
             q = c[row] // pc[row]
             if q:
-                c = c[:row] + [x - q * y for x, y in zip(c[row:], pc[row:])]
+                if c is given:
+                    c = c[:]
+                c[row:] = [x - q * y for x, y in zip(c[row:], pc[row:])]
         done.append((pivot_row, c))
     return [c for _, c in reversed(done)]
 
@@ -370,13 +377,15 @@ def intersect(a: Submodule, b: Submodule) -> Submodule:
     if a.rank > b.rank:
         a, b = b, a
     a_columns = tuple(zip(*a.basis.data))
-    # A X column by column, skipping the zero entries of X
+    # A X column by column, skipping the zeros of X and of A
+    a_entries = [[(i, v) for i, v in enumerate(ac) if v] for ac in a_columns]
     pivots = []
     for xc in _restricted_image(a.ambient_rank, a_columns, zip(*b.basis.data)):
         c = [0] * a.ambient_rank
-        for ac, t in zip(a_columns, xc):
+        for entries, t in zip(a_entries, xc):
             if t:
-                c = [u + t * v for u, v in zip(c, ac)]
+                for i, v in entries:
+                    c[i] += t * v
         pivots.append((next(i for i, v in enumerate(c) if v), c))
     return Submodule(_from_columns(a.ambient_rank, _back_normalise(pivots)))
 

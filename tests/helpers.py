@@ -295,6 +295,29 @@ def differential_cases():
     return cases
 
 
+def sparse_cases():
+    """Mostly-zero matrices: the rows of j for 4 and 5 generic planes, laid
+    out by the reference, and 12 seeded matrices up to 24x20 with about 85%
+    zero entries, each beside the [m; I] stack that kernel eliminates.  A
+    nonzero entry is up to 2^64 one time in four and up to 9 otherwise,
+    which keeps the Smith route of the differential table fast."""
+    cases = [IntegerMatrix(len(rows), len(rows[0]), tuple(map(tuple, rows)))
+             for rows in (oracles.reference(arrangement_config(m))[0] for m in (4, 5))]
+    rng = random.Random(46)
+
+    def entry():
+        if rng.random() >= 0.15:
+            return 0
+        bound = 2 ** 64 if rng.random() < 0.25 else 9
+        return rng.randint(-bound, bound)
+
+    for _ in range(12):
+        r, c = rng.randint(1, 24), rng.randint(1, 20)
+        m = IntegerMatrix(r, c, tuple(tuple(entry() for _ in range(c)) for _ in range(r)))
+        cases += [m, vstack([m, IntegerMatrix.identity(c)])]
+    return cases
+
+
 def exact_inverse(m: IntegerMatrix) -> IntegerMatrix:
     """Inverse of a unimodular matrix, solved over Q column by column and
     checked integral."""

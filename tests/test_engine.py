@@ -370,13 +370,19 @@ def source_configs(source):
     return [cfg for cfg in configs if cfg is not None and not vancoh.validate(cfg)]
 
 
-@pytest.fixture(scope="module", params=list(SOURCES))
-def table(request):
-    """The source's name and, per configuration, (cfg, its report or None
-    when `analyze` raises an internal defect, the arguments of each
-    `intersect` call the cross-check made)."""
-    configs = source_configs(request.param)
-    assert len(configs) == SOURCES[request.param]
+# the table's rows per source and the reference per (source, row index),
+# each computed once per session, whichever test asks first
+CACHE = {}
+
+
+def table_rows(source):
+    """Per configuration of the source, (cfg, its report or None when
+    `analyze` raises an internal defect, the arguments of each `intersect`
+    call the cross-check made)."""
+    if source in CACHE:
+        return CACHE[source]
+    configs = source_configs(source)
+    assert len(configs) == SOURCES[source]
     rows = []
     with pytest.MonkeyPatch.context() as mp:
         intersections = count_calls(mp, vancoh.linalg, "intersect")
@@ -387,7 +393,21 @@ def table(request):
             except InternalDefectError:
                 rep = None
             rows.append((cfg, rep, intersections[:]))
-    return request.param, rows
+    CACHE[source] = rows
+    return rows
+
+
+@pytest.fixture(scope="module", params=list(SOURCES))
+def table(request):
+    """The source's name and its `table_rows`."""
+    return request.param, table_rows(request.param)
+
+
+def reference(source, k):
+    """`oracles.reference` of the source's k-th configuration."""
+    if (source, k) not in CACHE:
+        CACHE[source, k] = oracles.reference(table_rows(source)[k][0])
+    return CACHE[source, k]
 
 
 def reports(table):
@@ -399,13 +419,13 @@ def test_matches_reference(table):
     the configuration's plain fields with no engine or linalg code."""
     source, rows = table
     defects = 0
-    for cfg, rep, _ in rows:
+    for k, (cfg, rep, _) in enumerate(rows):
         if rep is None:
             with pytest.raises(ValueError, match="outside a branch kernel"):
                 oracles.reference(cfg)
             defects += 1
             continue
-        j, lowest, interaction = oracles.reference(cfg)
+        j, lowest, interaction = reference(source, k)
         assert rep.j_matrix.tolist() == j and rep.g_rank == interaction, cfg
         assert rep.lowest_group == FinAbGroup(lowest, ()), cfg
     # the pipeline set holds one document whose monodromies are inconsistent
@@ -414,10 +434,14 @@ def test_matches_reference(table):
 
 def test_arrangement_answer():
     """m planes in general position give Z^(m-1), by `analyze` and by the
-    reference alike."""
-    for m, cfg in zip(ARRANGEMENT_SIZES, source_configs("arrangement"), strict=True):
-        assert analyze(cfg).lowest_group == FinAbGroup(m - 1, ()), m
-        assert oracles.reference(cfg)[1] == m - 1, m
+    reference alike, read off the table's rows; beyond the table, where the
+    reference would be slow, by `analyze` alone."""
+    rows = table_rows("arrangement")
+    for k, (m, (_, rep, _)) in enumerate(zip(ARRANGEMENT_SIZES, rows, strict=True)):
+        assert rep.lowest_group == FinAbGroup(m - 1, ()), m
+        assert reference("arrangement", k)[1] == m - 1, m
+    for m in (11, 12):
+        assert analyze(arrangement_config(m)).lowest_group == FinAbGroup(m - 1, ()), m
 
 
 @pytest.mark.parametrize("m,name", [(3, "xyz"), (4, "xyzu")])

@@ -23,7 +23,7 @@ from vancoh.corpus import bundled
 from vancoh.linalg import IntegerMatrix, cokernel, smith_normal_form
 
 from helpers import (corpus_documents, dense_iota_config, differential_cases, load_corpus,
-                     mutated_document, rand_matrix, random_valid_config)
+                     mutated_document, rand_matrix, random_valid_config, sparse_cases)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -138,6 +138,19 @@ def test_echelon_digest():
     for columns in ECHELON_TIES:
         digest.update(repr(linalg._echelon(columns)).encode())
     assert digest.hexdigest() == ECHELON_DIGEST
+
+
+SPARSE_ECHELON_DIGEST = "e7a6dd4c21f5a43fbad4d5a5527b901627d876ef7467dc70b97c54bfcf17066e"
+
+
+def test_sparse_echelon_digest():
+    """The (pivot row, column) pairs `_echelon` returns for the rows and for
+    the columns of each `sparse_cases()` matrix, mostly zeros: what an
+    elimination that skips zero entries must leave as it was."""
+    digest = hashlib.sha256()
+    for m in sparse_cases():
+        digest.update(repr((linalg._echelon(m.data), linalg._echelon(zip(*m.data)))).encode())
+    assert digest.hexdigest() == SPARSE_ECHELON_DIGEST
 
 
 CROSS_CHECK_DIGEST = "04ad415e047454bca589be79d3d712ee994be1373786f1162a98c6e348644383"

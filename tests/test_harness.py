@@ -27,8 +27,9 @@ line needs: no library module imports `dataclasses`, `typing` or
 none of `dataclasses`, `inspect`, `typing`, `fractions`, `decimal` or
 `importlib.resources`; the corpus command, the one reader of the bundled
 files, imports the last itself, and runs without `site`.  CI runs the
-tier-1 command of ROADMAP.md on each supported version, with the test
-dependencies that pyproject.toml's ``test`` extra lists."""
+tier-1 command of ROADMAP.md on each supported version, with a read-only
+token and the test dependencies that pyproject.toml's ``test`` extra
+lists."""
 
 import ast
 import importlib
@@ -560,6 +561,7 @@ def test_ci_runs_tier1_on_each_supported_version():
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     assert workflow["concurrency"] == {"group": "tier1-${{ github.ref }}",
                                        "cancel-in-progress": True}
+    assert workflow["permissions"] == {"contents": "read"}  # a read-only token
     [job] = workflow["jobs"].values()
     assert job["timeout-minutes"] == 15  # a hung draw stops the job, not GitHub's 360
     versions = job["strategy"]["matrix"]["python-version"]

@@ -11,7 +11,7 @@ from vancoh.linalg import (FinAbGroup, IntegerMatrix, char_poly, cokernel,
 
 import oracles
 from helpers import (diagonal_of, differential_cases, exact_inverse, hstack, rand_matrix,
-                     rand_unimodular, record_echelons, scaled, vstack)
+                     rand_unimodular, record_echelons, scaled, sparse_cases, vstack)
 
 
 def small_matrices(max_dim=5, bound=9):
@@ -452,10 +452,12 @@ def random_pairs():
     return pairs
 
 
-DIFFERENTIAL, HUGE = differential_cases(), huge_pairs()
+DIFFERENTIAL, HUGE, SPARSE = differential_cases(), huge_pairs(), sparse_cases()
 MATRIX_SETS = {"differential": DIFFERENTIAL, "rounding": rounding_cases(),
-               "random": random_cases(), "huge": [m for pair in HUGE for m in pair]}
-PAIR_SETS = {"split": split_pairs(DIFFERENTIAL), "random": random_pairs(), "huge": HUGE}
+               "random": random_cases(), "huge": [m for pair in HUGE for m in pair],
+               "sparse": SPARSE}
+PAIR_SETS = {"split": split_pairs(DIFFERENTIAL), "random": random_pairs(), "huge": HUGE,
+             "sparse": split_pairs(SPARSE)}
 
 
 def each(sets):
