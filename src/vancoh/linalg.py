@@ -398,25 +398,20 @@ def solve_in_basis(basis: IntegerMatrix, targets: IntegerMatrix) -> IntegerMatri
     """
     if basis.rows != targets.rows:
         raise ValueError("row mismatch between basis and targets")
-    pivots = []
-    seen = -1
-    for j in range(basis.cols):
-        prow = next((i for i, row in enumerate(basis.data) if row[j]), None)
-        if prow is None or prow <= seen:
-            raise ValueError("basis is not in column Hermite normal form")
-        pivots.append(prow)
-        seen = prow
+    columns = tuple(zip(*basis.data)) if basis.rows else ((),) * basis.cols
+    pivots = [next((i for i, x in enumerate(c) if x), None) for c in columns]
+    if None in pivots or any(a >= b for a, b in zip(pivots, pivots[1:])):
+        raise ValueError("basis is not in column Hermite normal form")
     out_cols = []
-    for jt in range(targets.cols):
-        residual = [row[jt] for row in targets.data]
+    for residual in map(list, zip(*targets.data) if targets.rows else ((),) * targets.cols):
         coeffs = []
-        for j, prow in enumerate(pivots):
-            q, r = divmod(residual[prow], basis.data[prow][j])
+        for c, prow in zip(columns, pivots):
+            q, r = divmod(residual[prow], c[prow])
             if r:
                 return None
             coeffs.append(q)
             if q:
-                residual = [x - q * row[j] for x, row in zip(residual, basis.data)]
+                residual[prow:] = [x - q * y for x, y in zip(residual[prow:], c[prow:])]
         if any(residual):
             return None
         out_cols.append(coeffs)

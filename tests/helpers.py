@@ -14,7 +14,7 @@ from vancoh import (Branch, CurveComponent, EigenvalueData, IntegerMatrix, IntPo
                     IsolatedPoint, SliceConfiguration, SpecialPoint, branch_kernel, linalg,
                     matrix, model, parse_configuration, serialize_configuration, validate)
 from vancoh.corpus import bundled
-from vancoh.linalg import rank as matrix_rank, solve_in_basis
+from vancoh.linalg import rank as matrix_rank
 
 import oracles
 
@@ -471,7 +471,8 @@ def conjugate_component(cfg: SliceConfiguration, component_id: str,
 
     All loop and branch monodromies of the component are conjugated, and the
     affected iota row blocks are rewritten in the new canonical kernel bases.
-    The result describes the same geometry in different coordinates.
+    The result describes the same geometry in different coordinates.  The
+    kernel bases and the new coordinates come from the oracles, not `linalg`.
     """
     u_inv = exact_inverse(u)
     components = tuple(
@@ -489,11 +490,16 @@ def conjugate_component(cfg: SliceConfiguration, component_id: str,
                 new_blocks.append(block)
                 continue
             nb = Branch(b.component_id, u * b.monodromy * u_inv)
-            old_vectors = branch_kernel(b).basis * block
-            coords = solve_in_basis(branch_kernel(nb).basis, u * old_vectors)
-            assert coords is not None, "conjugated kernel lost a vector"
+            old, new = (oracles.kernel_basis(m.shifted(-1).tolist(), m.cols)
+                        for m in (b.monodromy, nb.monodromy))
+            coords = [oracles.rational_solve(new, list(target))
+                      for target in zip(*(u * matrix(old) * block).data)]
+            assert all(x is not None and all(c.denominator == 1 for c in x) for x in coords), \
+                "conjugated kernel lost a vector"
             new_branches.append(nb)
-            new_blocks.append(coords)
+            # conjugation keeps the kernel's rank, so the block keeps its shape
+            new_blocks.append(IntegerMatrix(block.rows, block.cols, tuple(
+                tuple(int(x[i]) for x in coords) for i in range(block.rows))))
         if new_blocks:
             new_iota = vstack(new_blocks)
         else:

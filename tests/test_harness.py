@@ -564,6 +564,7 @@ def test_ci_runs_tier1_on_each_supported_version():
     assert workflow["permissions"] == {"contents": "read"}  # a read-only token
     [job] = workflow["jobs"].values()
     assert job["timeout-minutes"] == 15  # a hung draw stops the job, not GitHub's 360
+    assert job["strategy"]["fail-fast"] is False  # one version's failure cancels no other
     versions = job["strategy"]["matrix"]["python-version"]
     assert versions[0] == "%d.%d" % requires_python()
     assert versions == ["3.10", "3.11", "3.12", "3.13", "3.14"]

@@ -38,14 +38,6 @@ class TestValidate:
         for name, _ in bundled():
             assert validate(load_corpus(name)) == []
 
-    def test_determinant_two_loop(self):
-        cfg = load_corpus("xyz")
-        bad = cfg.components[0]
-        comps = (CurveComponent(bad.id, bad.genus, bad.transversal_rank,
-                                (matrix([[2]]),)),) + cfg.components[1:]
-        violations = validate(cfg._replace(components=comps))
-        assert [v.code for v in violations] == ["loop-not-unimodular"]
-
     def test_repeated_fault_reported_at_each_occurrence(self):
         # every loop and branch of xyzu carries [[1]]; as [[2]] the one
         # matrix is reported at each of them, in declaration order
@@ -78,41 +70,6 @@ class TestValidate:
                 SpecialPoint("q2", (Branch("U", ident),), 0, 0, IntegerMatrix.zeros(2, 0))))
         assert [(v.code, v.subject) for v in validate(cfg)] == [
             ("loop-shape", "T[loop 0]"), ("branch-shape", "q1[branch 1]")]
-
-    def test_iota_with_kernel(self):
-        cfg = load_corpus("xyz")
-        q = cfg.special_points[0]
-        repeated = matrix([[1, 1], [-1, -1], [0, 0]])  # rank 1 < fq_rank_low
-        points = (SpecialPoint(q.id, q.branches, q.fq_rank_low, q.fq_rank_high,
-                               repeated, q.costalk_rank),)
-        violations = validate(cfg._replace(special_points=points))
-        assert [v.code for v in violations] == ["iota-not-injective"]
-
-    def test_dimension_reduction(self):
-        cfg = load_corpus("xyz")
-        broken = cfg._replace(n=4)
-        assert "dimension-reduction" in [v.code for v in validate(broken)]
-
-    def test_duplicate_and_unknown_ids(self):
-        cfg = load_corpus("xyz")
-        q = cfg.special_points[0]
-        points = (SpecialPoint(q.id, (Branch("nope", matrix([[1]])),) + q.branches[1:],
-                               q.fq_rank_low, q.fq_rank_high, q.iota, q.costalk_rank),)
-        comps = cfg.components[:2] + (CurveComponent(
-            cfg.components[0].id, 0, 1, (matrix([[1]]),)),)
-        codes = [v.code for v in validate(cfg._replace(
-            components=comps, special_points=points, isolated_points=()))]
-        assert "duplicate-id" in codes
-        assert "unknown-component" in codes
-
-    def test_polar_data_checks(self):
-        cfg = load_corpus("quadric_power_2_2")
-        assert validate(cfg._replace(polar_data=((3, 1), (0, 0)))) == []
-        assert [v.code for v in validate(cfg._replace(polar_data=((3, -1),)))] \
-            == ["polar-negative"]
-        too_long = ((1, 0),) * 3  # original_s = 2 allows k = 0, 1 only
-        assert [v.code for v in validate(cfg._replace(polar_data=too_long))] \
-            == ["polar-length"]
 
     def test_idempotent(self):
         cfg = load_corpus("xyzu")
