@@ -11,7 +11,8 @@ matrix is built.  Ranks and unimodularity read its pivots, and one
 back-normalisation, which writes into none of its input, turns it into the
 column Hermite normal form, the basis of `image(m)`.  Kernels and
 intersections eliminate the stack [A B; I 0] and back-normalise only the
-columns they return.  A `Submodule` is nothing but its Hermite basis, so
+columns they return; the kernel of a zero map is the identity, with no
+elimination.  A `Submodule` is nothing but its Hermite basis, so
 `image`, `kernel` and `intersect` are the public ways to get one
 (`engine._build_j` also finishes one from validation's iota echelons).
 Smith forms alternate echelon passes over rows and columns
@@ -297,13 +298,16 @@ def _restricted_image(n: int, a_columns: Sequence[Sequence[int]],
 def kernel(m: IntegerMatrix) -> Submodule:
     """Integer kernel {x : m x = 0} of Z^cols, automatically saturated.
 
-    The restricted image with no B, read off [m; I], wrapped as the
-    Submodule of its columns.  m's columns are read straight off its rows,
-    as empty ones when m has no rows; no transpose is built.
-    Saturated: k x in the kernel with k != 0 puts x in it.
+    A zero map, m with no rows included, has all of Z^cols as its kernel,
+    read off as the identity without elimination.  Any other m gives the
+    restricted image with no B, read off [m; I], wrapped as the Submodule
+    of its columns; m's columns are read straight off its rows, and no
+    transpose is built.  Saturated: k x in the kernel with k != 0 puts x
+    in it.
     """
-    columns = tuple(zip(*m.data)) if m.rows else ((),) * m.cols
-    return Submodule(_from_columns(m.cols, _restricted_image(m.rows, columns, ())))
+    if not any(map(any, m.data)):
+        return Submodule(IntegerMatrix.identity(m.cols))
+    return Submodule(_from_columns(m.cols, _restricted_image(m.rows, tuple(zip(*m.data)), ())))
 
 
 def image(m: IntegerMatrix) -> Submodule:

@@ -647,12 +647,15 @@ class TestSinglePass:
         # kernels and the intersection back-normalise inside their own
         # echelon pass, and the point block's basis is finished from
         # validation's iota echelons: the only full Hermite form is the
-        # cross-check's image of the invariant block, and each kernel, iota,
-        # rank, unimodularity, image and intersect call runs exactly one
-        # elimination: 1 check, 7 kernels, 4 iotas, rank j, image, intersect.
-        # Every xyzu cokernel has unit pivots, so each echelons its rows once
+        # cross-check's image of the invariant block, and each iota, rank,
+        # unimodularity, image and intersect call runs exactly one
+        # elimination: 1 check, 4 iotas, rank j, image, intersect.  All 7
+        # kernels are of zero maps, the branch's [[0]] and six stacks
+        # [[0], [0]], so they run none.  Every xyzu cokernel has unit
+        # pivots, so each echelons its rows once
         assert len(images) == 1
-        assert len(echelons) == 15 + 6
+        assert not any(any(map(any, m.data)) for m, in kernels)
+        assert len(echelons) == 8 + 6
         assert (len(validations), len(builds)) == (1, 1)
         assert [c.id for c, _ in comps] == [c.id for c in cfg.components]
 
@@ -713,16 +716,19 @@ class TestSinglePass:
 
     def test_each_monodromy_shifted_once(self, monkeypatch):
         # nu - id is formed by one shift per loop and per distinct branch
-        # monodromy, with no identity matrix built; matrices have no
-        # subtraction at all
+        # monodromy, with no identity matrix built to subtract; matrices
+        # have no subtraction at all.  The only identities are the bases of
+        # the zero maps' kernels: every xyzu kernel, each of Z^1
         cfg = load_corpus("xyzu")
         identities = count_calls(monkeypatch, IntegerMatrix, "identity")
         shifts = count_calls(monkeypatch, IntegerMatrix, "shifted")
+        kernels = count_calls(monkeypatch, vancoh.linalg, "kernel")
         analyze(cfg)
         assert len(shifts) == 12 + 1
+        assert identities == [(1,)] * len(kernels) == [(1,)] * 7
         assert vancoh.model.validate(cfg) == []
         assert len(shifts) == 13 + 1
-        assert identities == []
+        assert identities == [(1,)] * len(kernels) == [(1,)] * 8
         assert not hasattr(IntegerMatrix, "__sub__")
 
     def test_tables_last_one_call(self, monkeypatch):
@@ -740,11 +746,13 @@ class TestSinglePass:
     def test_validation_back_normalises_only_kernels(self, monkeypatch):
         # validation keeps each iota's echelon as it is; only the engine
         # finishes it into a Hermite basis.  xyzu's 12 branches share one
-        # monodromy, so one kernel
+        # monodromy, so one kernel, of the zero map [[0]], which is read
+        # off without elimination: validation back-normalises nothing
         kernels = count_calls(monkeypatch, vancoh.linalg, "kernel")
         finishes = count_calls(monkeypatch, vancoh.linalg, "_back_normalise")
         assert vancoh.model.validate(load_corpus("xyzu")) == []
-        assert len(finishes) == len(kernels) == 1
+        assert kernels == [(IntegerMatrix.zeros(1, 1),)]
+        assert finishes == []
 
     def test_validation_runs_no_smith_form(self, monkeypatch):
         cfgs = [load_corpus(name) for name in ("xyz", "xyzu", "x2z_y2u")]

@@ -12,10 +12,11 @@ unseen: `model` echelons iota with `linalg._echelon`, and `engine` calls
 `model._validate` and finishes the echelons, unchanged, with
 `linalg._back_normalise`.  Outside `linalg`, only `engine._build_j` builds
 a `Submodule`, from those echelons, so every other lattice is a Hermite
-basis from `image`, `kernel` or `intersect`.  A group's text is written
-only by `report._group_dict`, into the report document that the text
-report and the corpus check read.  JSON is indented only by
-`report`'s own writer: no module calls `json.dumps` or `json.dump` with
+basis from `image`, `kernel` or `intersect`.  Only Smith forms, for their
+transforms, and `kernel`, for a zero map's, build an identity matrix.  A
+group's text is written only by `report._group_dict`, into the report
+document that the text report and the corpus check read.  JSON is
+indented only by `report`'s own writer: no module calls `json.dumps` or `json.dump` with
 ``indent``, the stdlib's pure-Python path.  The test oracles import the
 standard library alone, so what the differential tests compare the
 elimination core against shares no code with it.  The library must parse
@@ -350,6 +351,40 @@ def f(m):
     return linalg.Submodule(m), g, image(m), isinstance(a, Submodule), linalg.Submodule
 """
     assert calls_of("Submodule", planted) == ["<module>", "g", "f"]
+
+
+# Smith forms start their transforms from identities, and the kernel of a
+# zero map is all of Z^n; no other code builds an identity, say to subtract
+IDENTITY_BUILDERS = ["linalg.smith_normal_form"] * 2 + ["linalg.kernel"]
+
+
+def identity_calls(sources: dict[str, str]) -> list[str]:
+    """``module.function`` of each call of `IntegerMatrix.identity` in
+    ``sources``, which maps module names to source."""
+    return [f"{module}.{where}" for module, source in sources.items()
+            for where in calls_of("identity", source)]
+
+
+def test_identities_are_built_by_smith_forms_and_kernels_alone():
+    sources = {str(path.relative_to(LIBRARY).with_suffix("")): path.read_text()
+               for path in sorted(LIBRARY.rglob("*.py"))}
+    assert identity_calls(sources) == IDENTITY_BUILDERS
+
+
+def test_identity_call_check_finds_planted_calls():
+    linalg = (LIBRARY / "linalg.py").read_text() + """
+
+def rank(m):
+    return len(_echelon((*r, *e) for r, e in zip(m.data, IntegerMatrix.identity(m.rows).data)))
+"""
+    model = """
+from .linalg import IntegerMatrix as M, kernel
+
+def branch_kernel(b):
+    return kernel(M(1, 1, ((b,),)) * M.identity(1))
+"""
+    assert identity_calls({"linalg": linalg, "model": model}) \
+        == IDENTITY_BUILDERS + ["linalg.rank", "model.branch_kernel"]
 
 
 def indenting_dumps(source: str) -> list[str]:

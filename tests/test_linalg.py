@@ -414,6 +414,28 @@ def random_cases():
             for _ in range(60)] + [matrix([[0, 2, 4], [1, 1, 1], [3, 0, 2]])]
 
 
+def zero_block_cases():
+    """All-zero matrices of shapes 0 x n, n x 0 and n x m, and 40 seeded
+    matrices from 3x3 to 6x7 with entries up to 9 outside their zero rows
+    and zero columns: one of each strictly inside, and any other one time
+    in four.  Zero maps have their kernel read off without elimination;
+    the others are eliminated with zero rows and columns among live ones."""
+    cases = [IntegerMatrix.zeros(r, c)
+             for r, c in [(0, 0), (0, 1), (0, 4), (1, 0), (5, 0), (1, 1), (2, 1), (3, 5), (6, 4)]]
+    rng = random.Random(50)
+
+    def live(n):
+        inner = rng.randrange(1, n - 1)
+        return [i != inner and rng.random() >= 0.25 for i in range(n)]
+
+    for _ in range(40):
+        r, c = rng.randint(3, 6), rng.randint(3, 7)
+        rows, cols = live(r), live(c)
+        cases.append(IntegerMatrix(r, c, tuple(
+            tuple(rng.randint(-9, 9) if a and b else 0 for b in cols) for a in rows)))
+    return cases
+
+
 def huge_pairs():
     """12 pairs of matrices with entries up to 2^200; the second holds twice
     a combination of the first's columns, so most intersections are nonzero."""
@@ -453,11 +475,12 @@ def random_pairs():
 
 
 DIFFERENTIAL, HUGE, SPARSE = differential_cases(), huge_pairs(), sparse_cases()
+ZERO_BLOCKS = zero_block_cases()
 MATRIX_SETS = {"differential": DIFFERENTIAL, "rounding": rounding_cases(),
                "random": random_cases(), "huge": [m for pair in HUGE for m in pair],
-               "sparse": SPARSE}
+               "sparse": SPARSE, "zero_blocks": ZERO_BLOCKS}
 PAIR_SETS = {"split": split_pairs(DIFFERENTIAL), "random": random_pairs(), "huge": HUGE,
-             "sparse": split_pairs(SPARSE)}
+             "sparse": split_pairs(SPARSE), "zero_blocks": split_pairs(ZERO_BLOCKS)}
 
 
 def each(sets):
@@ -531,9 +554,10 @@ def snf_image(m):
 class TestDifferential:
     """Every reference on every case set of its kind: the Hermite, kernel
     and intersection oracles, the rational ranks and determinants, and the
-    retired Smith route, which takes one Smith form per reference.  Each
-    reference's test loops over every set; the image, rank and
-    unimodularity checks are parametrized over the sets."""
+    retired Smith route, which takes one Smith form per reference and
+    gives the cokernel's torsion.  Each reference's test loops over every
+    set; the image, rank, cokernel and unimodularity checks are
+    parametrized over the sets."""
 
     @pytest.mark.parametrize("name", MATRIX_SETS)
     def test_image(self, name):
@@ -576,6 +600,13 @@ class TestDifferential:
         for m in MATRIX_SETS[name]:
             assert rank(m) == oracles.rational_rank(m.tolist()) \
                 == rank_by_snf(smith_normal_form(m)), m
+
+    @pytest.mark.parametrize("name", MATRIX_SETS)
+    def test_cokernel(self, name):
+        for m in MATRIX_SETS[name]:
+            factors = [x for x in diagonal_of(smith_normal_form(m).d) if x]
+            assert cokernel(m) == FinAbGroup(m.rows - oracles.rational_rank(m.tolist()),
+                                             tuple(x for x in factors if x > 1)), m
 
     @pytest.mark.parametrize("name", MATRIX_SETS)
     def test_is_unimodular(self, name):
