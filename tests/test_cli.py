@@ -4,7 +4,6 @@ import hashlib
 import json
 import os
 import re
-import shutil
 import subprocess
 import sys
 from collections import Counter, namedtuple
@@ -27,12 +26,6 @@ from helpers import (SINGLE_FAULTS, corpus_documents, count_calls, document_slot
 
 
 CORPUS = {name: path for name, path in bundled()}
-
-
-def copy_corpus(tmp_path, name, new_name=None):
-    dst = tmp_path / (new_name or f"{name}.json")
-    shutil.copyfile(str(CORPUS[name]), dst)
-    return dst
 
 
 class TestFormatGroup:
@@ -68,28 +61,6 @@ class TestRun:
         assert reports[0].vanishing is not None
         assert reports[1].validation[0].code == "malformed-document"
 
-    @pytest.mark.parametrize("hostile", [
-        b'{"n": ' + b"7" * 5000 + b"}",  # past the interpreter's int digit limit
-        b"[" * 100_000,                  # past the decoder's nesting limit
-    ], ids=["long-integer", "deep-nesting"])
-    def test_hostile_document_gets_one_report(self, tmp_path, hostile):
-        path = tmp_path / "hostile.json"
-        path.write_bytes(hostile)
-        good = copy_corpus(tmp_path, "xyz")
-        reports, status = run([str(path), str(good)])
-        assert status == 1
-        assert len(reports) == 2
-        assert [v.code for v in reports[0].validation] == ["malformed-document"]
-        assert reports[1].validation == () and reports[1].vanishing is not None
-
-    @pytest.mark.parametrize("flags", [{}, {"costalk_required": True}, {"compute": False}],
-                             ids=["compute", "costalk-required", "validate"])
-    def test_validates_each_document_once(self, tmp_path, monkeypatch, flags):
-        calls = count_calls(monkeypatch, vancoh.model, "_validate")
-        paths = [str(copy_corpus(tmp_path, name)) for name in ("xyz", "xyzu", "x2z_y2u")]
-        run(paths, **flags)
-        assert len(calls) == len(paths)
-
     def test_unreadable(self, tmp_path, monkeypatch):
         # the detail is the operating system's reason, and no report names the path
         path = str(tmp_path / "distinctive-dir-q7x" / "missing.json")
@@ -101,13 +72,6 @@ class TestRun:
         for verbose in (False, True):
             for text in (render_json([report], verbose), render_text(report, verbose)):
                 assert "distinctive-dir-q7x" not in text
-
-    def test_loader_reads_each_path_once(self, tmp_path, monkeypatch):
-        calls = count_calls(monkeypatch, vancoh.cli, "load_path")
-        paths = [str(copy_corpus(tmp_path, name)) for name in ("xyz", "xyzu", "x2z_y2u")]
-        paths.append(str(tmp_path / "missing.json"))
-        run(paths)
-        assert calls == [(p,) for p in paths]
 
     def test_polar_bounds_rendered(self, tmp_path):
         doc = json.loads(CORPUS["quadric_power_2_2"].read_text())
@@ -287,8 +251,9 @@ DIRECTORY = "table-dir-q7x"
 # a run's first report and status, its calls of `model._validate` and
 # `cli.load_path`, and the verbose JSON of its reports and text of the first
 Run = namedtuple("Run", "report status validations loads json text")
-# `renamed` is the verbose JSON of a default compute run on a copy of `raw`
-Document = namedtuple("Document", "raw parsed runs renamed")
+# `renamed` is the verbose JSON of a default compute run on a copy of `raw`;
+# `raised` is what a run of the document raised, and then it has no runs
+Document = namedtuple("Document", "raw parsed runs renamed raised")
 
 
 def source_documents(source):
@@ -306,28 +271,35 @@ def source_documents(source):
 
 @pytest.fixture(scope="module", params=list(SOURCES))
 def table(request, tmp_path_factory):
-    """The source's name and its `Document`s."""
-    raws = source_documents(request.param)
-    assert len(raws) == SOURCES[request.param][0]
+    """The source's name and its `Document`s; a document whose run raises
+    keeps the exception for `test_one_report_each` to report."""
     where = tmp_path_factory.mktemp(DIRECTORY)
     path, renamed = where / "document.json", where / "another name.json"
     documents = []
     with pytest.MonkeyPatch.context() as mp:
         validations = count_calls(mp, vancoh.model, "_validate")
         loads = count_calls(mp, vancoh.cli, "load_path")
-        for raw in raws:
+        for raw in source_documents(request.param):
             path.write_bytes(raw)
             renamed.write_bytes(raw)
             runs = {}
-            for command, flag in SETTINGS:
-                del validations[:], loads[:]
-                reports, status = run([str(path)], compute=command == "compute", **FLAGS[flag])
-                runs[command, flag] = Run(reports[0], status, len(validations), len(loads),
-                                          render_json(reports, True),
-                                          render_text(reports[0], True))
-            documents.append(Document(raw, load_bytes(raw), runs,
-                                      render_json(run([str(renamed)])[0], True)))
+            try:
+                for command, flag in SETTINGS:
+                    del validations[:], loads[:]
+                    reports, status = run([str(path)], compute=command == "compute", **FLAGS[flag])
+                    runs[command, flag] = Run(reports[0], status, len(validations), len(loads),
+                                              render_json(reports, True),
+                                              render_text(reports[0], True))
+                documents.append(Document(raw, load_bytes(raw), runs,
+                                          render_json(run([str(renamed)])[0], True), None))
+            except Exception as error:
+                documents.append(Document(raw, None, {}, None, error))
     return request.param, documents
+
+
+def completed(table):
+    """The source's documents whose runs all returned."""
+    return [doc for doc in table[1] if doc.raised is None]
 
 
 def test_statuses_called_for(table):
@@ -335,14 +307,17 @@ def test_statuses_called_for(table):
     `test_one_report_each` checks that each run's status is the one its
     report calls for."""
     name, documents = table
-    assert {status_of(r.report) for d in documents for r in d.runs.values()} \
+    assert len(documents) == SOURCES[name][0]
+    assert {status_of(r.report) for d in completed(table) for r in d.runs.values()} \
         == SOURCES[name][1]
 
 
 def test_one_report_each(table):
-    """One report per run, whose exit status, JSON and verdict line agree;
-    no rendering names the file's directory."""
-    for doc in table[1]:
+    """No run raises; one report per run, whose exit status, JSON and
+    verdict line agree; no rendering names the file's directory."""
+    assert [f"document {k} ({hashlib.sha256(doc.raw).hexdigest()[:12]}): {doc.raised!r}"
+            for k, doc in enumerate(table[1]) if doc.raised is not None] == []
+    for doc in completed(table):
         for (command, _), r in doc.runs.items():
             [out] = json.loads(r.json)
             assert r.status == status_of(r.report)
@@ -360,7 +335,7 @@ def test_one_report_each(table):
 def test_reports_name_the_bytes(table):
     """Reports carry the bytes' sha256, and its first 12 hex digits as the
     id, whatever the file is called."""
-    for doc in table[1]:
+    for doc in completed(table):
         digest = hashlib.sha256(doc.raw).hexdigest()
         for r in doc.runs.values():
             assert (r.report.input_sha256, r.report.configuration_id) == (digest, digest[:12])
@@ -370,7 +345,7 @@ def test_reports_name_the_bytes(table):
 def test_read_and_validated_once(table):
     """Each run reads its file once, and validates once when the document
     assembles and strict mode does not stop it on unknown keys."""
-    for doc in table[1]:
+    for doc in completed(table):
         for (_, flag), r in doc.runs.items():
             stopped = flag == "strict" and bool(doc.parsed.unknown_keys)
             assert (r.loads, r.validations) == (
@@ -380,7 +355,7 @@ def test_read_and_validated_once(table):
 def test_compute_agrees_with_validate(table):
     """Under equal flags compute gives validate's violations and warnings,
     and status 0 or 2 exactly where validate gives 0."""
-    for doc in table[1]:
+    for doc in completed(table):
         for flag in FLAGS:
             c, v = doc.runs["compute", flag], doc.runs["validate", flag]
             assert (c.report.validation, c.report.warnings) == (
@@ -391,7 +366,7 @@ def test_compute_agrees_with_validate(table):
 def test_unknown_keys(table):
     """Unknown keys are warnings by default; strict mode reports them after
     the loader's violations, and no warnings."""
-    for doc in table[1]:
+    for doc in completed(table):
         keys = doc.parsed.unknown_keys
         for command in ("compute", "validate"):
             default, strict = doc.runs[command, "default"], doc.runs[command, "strict"]
@@ -406,7 +381,7 @@ def test_unknown_keys(table):
 def test_costalk_required(table):
     """A valid document gets one `missing-costalk` per point without a
     costalk, in order; any other document its default report."""
-    for doc in table[1]:
+    for doc in completed(table):
         valid = doc.runs["validate", "default"].status == 0
         missing = [("missing-costalk", q.id) for q in doc.parsed.configuration.special_points
                    if q.costalk_rank is None] if valid else []
@@ -420,7 +395,7 @@ def test_costalk_required(table):
 
 def test_round_trip(table):
     """Every configuration assembled, valid or not, survives serialize, JSON and parse."""
-    for doc in table[1]:
+    for doc in completed(table):
         cfg = doc.parsed.configuration
         if cfg is not None:
             again = parse_configuration(json.loads(json.dumps(serialize_configuration(cfg))))
@@ -431,7 +406,7 @@ def test_rank_rule(table):
     """A component of rank below 1 gets one `transversal-rank` violation and
     none at its loops; no loop count or branch is checked against an id that
     is repeated or of rank below 1."""
-    for doc in table[1]:
+    for doc in completed(table):
         cfg = doc.parsed.configuration
         if cfg is None:
             continue
@@ -467,9 +442,9 @@ DECODER_MESSAGE = re.compile(r"(malformed document: )[^\"\n]*")
 def test_digest(table):
     """Every report of the source is pinned; the faults and the pipeline set
     reach every code validation can emit."""
-    source, documents = table
+    source = table[0]
     digest, codes = hashlib.sha256(), set()
-    for doc in documents:
+    for doc in completed(table):
         for r in doc.runs.values():
             digest.update(DECODER_MESSAGE.sub(r"\1", f"{r.status}\n{r.json}{r.text}").encode())
             codes.update(v.code for v in r.report.validation)
@@ -498,7 +473,7 @@ PLAIN = {dict, list, tuple, str, int, bool, type(None)}
 def test_report_document_is_plain_data(table):
     """Every node of every report's document, verbose or not, is of a
     plain type exactly."""
-    for doc in table[1]:
+    for doc in completed(table):
         for r in doc.runs.values():
             for verbose in (False, True):
                 assert {type(node) for node in _nodes(report_to_dict(r.report, verbose))} <= PLAIN
@@ -549,22 +524,6 @@ def test_one_version():
     assert tomllib.loads(pyproject.read_text())["project"]["version"] == vancoh.__version__
     [report] = run([str(CORPUS["xyz"])])[0]
     assert report_to_dict(report)["provenance"]["version"] == vancoh.__version__
-
-
-class TestDeterminism:
-    def test_identical_bytes_identical_reports(self, tmp_path):
-        a = copy_corpus(tmp_path, "xyzu", "first.json")
-        b = copy_corpus(tmp_path, "xyzu", "second_name_entirely.json")
-        reports, _ = run([str(a), str(b)])
-        ra = render_json([reports[0]])
-        rb = render_json([reports[1]])
-        assert ra == rb
-
-    def test_repeat_runs_byte_equal(self, tmp_path):
-        path = copy_corpus(tmp_path, "xyz")
-        out1 = render_json(run([str(path)])[0])
-        out2 = render_json(run([str(path)])[0])
-        assert out1 == out2
 
 
 class TestMainEntry:

@@ -6,8 +6,8 @@ import pytest
 
 import vancoh
 from vancoh import (Branch, CurveComponent, FinAbGroup, IntegerMatrix, IsolatedPoint,
-                    MonodromyData, Report, SliceConfiguration, SpecialPoint, analyze,
-                    component_cohomology, matrix, parse_configuration,
+                    MonodromyData, Report, SliceConfiguration, SpecialPoint, VanishingReport,
+                    analyze, component_cohomology, matrix, parse_configuration,
                     serialize_configuration)
 from vancoh.corpus import EXPECTED, bundled
 from vancoh.engine import InternalDefectError, InvalidConfigurationError
@@ -376,22 +376,22 @@ CACHE = {}
 
 
 def table_rows(source):
-    """Per configuration of the source, (cfg, its report or None when
-    `analyze` raises an internal defect, the arguments of each `intersect`
-    call the cross-check made)."""
+    """Per configuration of the source, (cfg, the outcome of `analyze`, the
+    arguments of each `intersect` call the cross-check made).  The outcome is
+    the report, None for an internal defect, or whatever else `analyze` raised."""
     if source in CACHE:
         return CACHE[source]
-    configs = source_configs(source)
-    assert len(configs) == SOURCES[source]
     rows = []
     with pytest.MonkeyPatch.context() as mp:
         intersections = count_calls(mp, vancoh.linalg, "intersect")
-        for cfg in configs:
+        for cfg in source_configs(source):
             intersections.clear()
             try:
                 rep = analyze(cfg)
             except InternalDefectError:
                 rep = None
+            except Exception as error:
+                rep = error
             rows.append((cfg, rep, intersections[:]))
     CACHE[source] = rows
     return rows
@@ -411,7 +411,16 @@ def reference(source, k):
 
 
 def reports(table):
-    return [row for row in table[1] if row[1] is not None]
+    return [row for row in table[1] if isinstance(row[1], VanishingReport)]
+
+
+def test_sources_counted(table):
+    """The source has its number of configurations, and `analyze` gives
+    each a report or an internal defect."""
+    source, rows = table
+    assert len(rows) == SOURCES[source]
+    assert [(k, rep) for k, (_, rep, _) in enumerate(rows)
+            if rep is not None and not isinstance(rep, VanishingReport)] == []
 
 
 def test_matches_reference(table):
@@ -426,6 +435,7 @@ def test_matches_reference(table):
             defects += 1
             continue
         j, lowest, interaction = reference(source, k)
+        assert isinstance(rep, VanishingReport), (cfg, rep)
         assert rep.j_matrix.tolist() == j and rep.g_rank == interaction, cfg
         assert rep.lowest_group == FinAbGroup(lowest, ()), cfg
     # the pipeline set holds one document whose monodromies are inconsistent

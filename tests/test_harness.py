@@ -19,7 +19,9 @@ document that the text report and the corpus check read.  JSON is
 indented only by `report`'s own writer: no module calls `json.dumps` or `json.dump` with
 ``indent``, the stdlib's pure-Python path.  The test oracles import the
 standard library alone, so what the differential tests compare the
-elimination core against shares no code with it.  The library must parse
+elimination core against shares no code with it.  The functions that
+build the tests' input and document tables assert nothing, so a library
+fault fails the check that names its rule.  The library must parse
 under the oldest Python that pyproject.toml admits.  Its record types
 are plain `collections.namedtuple` subclasses and its arithmetic stays in
 the integers, so that ``import vancoh.cli`` loads only what the command
@@ -473,6 +475,37 @@ from hypothesis import given
     assert outside_stdlib(planted) == [
         "line 3: vancoh.linalg", "line 5: vancoh", "line 6: .", "line 7: helpers",
         "line 8: hypothesis"]
+
+
+TABLE_BUILDERS = {"test_cli.py": ["table"], "test_engine.py": ["table", "table_rows"]}
+
+
+def assert_counts(source: str) -> dict[str, int]:
+    """The number of ``assert`` statements in each top-level function of a
+    module's source, nested functions included."""
+    return {node.name: sum(isinstance(n, ast.Assert) for n in ast.walk(node))
+            for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+
+
+def test_table_builders_assert_nothing():
+    counts = {(file, name): assert_counts(ORACLES.with_name(file).read_text())[name]
+              for file, names in TABLE_BUILDERS.items() for name in names}
+    assert counts == dict.fromkeys(counts, 0)
+
+
+def test_table_assert_check_finds_planted_asserts():
+    planted = """
+@pytest.fixture
+def table(request):
+    assert request.param
+    return build(request.param)
+
+def table_rows(source):
+    def check(row):
+        assert row
+    return [check(r) for r in source]
+"""
+    assert assert_counts(planted) == {"table": 1, "table_rows": 1}
 
 
 def imports_of(package: str, source: str) -> list[str]:

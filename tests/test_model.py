@@ -34,10 +34,6 @@ class TestBranchKernel:
 
 
 class TestValidate:
-    def test_corpus_is_valid(self):
-        for name, _ in bundled():
-            assert validate(load_corpus(name)) == []
-
     def test_repeated_fault_reported_at_each_occurrence(self):
         # every loop and branch of xyzu carries [[1]]; as [[2]] the one
         # matrix is reported at each of them, in declaration order
