@@ -7,9 +7,10 @@ branch kernels.  The lowest group is ker j, a free group, so only its rank
 is computed, by rank-nullity from the rank of j; no kernel basis is built.
 From it follow the Euler-characteristic bookkeeping, the six-term exactness
 ranks, the Betti bounds, and the monodromy divisibility predicates.  The
-interaction rank is cross-checked by intersecting the images of j's
-invariant and point blocks; `_build_j` finishes the point block's Hermite
-basis from validation's iota echelons as they are.  `analyze` runs it all in
+interaction rank is cross-checked as the rank of the intersection of the
+images of j's invariant and point blocks, rk A + rk B - rk [A B] over the
+two Hermite bases' columns; `_build_j` finishes the point block's basis
+from validation's iota echelons as they are.  `analyze` runs it all in
 one pass, and each of its three cross-checks compares two routes to one
 number through `_agree`, which raises naming both routes and both values.
 The Euler bookkeeping never reads the lowest rank: per component, it
@@ -170,6 +171,13 @@ def _build_j(cfg: SliceConfiguration, comps: tuple[ComponentCohomology, ...],
     return j, Submodule(block), lows
 
 
+def _interaction_rank(a: Submodule, b: Submodule) -> int:
+    """Rank of the intersection of the lattices of two bases of full column
+    rank, rk A + rk B - rk [A B], from one echelon of their columns."""
+    columns = (*zip(*a.basis.data), *zip(*b.basis.data))
+    return len(columns) - linalg.rank(IntegerMatrix(len(columns), a.ambient_rank, columns))
+
+
 def _agree(check: str, one: tuple[str, int], other: tuple[str, int]) -> None:
     """Raise InternalDefectError naming both routes and values unless they agree."""
     if one[1] != other[1]:
@@ -195,20 +203,20 @@ def analyze(cfg: SliceConfiguration) -> VanishingReport:
     # The integer kernel is saturated, so its rank is the rational nullity.
     # rank echelons the rows of the raw j, so it walks j's sparse invariant
     # columns before its dense -iota ones; the interaction cross-check
-    # eliminates other matrices, so the two routes stay independent.
+    # echelons two bases' columns instead, so the routes stay independent.
     lowest = FinAbGroup(j.cols - linalg.rank(j), ())
     upper = sum(cc.invariants.rank for cc in comps)
 
     # Decomposition: the branch-free components' invariants plus the
-    # interaction part, whose rank is cross-checked against the direct
-    # computation of the intersection of the two images.  Branch-free
-    # components have zero columns in j, so the invariant columns span the
-    # same image as those of the components with branches.
+    # interaction part, whose rank is cross-checked as that of the two
+    # images' intersection, rk A + rk B - rk [A B] for their Hermite bases.
+    # Branch-free components have zero columns in j, so the invariant
+    # columns span the same image as those of the components with branches.
     i0 = [(cc.component_id, cc.invariants.rank) for cc, low in zip(comps, lows) if not low]
     g_rank = lowest.free_rank - sum(r for _, r in i0)
-    g_direct = linalg.intersect(
+    g_direct = _interaction_rank(
         linalg.image(IntegerMatrix(j.rows, upper, tuple(r[:upper] for r in j.data))),
-        point_image).rank
+        point_image)
 
     # Six-term ranks: the alternating sum of the five determined terms fixes
     # the top pair group; a negative value flags contradictory input ranks.

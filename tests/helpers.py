@@ -12,7 +12,7 @@ from itertools import combinations
 
 from vancoh import (Branch, CurveComponent, EigenvalueData, IntegerMatrix, IntPolynomial,
                     IsolatedPoint, SliceConfiguration, SpecialPoint, branch_kernel, linalg,
-                    matrix, model, parse_configuration, serialize_configuration, validate)
+                    matrix, model, parse_configuration, serialize_configuration)
 from vancoh.corpus import bundled
 from vancoh.linalg import rank as matrix_rank
 
@@ -334,7 +334,10 @@ def random_valid_config(rng: random.Random, max_components: int = 3,
     """Generate a configuration that passes validation by construction.
 
     Branch monodromies are reused as the corresponding loop generators, so
-    the invariant submodule automatically lies in every branch kernel.
+    the invariant submodule automatically lies in every branch kernel.  The
+    draws are not validated here: `test_random_draws_are_valid` in
+    `tests/test_engine.py` checks those the two tables read, so a validation
+    fault fails that check by name, not every table's setup.
     """
     s = rng.randrange(2, 4)
     n = rng.randrange(3, 6)
@@ -376,15 +379,12 @@ def random_valid_config(rng: random.Random, max_components: int = 3,
     isolated = tuple(IsolatedPoint(f"r{k + 1}", rng.randrange(0, 5))
                      for k in range(rng.randrange(0, 3)))
 
-    cfg = SliceConfiguration(
+    return SliceConfiguration(
         n=n, original_n=n + s - 2, original_s=s,
         components=tuple(components),
         special_points=tuple(points),
         isolated_points=isolated,
     )
-    violations = validate(cfg)
-    assert not violations, f"generator produced an invalid configuration: {violations}"
-    return cfg
 
 
 def dense_iota_config(rng: random.Random, mu: int, f1: int, f2: int, shared: int,
@@ -610,6 +610,10 @@ def _edit_component(rng: random.Random, doc, repeat: bool) -> None:
     if isinstance(loops, list):
         del loops[rng.randrange(len(loops) + 1):]
     components.insert(rng.randrange(len(components) + 1), twin)
+
+
+# where `pipeline_documents()` holds its `random_valid_config` draws
+PIPELINE_DRAWS = slice(1000, 1150)
 
 
 def pipeline_documents(seed: int = 1200) -> list[bytes]:

@@ -18,8 +18,8 @@ from vancoh.report import format_group, render_json, report_to_dict
 
 import oracles
 from helpers import (arrangement_config, conjugate_component, count_calls, dense_iota_config,
-                     load_corpus, permute_config, pipeline_documents, rand_unimodular,
-                     random_valid_config, record_echelons, report_signature)
+                     load_corpus, permute_config, pipeline_documents, PIPELINE_DRAWS,
+                     rand_unimodular, random_valid_config, record_echelons, report_signature)
 
 
 def empty_config(n=3):
@@ -370,6 +370,16 @@ def source_configs(source):
     return [cfg for cfg in configs if cfg is not None and not vancoh.validate(cfg)]
 
 
+def test_random_draws_are_valid():
+    """Every `random_valid_config` draw the two tables read passes
+    validation: the `random` source's and the pipeline set's.  The
+    generator does not check its own draws, so a validation fault that
+    rejects one fails here by name."""
+    draws = source_configs("random") + [load_bytes(raw).configuration
+                                        for raw in pipeline_documents()[PIPELINE_DRAWS]]
+    assert [(k, v) for k, v in enumerate(map(vancoh.validate, draws)) if v] == []
+
+
 # the table's rows per source and the reference per (source, row index),
 # each computed once per session, whichever test asks first
 CACHE = {}
@@ -377,22 +387,23 @@ CACHE = {}
 
 def table_rows(source):
     """Per configuration of the source, (cfg, the outcome of `analyze`, the
-    arguments of each `intersect` call the cross-check made).  The outcome is
-    the report, None for an internal defect, or whatever else `analyze` raised."""
+    arguments of each `_interaction_rank` call the cross-check made).  The
+    outcome is the report, None for an internal defect, or whatever else
+    `analyze` raised."""
     if source in CACHE:
         return CACHE[source]
     rows = []
     with pytest.MonkeyPatch.context() as mp:
-        intersections = count_calls(mp, vancoh.linalg, "intersect")
+        cross_checks = count_calls(mp, vancoh.engine, "_interaction_rank")
         for cfg in source_configs(source):
-            intersections.clear()
+            cross_checks.clear()
             try:
                 rep = analyze(cfg)
             except InternalDefectError:
                 rep = None
             except Exception as error:
                 rep = error
-            rows.append((cfg, rep, intersections[:]))
+            rows.append((cfg, rep, cross_checks[:]))
     CACHE[source] = rows
     return rows
 
@@ -515,10 +526,10 @@ def test_point_image(table):
     """The cross-check's basis of j's point block, finished from the iota
     echelons of validation, is the Hermite basis `image` takes of that
     block of the report's j."""
-    for _, rep, intersections in reports(table):
+    for _, rep, cross_checks in reports(table):
         j = rep.j_matrix
         upper = sum(cc.invariants.rank for cc in rep.components)
-        [(_, points)] = intersections
+        [(_, points)] = cross_checks
         assert points == image(IntegerMatrix(j.rows, j.cols - upper,
                                              tuple(r[upper:] for r in j.data)))
 
@@ -654,12 +665,12 @@ class TestSinglePass:
         # is counted, not built
         assert (len(checks), len(solves)) == (1, 1)
         assert len(kernels) == 6 + 1
-        # kernels and the intersection back-normalise inside their own
-        # echelon pass, and the point block's basis is finished from
-        # validation's iota echelons: the only full Hermite form is the
-        # cross-check's image of the invariant block, and each iota, rank,
-        # unimodularity, image and intersect call runs exactly one
-        # elimination: 1 check, 4 iotas, rank j, image, intersect.  All 7
+        # kernels back-normalise inside their own echelon pass, and the
+        # point block's basis is finished from validation's iota echelons:
+        # the only full Hermite form is the cross-check's image of the
+        # invariant block, and each iota, rank, unimodularity and image call
+        # runs exactly one elimination: 1 check, 4 iotas, rank j, image and
+        # the cross-check's rank of the two bases' columns.  All 7
         # kernels are of zero maps, the branch's [[0]] and six stacks
         # [[0], [0]], so they run none.  Every xyzu cokernel has unit
         # pivots, so each echelons its rows once
@@ -678,33 +689,30 @@ class TestSinglePass:
         assert vancoh.model.validate(cfg) == []
         assert transposes == []
 
-    def test_cross_check_eliminates_kernel_stack(self, monkeypatch):
-        # the interaction cross-check eliminates [A B; I 0], A the image of
-        # smaller rank: n + min(ra, rb) rows
+    def test_cross_check_eliminates_basis_columns(self, monkeypatch):
+        # the interaction cross-check is one echelon of the columns of A,
+        # the invariant block's Hermite basis, then those of B, the point
+        # block's: [A B] of height n, with no identity block below it
         echelons = record_echelons(monkeypatch)
-        stacks = []
-        original = vancoh.linalg.intersect
+        checks = []
+        original = vancoh.engine._interaction_rank
 
         def recording(a, b):
             start = len(echelons)
             result = original(a, b)
-            stacks.append((a, b, echelons[start:]))
+            checks.append((a, b, result, echelons[start:]))
             return result
 
-        monkeypatch.setattr(vancoh.linalg, "intersect", recording)
+        monkeypatch.setattr(vancoh.engine, "_interaction_rank", recording)
         analyze(load_corpus("xyzu"))
-        [(a, b, [columns])] = stacks
-        n, low = a.ambient_rank, min(a.rank, b.rank)
-        assert low < n
-        assert len(columns) == a.rank + b.rank
-        assert all(len(c) == n + low for c in columns)
-        assert [c[n:] for c in columns] == [tuple(int(i == k) for i in range(low))
-                                            for k in range(a.rank + b.rank)]
+        [(a, b, g, [columns])] = checks
+        assert columns == list(zip(*a.basis.data)) + list(zip(*b.basis.data))
+        assert g == len(columns) - oracles.rational_rank([list(c) for c in columns])
 
     def test_kernel_route_eliminates_j_rows(self, monkeypatch):
-        # rank(j) is one echelon of the raw j's transpose: the columns it
-        # eliminates are j's rows, neither the point block's basis nor the
-        # cross-check stack
+        # rank(j), the first of analyze's two ranks, is one echelon of the
+        # raw j's transpose: the columns it eliminates are j's rows, not
+        # the columns of the cross-check's two bases
         echelons = record_echelons(monkeypatch)
         ranks = []
         original_rank = vancoh.linalg.rank
@@ -720,7 +728,7 @@ class TestSinglePass:
             ranks.clear()
             report = analyze(load_corpus(name))
             j = report.j_matrix
-            [[columns]] = ranks
+            [[columns], _] = ranks
             assert columns == list(j.data)
             assert report.lowest_group.free_rank == j.cols - oracles.rational_rank(j.tolist())
 
@@ -781,8 +789,7 @@ class TestSinglePass:
             "Euler bookkeeping mismatch: six-term ranks give 4, direct formula gives 1")
 
     def test_interaction_rank_fires(self, monkeypatch):
-        monkeypatch.setattr(vancoh.linalg, "intersect",
-                            lambda a, b: image(IntegerMatrix.zeros(a.ambient_rank, 0)))
+        monkeypatch.setattr(vancoh.engine, "_interaction_rank", lambda a, b: 0)
         with pytest.raises(InternalDefectError) as info:
             analyze(load_corpus("xyz"))  # interaction rank 2
         assert str(info.value) == (

@@ -6,7 +6,8 @@ Smith digests pin the canonical diagonal and cokernel apart from the
 transforms u and v, the echelon digest pins the raw column echelons of the
 elimination core, pivot choice and operation order included, and the
 cross-check digest pins the canonical bases the interaction cross-check
-intersects.  `test_cli.py`'s document table pins every report of `cli.run`."""
+eliminates and their intersection.  `test_cli.py`'s document table pins
+every report of `cli.run`."""
 
 import hashlib
 import json
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from vancoh import analyze, linalg, parse_configuration, serialize_configuration
+from vancoh import analyze, engine, linalg, parse_configuration, serialize_configuration
 from vancoh.corpus import bundled
 from vancoh.linalg import IntegerMatrix, cokernel, smith_normal_form
 
@@ -157,19 +158,21 @@ CROSS_CHECK_DIGEST = "04ad415e047454bca589be79d3d712ee994be1373786f1162a98c6e348
 
 
 def test_cross_check_digest(monkeypatch):
-    """Both argument bases and the result basis of every `linalg.intersect`
-    call `analyze` makes, the interaction cross-check, on the corpus, 400
-    seeded random configurations of rank up to 6 and 6 seeded dense-iota
-    configurations of rank 6 to 16."""
+    """Both argument bases of every interaction cross-check `analyze` makes,
+    and the Hermite basis `linalg.intersect` gives for them, whose rank is
+    the cross-check's value, on the corpus, 400 seeded random configurations
+    of rank up to 6 and 6 seeded dense-iota configurations of rank 6 to 16."""
     digest = hashlib.sha256()
-    original = linalg.intersect
+    original = engine._interaction_rank
 
     def recording(a, b):
         result = original(a, b)
-        digest.update(repr((a, b, result)).encode())
+        both = linalg.intersect(a, b)
+        assert both.rank == result
+        digest.update(repr((a, b, both)).encode())
         return result
 
-    monkeypatch.setattr(linalg, "intersect", recording)
+    monkeypatch.setattr(engine, "_interaction_rank", recording)
     rng = random.Random(400)
     configs = ([load_corpus(name) for name, _ in bundled()]
                + [random_valid_config(rng, max_rank=6, with_costalk=bool(k % 2))

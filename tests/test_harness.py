@@ -20,9 +20,11 @@ indented only by `report`'s own writer: no module calls `json.dumps` or `json.du
 ``indent``, the stdlib's pure-Python path.  The test oracles import the
 standard library alone, so what the differential tests compare the
 elimination core against shares no code with it.  The functions that
-build the tests' input and document tables assert nothing, so a library
-fault fails the check that names its rule.  The library must parse
-under the oldest Python that pyproject.toml admits.  Its record types
+build the tests' input and document tables, the random generator and
+the pipeline set included, assert nothing, so a library fault fails the
+check that names its rule.  Outside `linalg`, no module calls
+`intersect`: the interaction cross-check reads only a rank.  The library
+must parse under the oldest Python that pyproject.toml admits.  Its record types
 are plain `collections.namedtuple` subclasses and its arithmetic stays in
 the integers, so that ``import vancoh.cli`` loads only what the command
 line needs: no library module imports `dataclasses`, `typing` or
@@ -333,6 +335,15 @@ def test_submodules_are_built_in_linalg_and_build_j():
     assert calls == ["engine._build_j"]
 
 
+def test_no_library_module_outside_linalg_intersects():
+    # the interaction cross-check reads only the intersection's rank,
+    # rk A + rk B - rk [A B], so no product path builds an intersection basis
+    calls = [f"{path.relative_to(LIBRARY).with_suffix('')}.{where}"
+             for path in sorted(LIBRARY.rglob("*.py")) if path != LIBRARY / "linalg.py"
+             for where in calls_of("intersect", path.read_text())]
+    assert calls == []
+
+
 def test_group_text_is_written_by_the_report_document_alone():
     calls = [f"{path.relative_to(LIBRARY).with_suffix('')}.{where}"
              for path in sorted(LIBRARY.rglob("*.py"))
@@ -477,7 +488,9 @@ from hypothesis import given
         "line 8: hypothesis"]
 
 
-TABLE_BUILDERS = {"test_cli.py": ["table"], "test_engine.py": ["table", "table_rows"]}
+TABLE_BUILDERS = {"test_cli.py": ["source_documents", "table"],
+                  "test_engine.py": ["source_configs", "table", "table_rows"],
+                  "helpers.py": ["pipeline_documents", "random_valid_config"]}
 
 
 def assert_counts(source: str) -> dict[str, int]:
